@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -744,8 +745,28 @@ def _cmd_algorithms(platform_id: str) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """Entry point; returns a process exit code.
+
+    A reader that closes stdout early (``archline list | head -1``)
+    ends the process quietly with exit code 1, by the SIGPIPE recipe of
+    the Python docs, instead of with a ``BrokenPipeError`` traceback.
+    """
+    try:
+        code = _dispatch(build_parser().parse_args(argv))
+        # Flush inside the try, so a closed pipe raises here and not
+        # at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the interpreter's own final flush, go to
+        # devnull instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns its exit code."""
     if args.command == "list":
         print(_cmd_list())
         return 0

@@ -23,7 +23,10 @@ Estimation strategy
    (exactly linear in the unknowns).
 3. **Refinement** minimises relative (log-space) residuals of predicted
    vs measured time *and* energy jointly, in log-parameter space with
-   multistart (:func:`repro.stats.regression.fit_log_params`).
+   multistart (:func:`repro.stats.regression.fit_log_params`).  The
+   optimiser gets the model's analytic Jacobian: each time residual
+   follows the branch of the model's ``max()`` that attains it, so no
+   residual evaluation is spent on finite differences.
 
 ``fit_cache_level`` and ``fit_random_access`` remain as standalone
 single-level estimators (conditioning on a given ``pi1``), used for
@@ -164,6 +167,23 @@ class _Anchors:
     tau_levels: tuple[float, ...]  #: aligned with FitObservations.levels.
     tau_rand: float | None
 
+    def memory_time(self, obs: FitObservations, tau_mem: float) -> np.ndarray:
+        """Memory-side time per observation: DRAM traffic at
+        ``tau_mem``, cache and pointer-chase traffic at their anchored
+        per-op times."""
+        t_mem = obs.Q * tau_mem
+        for level, tau_l in zip(obs.levels, self.tau_levels):
+            t_mem = t_mem + obs.cache_traffic[level] * tau_l
+        if obs.has_random:
+            t_mem = t_mem + obs.random_accesses * self.tau_rand
+        return t_mem
+
+    def roofline_time(
+        self, obs: FitObservations, tau_flop: float, tau_mem: float
+    ) -> np.ndarray:
+        """The uncapped model time ``max(W tau_flop, memory time)``."""
+        return np.maximum(obs.W * tau_flop, self.memory_time(obs, tau_mem))
+
 
 def _compute_anchors(obs: FitObservations) -> _Anchors:
     w_pos = obs.W > 0
@@ -209,28 +229,28 @@ class _Theta:
             e_dyn = e_dyn + obs.random_accesses * self.eps_rand
         return e_dyn
 
+    def time(
+        self,
+        obs: FitObservations,
+        e_dyn: np.ndarray,
+        floor: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Model time given the dynamic energy: the roofline time
+        (``floor`` when given), raised to ``e_dyn / delta_pi`` where the
+        cap binds."""
+        if floor is None:
+            floor = self.anchors.roofline_time(obs, self.tau_flop, self.tau_mem)
+        if not np.isfinite(self.delta_pi):
+            return floor
+        return np.maximum(floor, e_dyn / self.delta_pi)
+
     def predict(self, obs: FitObservations) -> tuple[np.ndarray, np.ndarray]:
         """Model time and energy for every observation (self-contained:
         the energy term uses the *model's* time)."""
-        t_mem = obs.Q * self.tau_mem
-        for level, tau_l in zip(obs.levels, self.anchors.tau_levels):
-            t_mem = t_mem + obs.cache_traffic[level] * tau_l
-        if obs.has_random:
-            t_mem = t_mem + obs.random_accesses * self.anchors.tau_rand
         e_dyn = self.dynamic_energy(obs)
-        t = np.maximum(obs.W * self.tau_flop, t_mem)
-        if np.isfinite(self.delta_pi):
-            t = np.maximum(t, e_dyn / self.delta_pi)
+        t = self.time(obs, e_dyn)
         e = e_dyn + self.pi1 * t
         return t, e
-
-    def energy_given_measured_time(self, obs: FitObservations) -> np.ndarray:
-        """Energy with the constant-power term charged over the run's
-        *measured* time.  Fitting against this decouples the energy
-        decomposition from any bias in the time anchors -- operationally
-        it is what ``E = W eps_flop + Q eps_mem + pi1 T`` means for a
-        measured run."""
-        return self.dynamic_energy(obs) + self.pi1 * obs.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +300,17 @@ class ModelFit:
         }
 
 
+def _energy_columns(obs: FitObservations) -> list[np.ndarray]:
+    """Per-run op counts multiplying each marginal energy in the
+    dynamic energy: W, Q, each cache level's traffic, [accesses]."""
+    columns = [obs.W, obs.Q]
+    for level in obs.levels:
+        columns.append(obs.cache_traffic[level])
+    if obs.has_random:
+        columns.append(obs.random_accesses)
+    return columns
+
+
 def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     """Linear seeds: (eps_f, eps_m, [eps_l...], [eps_rand], pi1), plus a
     delta_pi seed.
@@ -292,11 +323,7 @@ def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     the NNLS corner solutions whose zero coefficients would strand the
     log-space optimiser at a vanishing gradient.
     """
-    columns = [obs.W, obs.Q]
-    for level in obs.levels:
-        columns.append(obs.cache_traffic[level])
-    if obs.has_random:
-        columns.append(obs.random_accesses)
+    columns = _energy_columns(obs)
     columns.append(obs.T)
     A = np.column_stack(columns)
     coeffs = nonnegative_lstsq(A, obs.E)
@@ -321,6 +348,111 @@ def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     return coeffs, dpi0
 
 
+class _Objective:
+    """The joint fit's residuals and their analytic Jacobian.
+
+    ``theta`` is laid out as ``[tau_flop, tau_mem]`` (free times only),
+    the marginal energies in :func:`_energy_columns` order, ``pi1``,
+    then ``delta_pi`` (capped model only).  The residuals are the
+    log-ratios of predicted to measured time, then of energy.
+    """
+
+    def __init__(
+        self, obs: FitObservations, *, capped: bool, anchor_times: bool
+    ) -> None:
+        self.obs = obs
+        self.capped = capped
+        self.anchor_times = anchor_times
+        self.anchors = _compute_anchors(obs)
+        self.energy_columns = np.column_stack(_energy_columns(obs))
+        first = 0 if anchor_times else 2
+        self.energies = slice(first, first + self.energy_columns.shape[1])
+        # With anchored per-op times the roofline floor of the time model
+        # does not depend on theta: computed once per fit.
+        self.floor = None
+        if anchor_times:
+            a = self.anchors
+            self.floor = a.roofline_time(obs, a.tau_flop, a.tau_mem)
+
+    def unpack(self, theta: np.ndarray) -> _Theta:
+        obs, anchors = self.obs, self.anchors
+        idx = self.energies.start
+        if self.anchor_times:
+            tau_f, tau_m = anchors.tau_flop, anchors.tau_mem
+        else:
+            tau_f, tau_m = theta[0], theta[1]
+        eps_f, eps_m = theta[idx], theta[idx + 1]
+        idx += 2
+        n_levels = len(obs.levels)
+        eps_levels = tuple(theta[idx : idx + n_levels])
+        idx += n_levels
+        eps_rand = None
+        if obs.has_random:
+            eps_rand = float(theta[idx])
+            idx += 1
+        pi1 = float(theta[idx])
+        idx += 1
+        dpi = float(theta[idx]) if self.capped else np.inf
+        return _Theta(
+            tau_flop=float(tau_f),
+            tau_mem=float(tau_m),
+            eps_flop=float(eps_f),
+            eps_mem=float(eps_m),
+            pi1=pi1,
+            delta_pi=dpi,
+            eps_levels=eps_levels,
+            eps_rand=eps_rand,
+            anchors=anchors,
+        )
+
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        obs = self.obs
+        model_theta = self.unpack(theta)
+        e_dyn = model_theta.dynamic_energy(obs)
+        t_hat = model_theta.time(obs, e_dyn, self.floor)
+        # The constant-power term is charged over the run's *measured*
+        # time: this decouples the energy decomposition from any bias
+        # in the time anchors -- operationally it is what
+        # ``E = W eps_flop + Q eps_mem + pi1 T`` means for a measured run.
+        e_hat = e_dyn + model_theta.pi1 * obs.T
+        return np.concatenate([np.log(t_hat / obs.T), np.log(e_hat / obs.E)])
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """``d residuals / d theta`` on the natural scale.
+
+        Energy rows differentiate ``log(e_dyn + pi1 T)``.  A time row
+        follows the branch of the ``max()`` that attains it: the cap
+        ``e_dyn / delta_pi``, else (free times only) the flop or the
+        memory term; anchored roofline rows do not depend on theta.
+        """
+        obs, n = self.obs, self.obs.n
+        model_theta = self.unpack(theta)
+        e_dyn = model_theta.dynamic_energy(obs)
+        e_hat = e_dyn + model_theta.pi1 * obs.T
+        jac = np.zeros((2 * n, len(theta)))
+        jac[n:, self.energies] = self.energy_columns / e_hat[:, None]
+        jac[n:, self.energies.stop] = obs.T / e_hat
+        time_rows = jac[:n]
+        floor = self.floor
+        if not self.anchor_times:
+            t_flop = obs.W * model_theta.tau_flop
+            t_mem = self.anchors.memory_time(obs, model_theta.tau_mem)
+            floor = np.maximum(t_flop, t_mem)
+        cap_bound = np.zeros(n, dtype=bool)
+        if self.capped:
+            cap_bound = e_dyn / model_theta.delta_pi > floor
+            time_rows[cap_bound, self.energies] = (
+                self.energy_columns[cap_bound] / e_dyn[cap_bound, None]
+            )
+            time_rows[cap_bound, -1] = -1.0 / model_theta.delta_pi
+        if not self.anchor_times:
+            flop_bound = ~cap_bound & (t_flop >= t_mem)
+            mem_bound = ~cap_bound & ~flop_bound
+            time_rows[flop_bound, 0] = obs.W[flop_bound] / t_flop[flop_bound]
+            time_rows[mem_bound, 1] = obs.Q[mem_bound] / t_mem[mem_bound]
+        return jac
+
+
 def fit_machine(
     obs: FitObservations,
     *,
@@ -334,9 +466,11 @@ def fit_machine(
 
     Residuals are log-ratios of predicted to measured time and energy,
     stacked with equal weight -- relative errors, since the sweep spans
-    orders of magnitude in both quantities.
+    orders of magnitude in both quantities.  The optimiser gets the
+    model's analytic Jacobian.
     """
-    anchors = _compute_anchors(obs)
+    objective = _Objective(obs, capped=capped, anchor_times=anchor_times)
+    anchors = objective.anchors
     seeds, dpi0 = _seed_energies(obs)
     # seeds layout: eps_f, eps_m, [levels...], [rand], pi1
     n_levels = len(obs.levels)
@@ -350,44 +484,14 @@ def fit_machine(
             [dpi0] if capped else []
         )
 
-    def unpack(theta: np.ndarray) -> _Theta:
-        idx = 0
-        if anchor_times:
-            tau_f, tau_m = anchors.tau_flop, anchors.tau_mem
-        else:
-            tau_f, tau_m = theta[0], theta[1]
-            idx = 2
-        eps_f, eps_m = theta[idx], theta[idx + 1]
-        idx += 2
-        eps_levels = tuple(theta[idx : idx + n_levels])
-        idx += n_levels
-        eps_rand = None
-        if obs.has_random:
-            eps_rand = float(theta[idx])
-            idx += 1
-        pi1 = float(theta[idx])
-        idx += 1
-        dpi = float(theta[idx]) if capped else np.inf
-        return _Theta(
-            tau_flop=float(tau_f),
-            tau_mem=float(tau_m),
-            eps_flop=float(eps_f),
-            eps_mem=float(eps_m),
-            pi1=pi1,
-            delta_pi=dpi,
-            eps_levels=eps_levels,
-            eps_rand=eps_rand,
-            anchors=anchors,
-        )
-
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        model_theta = unpack(theta)
-        t_hat, _ = model_theta.predict(obs)
-        e_hat = model_theta.energy_given_measured_time(obs)
-        return np.concatenate([np.log(t_hat / obs.T), np.log(e_hat / obs.E)])
-
-    result = fit_log_params(residuals, x0, n_restarts=n_restarts, rng=rng)
-    theta = unpack(result.params)
+    result = fit_log_params(
+        objective.residuals,
+        x0,
+        jacobian=objective.jacobian,
+        n_restarts=n_restarts,
+        rng=rng,
+    )
+    theta = objective.unpack(result.params)
 
     caches = tuple(
         CacheLevelParams(name=level, eps_byte=eps_l, bandwidth=1.0 / tau_l)

@@ -114,10 +114,9 @@ def fitted_platform_config(
     This is the one shared "theta": "fitted" resolution path: the
     predict service (:mod:`repro.serve.theta`) and the fleet optimizer
     (:mod:`repro.fleet`) both call it, so a campaign store warmed by
-    any of them (or by ``archline campaign --cache``) replays the same
-    campaign and fit entries bit-identically for all of them.  The fit
-    rng derivation matches :func:`run_platform_fit` exactly for the
-    same reason.
+    either of them replays the same campaign and fit entries
+    bit-identically for both.  The fit rng derivation matches
+    :func:`run_platform_fit` exactly, so both fit the same theta-hat.
     """
     settings = settings or CampaignSettings()
     base = platform(platform_id)

@@ -65,10 +65,14 @@ __all__ = [
 #: cache at once.  Bump it -- by convention, in the same commit --
 #: whenever a change alters what the engine (or anything between it and
 #: an :class:`~repro.microbench.runner.Observation`: governor, noise,
-#: measurement rig, calibration) computes for identical inputs.  Pure
-#: refactors, speedups proven bit-identical by the differential tests,
-#: and new optional features that default off do NOT require a bump.
-ENGINE_FINGERPRINT_VERSION = 1
+#: measurement rig, calibration) computes for identical inputs.  A change
+#: to what the fit computes (:mod:`repro.core.fitting`, its optimiser)
+#: requires a bump too, even when every observation is unchanged: cached
+#: fits are keyed on this version (:func:`repro.store.fingerprint.fit_key`).
+#: Pure refactors, speedups proven bit-identical by the differential
+#: tests, and new optional features that default off do NOT require a
+#: bump.
+ENGINE_FINGERPRINT_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -62,38 +62,53 @@ class RailTopology:
         clipped at its limit; clipped overflow is redistributed over
         rails with headroom (pro rata by fraction).  The rail powers
         always sum exactly to the total.
+
+        The work is whole-array over a (segments x rails) matrix: one
+        pass computes every segment's fractional shares, clips them at
+        the limits and sums each segment's spill.  At most one masked
+        pass per rail then redistributes spill, and each pass touches
+        only the segments still spilling -- usually a small minority.
+        A pass tops up the rails with headroom pro rata by fraction
+        (by count when those fractions are all zero); a segment with
+        no headroom left browns out, taking the spill pro rata on
+        every rail.  Every sum over a segment's rails is a row
+        reduction, the same reduction ``np.sum`` applies to one
+        segment, so each rail power is bit-identical to a per-segment
+        loop.
         """
-        totals = trace.values
-        n_rails = len(self.rails)
-        alloc = np.empty((n_rails, len(totals)))
         fractions = np.asarray(self.fractions)
         limits = np.asarray(self.limits)
-        for j, total in enumerate(totals):
-            share = fractions * total
-            over = np.maximum(share - limits, 0.0)
-            share = np.minimum(share, limits)
-            spill = float(np.sum(over))
-            # Redistribute spill over rails with headroom (a few passes
-            # suffice; topologies have <= 3 rails).
-            for _ in range(n_rails):
-                if spill <= 1e-12:
-                    break
-                headroom = limits - share
-                open_rails = headroom > 1e-12
-                if not np.any(open_rails):
-                    # No headroom anywhere: violate limits pro rata
-                    # (the hardware would brown out; we keep the sum).
-                    share = share + spill * fractions
-                    spill = 0.0
-                    break
-                weights = np.where(open_rails, fractions, 0.0)
-                if weights.sum() == 0.0:
-                    weights = open_rails.astype(float)
-                weights = weights / weights.sum()
-                add = np.minimum(spill * weights, headroom)
-                share = share + add
-                spill -= float(np.sum(add))
-            alloc[:, j] = share
+        share = trace.values[:, None] * fractions
+        spill = np.add.reduce(np.maximum(share - limits, 0.0), axis=1)
+        share = np.minimum(share, limits)
+        # ``~(x <= tol)`` rather than ``x > tol`` keeps NaN spill (infinite
+        # power on an unlimited rail) live, as the per-segment loop does.
+        live = np.flatnonzero(~(spill <= 1e-12))
+        for _ in range(len(self.rails)):
+            if live.size == 0:
+                break
+            rows = share[live]
+            left = spill[live]
+            headroom = limits - rows
+            open_rails = headroom > 1e-12
+            has_room = open_rails.any(axis=1)
+            # No headroom anywhere: violate limits pro rata (the
+            # hardware would brown out; we keep the sum).
+            out = ~has_room
+            share[live[out]] = rows[out] + left[out, None] * fractions
+            live, rows, left = live[has_room], rows[has_room], left[has_room]
+            headroom, open_rails = headroom[has_room], open_rails[has_room]
+            weights = np.where(open_rails, fractions, 0.0)
+            unweighted = np.add.reduce(weights, axis=1) == 0.0
+            weights[unweighted] = open_rails[unweighted]
+            weights = weights / np.add.reduce(weights, axis=1)[:, None]
+            add = np.minimum(left[:, None] * weights, headroom)
+            share[live] = rows + add
+            left = left - np.add.reduce(add, axis=1)
+            still = ~(left <= 1e-12)
+            live = live[still]
+            spill[live] = left[still]
+        alloc = share.T.copy()
         return {
             rail: PowerTrace(trace.edges.copy(), alloc[k])
             for k, rail in enumerate(self.rails)

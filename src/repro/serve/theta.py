@@ -111,8 +111,8 @@ class ThetaResolver:
             return fitted
         self.fitted_resolutions += 1
         # The shared resolution path (same rng derivation as
-        # run_platform_fit), so a store shared with `archline campaign`
-        # or `archline fleet` replays the identical campaign and fit.
+        # run_platform_fit), so a store shared with `archline fleet`
+        # replays the identical campaign and fit.
         config = fitted_platform_config(
             platform_id,
             self.settings,

@@ -38,6 +38,7 @@ def fit_log_params(
     residuals: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     *,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     n_restarts: int = 4,
     perturbation: float = 0.3,
     rng: np.random.Generator | None = None,
@@ -49,6 +50,13 @@ def fit_log_params(
     optimisation happens in log space.  ``x0`` entries must be
     strictly positive.  Restarts perturb ``log(x0)`` by centred normal
     noise of scale ``perturbation``.
+
+    ``jacobian``, when given, maps natural-scale ``theta`` to the
+    ``(n_residuals, n_params)`` matrix ``d residuals / d theta``; the
+    chain rule into log space (scaling column ``k`` by ``theta[k]``) is
+    applied here.  Without it the optimiser builds 2-point
+    finite-difference Jacobians, one residual evaluation per parameter
+    per Jacobian.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
@@ -65,6 +73,17 @@ def fit_log_params(
             res = residuals(theta)
         return np.nan_to_num(res, nan=1e6, posinf=1e6, neginf=-1e6)
 
+    jac: Callable[[np.ndarray], np.ndarray] | str = "2-point"
+    if jacobian is not None:
+
+        def log_jacobian(log_theta: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                theta = np.exp(np.clip(log_theta, -500.0, 500.0))
+                d_log = jacobian(theta) * theta
+            return np.nan_to_num(d_log, nan=0.0, posinf=1e6, neginf=-1e6)
+
+        jac = log_jacobian
+
     best: tuple[float, np.ndarray, bool] | None = None
     log_x0 = np.log(x0)
     starts = [log_x0] + [
@@ -74,7 +93,11 @@ def fit_log_params(
     for start in starts:
         try:
             result = least_squares(
-                log_residuals, start, method="trf", max_nfev=max_nfev
+                log_residuals,
+                start,
+                jac=jac,
+                method="trf",
+                max_nfev=max_nfev,
             )
         except (ValueError, FloatingPointError):  # diverged restart
             continue

@@ -13,10 +13,12 @@ serve path and the cache CLI share one store format.
 from __future__ import annotations
 
 import asyncio
+from pathlib import Path
 
 from repro.cli import main as archline_main
 from repro.experiments.common import CampaignSettings
 from repro.serve import PredictServer, ThetaResolver
+from repro.serve.protocol import PredictQuery
 from repro.store.store import CampaignStore
 
 from .conftest import post_predict
@@ -89,6 +91,43 @@ def test_cold_then_warm_store_round_trip(tmp_path, capsys):
     assert archline_main(["cache", "verify", "--dir", cache_dir]) == 0
     verify_out = capsys.readouterr().out.lower()
     assert "all entries verify" in verify_out
+
+
+def test_fleet_warmed_store_serves_fitted_theta(tmp_path, capsys, monkeypatch):
+    """``archline fleet --theta fitted --quick-fit --cache D`` publishes
+    exactly the campaign and fit entries that serve's fitted resolution
+    at scaled-down settings looks up: both hit, nothing is recomputed."""
+    monkeypatch.delenv("ARCHLINE_CACHE", raising=False)
+    cache_dir = str(tmp_path / "store")
+    workload = Path(__file__).parents[2] / "examples" / "fleet_workload.json"
+    code = archline_main(
+        [
+            "fleet",
+            "--workload", str(workload),
+            "--theta", "fitted",
+            "--quick-fit",
+            "--platforms", QUERY["platform"],
+            "--cache", cache_dir,
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+    resolver = ThetaResolver(
+        store=CampaignStore(cache_dir),
+        settings=CampaignSettings().scaled_down(),
+    )
+    resolver.engine(
+        PredictQuery(
+            kernel=QUERY["kernel"],
+            platform_id=QUERY["platform"],
+            n=QUERY["n"],
+            theta="fitted",
+        )
+    )
+    assert resolver.stats()["store"] == {
+        "hits": 2, "misses": 0, "stale": 0, "puts": 0,
+    }
 
 
 def test_truth_queries_never_touch_the_store(tmp_path):

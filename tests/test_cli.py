@@ -1,7 +1,13 @@
 """Tests for the archline CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -84,6 +90,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Fit uncertainty" in out
         assert "delta_pi" in out
+
+
+class TestClosedPipe:
+    """``archline list | head -1``: a reader that closes stdout early
+    ends the process quietly, without a ``BrokenPipeError`` traceback."""
+
+    @pytest.mark.parametrize("command", ["list", "audit"])
+    def test_reader_gone_before_first_write(self, command):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestServeParser:
