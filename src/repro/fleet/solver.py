@@ -26,17 +26,22 @@ Two solvers, intentionally independent implementations:
     Depth-first enumeration of per-bin *irreducible covers* (no node
     can be removed without breaking coverage -- some optimal solution
     always is one, since weights and draws are non-negative), with
-    budget and objective-bound pruning.  No LP involved; this is the
-    test oracle.
+    budget and objective-bound pruning.  The bound is integrality
+    aware: an uncovered bin costs at least the larger of its remaining
+    demand times the best weight per job and the lightest single node
+    among the pairs left, since it needs at least one more node.  A
+    subtree is pruned only when it holds no leaf better than the
+    incumbent, so the search keeps the leaf an unpruned walk would.
+    No LP involved; this is the test oracle.
 :func:`solve`
     The scalable path: LP relaxation (:mod:`repro.fleet.simplex`),
     floor-rounding, greedy deficit fill, surplus trim, then a
     state-capped run of the exact search seeded with the greedy
-    incumbent.  On small instances the capped search completes and the
-    answer is provably optimal (the differential tests assert it
-    matches the oracle); on large ones it returns the best incumbent
-    plus the LP lower bound, so the optimality gap is always
-    reported.
+    incumbent.  On small instances, and on the shipped workloads, the
+    capped search completes and the answer is provably optimal (the
+    differential tests assert it matches the oracle); when the cap
+    cuts it short it returns the best incumbent plus the LP lower
+    bound, so the optimality gap is always reported.
 
 Everything is deterministic: platforms and bins are walked in the
 instance's stored (sorted) order, ties keep the first solution found,
@@ -310,15 +315,25 @@ class _ExactSearch:
             self.best_obj = sum(
                 w * x for w, x in zip(self.weights, incumbent)
             )
-        # Fractional per-bin lower bounds and their suffix sums: bin j
-        # costs at least d_j * min_k (w_k / a_k) in any solution.
+        # Suffix minima over each bin's pairs: ratio_min[j][t] is the
+        # best weight per job and weight_min[j][t] the lightest node
+        # among group[t:], so _finish_lb costs nothing per state.
+        self.ratio_min: list[list[float]] = []
+        self.weight_min: list[list[float]] = []
+        for group in self.groups:
+            ratios = [self.weights[k] / instance.pair_rate[k] for k in group]
+            weights = [self.weights[k] for k in group]
+            for t in range(len(group) - 2, -1, -1):
+                ratios[t] = min(ratios[t], ratios[t + 1])
+                weights[t] = min(weights[t], weights[t + 1])
+            self.ratio_min.append(ratios)
+            self.weight_min.append(weights)
+        # Per-bin lower bounds for untouched bins and their suffix sums.
         n_bins = len(instance.bin_labels)
         self.bin_lb = [0.0] * n_bins
         for j, group in enumerate(self.groups):
             if group:
-                self.bin_lb[j] = instance.demands[j] * min(
-                    self.weights[k] / instance.pair_rate[k] for k in group
-                )
+                self.bin_lb[j] = self._finish_lb(j, 0, instance.demands[j])
         self.suffix_lb = [0.0] * (n_bins + 1)
         for j in range(n_bins - 1, -1, -1):
             self.suffix_lb[j] = self.suffix_lb[j + 1] + self.bin_lb[j]
@@ -329,6 +344,19 @@ class _ExactSearch:
         if any(not g for g in self.groups):
             return  # a bin nobody can serve: trivially infeasible
         self._bin(0, 0.0, 0.0, 0.0)
+
+    def _finish_lb(self, j: int, t: int, remaining: float) -> float:
+        """A lower bound on the objective that covers ``remaining`` of
+        bin ``j`` from pairs ``group[t:]``.
+
+        Fractionally the cover costs ``remaining`` times the best
+        weight per job; integrally an uncovered bin needs at least one
+        more node, so it also costs the lightest node left.  Both hold,
+        so the larger does.
+        """
+        if remaining <= _REL_TOL * max(1.0, self.inst.demands[j]):
+            return 0.0
+        return max(remaining * self.ratio_min[j][t], self.weight_min[j][t])
 
     def _tick(self) -> bool:
         self.states += 1
@@ -367,12 +395,11 @@ class _ExactSearch:
             return
         if t == len(group):
             return  # ran out of platforms with demand uncovered
-        # Bound: finishing this bin costs at least remaining * best
-        # weight-per-job among the still-available pairs.
-        rest = [
-            self.weights[k] / inst.pair_rate[k] for k in group[t:]
-        ]
-        bound = obj + remaining * min(rest) + self.suffix_lb[j + 1]
+        # Prune when no leaf below can beat the incumbent by more than
+        # 1e-12.  The bound is deliberately not shaded down: a tie then
+        # prunes, so a subtree of mixes that only tie the incumbent
+        # (identical platforms, equal unit costs) is never walked.
+        bound = obj + self._finish_lb(j, t, remaining) + self.suffix_lb[j + 1]
         if bound >= self.best_obj - 1e-12:
             return
         k = group[t]

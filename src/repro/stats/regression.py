@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 __all__ = ["LogFitResult", "fit_log_params", "nonnegative_lstsq"]
 
@@ -58,6 +57,11 @@ def fit_log_params(
     finite-difference Jacobians, one residual evaluation per parameter
     per Jacobian.
     """
+    # scipy loads here, not at module import: a command that never
+    # fits (list, platform, audit, fleet, a warm replay) skips its
+    # import cost entirely.
+    from scipy.optimize import least_squares
+
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
         raise ValueError("all initial parameters must be strictly positive")
@@ -128,6 +132,8 @@ def nonnegative_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     nonlinear fit (all three coefficients are physical energies/powers
     and must be non-negative).
     """
+    from scipy.optimize import nnls  # deferred, as in fit_log_params
+
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:

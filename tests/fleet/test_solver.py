@@ -1,15 +1,25 @@
 """Fleet solvers: hand instances plus the hypothesis differential
 suite (the scalable path must match the exact oracle on every small
-instance -- an ISSUE acceptance criterion)."""
+instance), and an enumerator that shares no code with the exact
+search, so a bound that prunes too much cannot pass by agreeing with
+itself."""
 
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.fleet import FleetInstance, allocations, solve, solve_exact
 from repro.telemetry.recorder import TraceRecorder
+
+#: The 8-bin histogram: the example workload's five bins plus triad,
+#: mergesort and a small-matmul bin.
+WORKLOAD_8BIN = Path(__file__).parent.parent / "data" / "fleet_workload_8bin.json"
 
 _REL = 1e-9
 
@@ -233,6 +243,24 @@ class TestHandInstances:
         assert sol.nodes == (0, 2)
         assert all(solve_exact(inst).nodes == sol.nodes for _ in range(3))
 
+    def test_tied_mixes_are_pruned(self):
+        # Four identical platforms: every split of a bin's nodes across
+        # them ties.  A bound that only ties the incumbent must prune,
+        # or the search walks all 57,750 tied mixes and the polish
+        # stops at its cap instead of proving the first one optimal.
+        inst = make_instance(
+            demands=[1, 2, 4],
+            rates=[[0.5] * 4] * 3,
+            powers=[[0.5] * 4] * 3,
+            costs=[1.0] * 4,
+        )
+        scalable = solve(inst)
+        exact = solve_exact(inst)
+        assert scalable.status == exact.status == "optimal"
+        assert scalable.states_explored <= 100
+        assert exact.states_explored <= 100
+        assert exact.nodes == (0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 8)
+
     def test_truncated_search_reports_states(self):
         inst = make_instance(
             demands=[50, 50],
@@ -360,3 +388,139 @@ def test_differential_scalable_vs_oracle(instance):
 @settings(max_examples=40)
 def test_exact_is_deterministic(instance):
     assert solve_exact(instance) == solve_exact(instance)
+
+
+def _covers(rates, remaining, tol, counts=()):
+    """Every count tuple over ``rates`` that covers ``remaining`` (to
+    within ``tol``), in walk order; counts after the covering pair are 0."""
+    t = len(counts)
+    if remaining <= tol:
+        return [counts + (0,) * (len(rates) - t)]
+    if t == len(rates):
+        return []
+    out = []
+    for count in range(math.ceil(remaining / rates[t]) + 1):
+        out += _covers(rates, remaining - count * rates[t], tol, counts + (count,))
+    return out
+
+
+def enumerate_optimum(instance):
+    """Tests-only oracle: every irreducible cover, no bound pruning.
+
+    Walks bins in order, each bin's pairs in order and each pair's
+    count from 0 up to ``ceil(remaining / rate)``, closing a bin as
+    soon as it is covered.  Leaves that break a budget or a supply cap
+    are dropped, and the first leaf better than the best so far by
+    more than 1e-12 is kept -- the exact search's tie-break, reached
+    without any of its code.  Returns ``(nodes, objective)``, or
+    ``(None, inf)`` when no leaf is feasible.
+    """
+    n_pairs = len(instance.pair_bin)
+    if instance.objective == "energy":
+        weights = [instance.horizon * p for p in instance.pair_power]
+    else:
+        weights = [instance.unit_costs[i] for i in instance.pair_platform]
+    bins = []
+    for j, demand in enumerate(instance.demands):
+        pairs = [k for k in range(n_pairs) if instance.pair_bin[k] == j]
+        rates = [instance.pair_rate[k] for k in pairs]
+        bins.append((pairs, _covers(rates, demand, 1e-9 * max(1.0, demand))))
+    best, best_obj = None, math.inf
+    for combo in itertools.product(*(covers for _, covers in bins)):
+        x = [0] * n_pairs
+        for (pairs, _), counts in zip(bins, combo):
+            for k, count in zip(pairs, counts):
+                x[k] = count
+        power = sum(p * n for p, n in zip(instance.pair_power, x))
+        cost = sum(
+            instance.unit_costs[i] * n
+            for i, n in zip(instance.pair_platform, x)
+        )
+        if power > instance.power_budget * (1 + 1e-9):
+            continue
+        if cost > instance.cost_budget * (1 + 1e-9):
+            continue
+        used = [0] * len(instance.platform_ids)
+        for i, n in zip(instance.pair_platform, x):
+            used[i] += n
+        if any(u > cap for u, cap in zip(used, instance.max_nodes)):
+            continue
+        obj = sum(w * n for w, n in zip(weights, x))
+        if obj < best_obj - 1e-12:
+            best, best_obj = tuple(x), obj
+    return best, best_obj
+
+
+@st.composite
+def tiny_instances(draw):
+    """Instances small enough to enumerate: at most 3 bins x 4
+    platforms, demands <= 8 and rates >= 2, so no pair takes more than
+    four nodes and no instance has more than ~43k leaves."""
+    n_bins = draw(st.integers(min_value=1, max_value=3))
+    n_plat = draw(st.integers(min_value=1, max_value=4))
+    rate = st.floats(min_value=2.0, max_value=6.0)
+    power = st.floats(min_value=0.5, max_value=10.0)
+    cost = st.floats(min_value=1.0, max_value=20.0)
+    return make_instance(
+        [draw(st.integers(min_value=1, max_value=8)) for _ in range(n_bins)],
+        [[draw(rate) for _ in range(n_plat)] for _ in range(n_bins)],
+        [[draw(power) for _ in range(n_plat)] for _ in range(n_bins)],
+        [draw(cost) for _ in range(n_plat)],
+        max_nodes=[
+            draw(st.one_of(st.just(math.inf), st.integers(1, 8)))
+            for _ in range(n_plat)
+        ],
+        power_budget=draw(
+            st.one_of(st.just(math.inf), st.floats(min_value=2.0, max_value=150.0))
+        ),
+        cost_budget=draw(
+            st.one_of(st.just(math.inf), st.floats(min_value=5.0, max_value=300.0))
+        ),
+        objective=draw(st.sampled_from(["energy", "cost"])),
+    )
+
+
+@given(tiny_instances())
+@settings(max_examples=200, deadline=None)
+def test_exact_and_scalable_match_enumerator(instance):
+    """The exact search returns the enumerator's node vector (so its
+    bound never prunes the leaf the tie-break keeps) and the scalable
+    path its objective."""
+    nodes, obj = enumerate_optimum(instance)
+    exact = solve_exact(instance, state_limit=10_000_000)
+    scalable = solve(instance)
+    if nodes is None:
+        assert exact.status == "infeasible"
+        assert scalable.status == "infeasible"
+        return
+    assert exact.status == "optimal"
+    assert exact.nodes == nodes
+    assert exact.objective_value == pytest.approx(obj, rel=1e-9, abs=0)
+    assert scalable.status == "optimal"
+    assert scalable.objective_value == pytest.approx(obj, rel=1e-9, abs=0)
+
+
+def test_enumerator_tie_break_matches_hand_instance():
+    # The enumerator's own tie-break on the two-identical-platforms
+    # instance: counts ascend, so the later pair fills first.
+    inst = make_instance(
+        demands=[4], rates=[[2.0, 2.0]], powers=[[5.0, 5.0]], costs=[10.0, 10.0]
+    )
+    assert enumerate_optimum(inst) == ((0, 2), 2 * 5.0 * 100.0)
+
+
+def test_eight_bin_cost_solve_finishes_optimal(tmp_path):
+    """The 8-bin histogram under a 1 kW rack at minimum cost: the
+    polish must prove the 1,780-unit mix optimal inside its default
+    200,000-state cap, not stop at the cap on a 4,030-unit mix."""
+    out = tmp_path / "report.json"
+    code = main(
+        ["fleet", "--workload", str(WORKLOAD_8BIN), "--theta", "truth",
+         "--objective", "cost", "--power-budget", "1000",
+         "--json", str(out)]
+    )
+    assert code == 0
+    solution = json.loads(out.read_text())["solution"]
+    assert solution["status"] == "optimal"
+    assert solution["objective_value"] == pytest.approx(1780.0, rel=1e-12)
+    assert solution["states_explored"] < 200_000

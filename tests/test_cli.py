@@ -119,6 +119,50 @@ class TestClosedPipe:
         assert proc.returncode == 1
 
 
+class TestNoScipyWithoutFit:
+    """scipy loads on the first fit, not at import: a process that never
+    fits never pays for it."""
+
+    PROBE = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}\\n')\n"
+        "raise SystemExit(code)\n"
+    )
+    FLEET_WORKLOAD = str(
+        Path(__file__).parent.parent / "examples" / "fleet_workload.json"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["list"],
+            ["platform", "gtx-titan"],
+            ["audit"],
+            ["fleet", "--workload", FLEET_WORKLOAD],
+        ],
+        ids=["import", "list", "platform", "audit", "fleet"],
+    )
+    def test_scipy_not_imported(self, argv):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "scipy loaded: False"
+
+
 class TestServeParser:
     """``archline serve`` argument surface (the service itself is
     load-tested in tests/serve/)."""

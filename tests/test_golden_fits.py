@@ -87,7 +87,10 @@ def test_fit_matches_golden(platform_id, computed, golden):
     for name, want in expected.items():
         if name == "n_runs":
             continue
-        assert actual[name] == pytest.approx(want, rel=golden["_meta"]["rtol"]), (
+        # abs=0: approx's default abs=1e-12 exceeds tau_flop (~2.4e-13)
+        # and is a quarter of tau_mem, which would leave both unchecked.
+        rtol = golden["_meta"]["rtol"]
+        assert actual[name] == pytest.approx(want, rel=rtol, abs=0), (
             f"{platform_id}.{name} drifted: {actual[name]!r} vs "
             f"golden {want!r}"
         )
