@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.machine.engine import Engine
 from repro.machine.platforms import platform
-from repro.microbench.campaign import CampaignRunner
+from repro.microbench.campaign import CampaignRunner, CampaignSettings
 from repro.microbench.kernels import intensity_kernel
 
 N_POINTS = 1000
@@ -107,12 +107,8 @@ def test_parallel_campaign(benchmark):
     """A 4-platform quick campaign through the process pool."""
     runner = CampaignRunner(
         ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-        seed=2014,
+        CampaignSettings(seed=2014).scaled_down(),
         max_workers=4,
-        replicates=1,
-        points_per_octave=2,
-        target_duration=0.1,
-        include_double=False,
     )
     fits = benchmark.pedantic(runner.run, rounds=1, iterations=1)
     assert set(fits) == set(runner.platform_ids)

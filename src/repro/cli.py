@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run campaigns through the parallel CampaignRunner with N "
-        "worker processes (default: sequential reference path)",
+        "worker processes (default: 1, inline; the fits do not depend "
+        "on N)",
     )
 
     sub.add_parser("all", help="run every experiment")
@@ -571,21 +572,13 @@ def _cmd_campaign(
             "archline campaign: --refresh needs a cache (--cache DIR or "
             "$ARCHLINE_CACHE)"
         )
-    settings = CampaignSettings(seed=seed)
+    settings = CampaignSettings(seed=seed, faults=plan, max_retries=max_retries)
     if quick:
         settings = settings.scaled_down()
     runner = CampaignRunner(
         tuple(platform_ids) if platform_ids else None,
-        seed=settings.seed,
+        settings,
         max_workers=workers,
-        replicates=settings.replicates,
-        points_per_octave=settings.points_per_octave,
-        target_duration=settings.target_duration,
-        include_double=settings.include_double,
-        include_cache=settings.include_cache,
-        include_chase=settings.include_chase,
-        faults=plan,
-        max_retries=max_retries,
         shard_timeout=shard_timeout,
         trace=trace_path is not None,
         cache_dir=cache,

@@ -75,9 +75,11 @@ class FaultInjector:
     plan:
         What to inject, at which rates.
     key:
-        Optional extra entropy (e.g. a campaign shard's spawned seed)
-        mixed into the stream, so shards sharing one plan corrupt
-        independently yet reproducibly.
+        Optional extra entropy mixed into the stream (a campaign's
+        runners pass the campaign seed).  Injectors with equal
+        ``(plan, key)`` draw the same stream, so a platform's
+        corruption depends on the plan, the key and the calls that
+        platform makes -- not on which other injectors exist.
     """
 
     def __init__(self, plan: FaultPlan, *, key: int | None = None) -> None:

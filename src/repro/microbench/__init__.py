@@ -4,10 +4,11 @@ from .cachebench import cache_sweep, working_set_staircase
 from .campaign import (
     CampaignReport,
     CampaignRunner,
+    CampaignSettings,
     ShardReport,
     ShardSpec,
+    fit_platform,
     run_shard,
-    shard_seeds,
 )
 from .intensity import default_intensities, intensity_sweep
 from .kernels import (
@@ -33,10 +34,11 @@ __all__ = [
     "working_set_staircase",
     "CampaignReport",
     "CampaignRunner",
+    "CampaignSettings",
     "ShardReport",
     "ShardSpec",
+    "fit_platform",
     "run_shard",
-    "shard_seeds",
     "default_intensities",
     "intensity_sweep",
     "cache_kernel",

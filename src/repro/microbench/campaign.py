@@ -1,17 +1,18 @@
-"""Parallel campaign execution: shard platforms across a process pool.
+"""One platform's campaign and fit, and a process pool to shard them.
 
+:func:`fit_platform` is the only campaign-and-fit body: it measures one
+platform's complete Section IV suite and fits its Section V-A model.
 A full reproduction campaign is embarrassingly parallel across
-platforms -- each shard runs one platform's complete Section IV suite
-and Section V-A fit, sharing nothing with its siblings.  The
-:class:`CampaignRunner` below distributes those shards over a
-``concurrent.futures`` process pool and keeps the result *exactly*
-reproducible regardless of worker count:
+platforms, so :class:`CampaignRunner` runs one :func:`run_shard` --
+``fit_platform`` plus the shard's cache and counters -- per platform,
+inline or over a ``concurrent.futures`` process pool, sharing nothing
+between shards:
 
-* **Seeding.**  Per-shard generators are spawned from the parent seed
-  with :class:`numpy.random.SeedSequence` -- shard ``k`` always gets
-  the ``k``-th child of ``SeedSequence(seed)``, keyed to its position
-  in the platform list, never to which worker happens to pick it up.
-  One worker or sixteen, every shard consumes the same stream.
+* **Seeding.**  Every shard runs on the campaign seed itself
+  (``settings.seed``), as :func:`fit_platform` does for one platform.
+  A platform's observations and fit therefore depend only on
+  ``(platform, settings)``: never on the worker count, the order of
+  the platform list, or which other platforms share the campaign.
 * **Calibration memoisation.**  Each shard's
   :class:`~repro.microbench.runner.BenchmarkRunner` memoises its
   noise-free calibration dry-runs keyed on kernel shape (the platform
@@ -45,10 +46,6 @@ reproducible regardless of worker count:
   :class:`~repro.faults.plan.FaultPlan`) are retried and quarantined
   at cell granularity inside each shard by
   :class:`~repro.microbench.runner.BenchmarkRunner`.
-
-The sequential per-platform path
-(:func:`repro.experiments.common.run_platform_fit`) is unchanged and
-remains the reference oracle.
 """
 
 from __future__ import annotations
@@ -78,44 +75,99 @@ from .runner import BenchmarkRunner, QuarantinedCell
 from .suite import FittedPlatform, fit_campaign, run_campaign
 
 __all__ = [
+    "CampaignSettings",
+    "fit_platform",
     "ShardSpec",
     "ShardReport",
     "CampaignReport",
     "CampaignRunner",
-    "shard_seeds",
     "run_shard",
 ]
 
 
-def shard_seeds(seed: int, n: int) -> list[int]:
-    """Per-shard integer seeds spawned from one parent seed.
+@dataclass(frozen=True)
+class CampaignSettings:
+    """Knobs controlling campaign size and determinism."""
 
-    Shard ``k`` gets a seed derived from the ``k``-th child of
-    ``SeedSequence(seed)``; the mapping depends only on ``(seed, k)``,
-    so campaign results are independent of worker count and scheduling
-    order.
+    seed: int = 2014  #: the paper's publication year, for flavour.
+    replicates: int = 2
+    points_per_octave: int = 3
+    target_duration: float = 0.25  #: seconds per calibrated run.
+    include_double: bool = True
+    include_cache: bool = True
+    include_chase: bool = True
+    #: Seeded rig-fault model (None = clean rig; the all-zero plan is
+    #: bit-for-bit identical to None).
+    faults: FaultPlan | None = None
+    max_retries: int = 2  #: per-run retry budget under faults.
+
+    def scaled_down(self) -> "CampaignSettings":
+        """Cheaper settings for smoke tests and benchmark harnesses."""
+        return replace(
+            self,
+            replicates=1,
+            points_per_octave=2,
+            target_duration=0.1,
+            include_double=False,
+        )
+
+
+def fit_platform(
+    platform_id: str,
+    settings: CampaignSettings,
+    *,
+    runner: BenchmarkRunner | None = None,
+    recorder: TraceRecorder = NULL_RECORDER,
+    store: CampaignStore | None = None,
+    refresh: bool = False,
+) -> FittedPlatform:
+    """Run and fit one platform's campaign -- the only body that does.
+
+    Measures the suite over the platform's balanced intensity grid
+    under a ``campaign`` span, then fits it with the optimiser's
+    generator seeded from ``settings.seed + 1``.  Pass ``runner`` (a
+    :class:`~repro.microbench.runner.BenchmarkRunner` built from
+    ``settings``) to read its counters afterwards, as :func:`run_shard`
+    does.  ``store`` caches the campaign and the fit as content-keyed
+    entries (docs/CACHE.md) and cannot be combined with ``runner``;
+    ``refresh`` skips their lookups but still publishes.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+    config = platform(platform_id)
+    with recorder.span("campaign"):
+        campaign = run_campaign(
+            config,
+            seed=settings.seed,
+            replicates=settings.replicates,
+            intensities=balanced_intensities(
+                config, points_per_octave=settings.points_per_octave
+            ),
+            target_duration=settings.target_duration,
+            include_double=settings.include_double,
+            include_cache=settings.include_cache,
+            include_chase=settings.include_chase,
+            faults=settings.faults,
+            max_retries=settings.max_retries,
+            runner=runner,
+            recorder=recorder,
+            store=store,
+            cache_refresh=refresh,
+        )
+    return fit_campaign(
+        campaign,
+        rng=np.random.default_rng(settings.seed + 1),
+        recorder=recorder,
+        store=store,
+        cache_refresh=refresh,
+    )
 
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One unit of parallel campaign work: a platform plus its seed."""
+    """One unit of parallel campaign work: a platform and the campaign
+    settings every shard shares."""
 
     platform_id: str
-    seed: int  #: this shard's spawned seed (see :func:`shard_seeds`).
-    replicates: int = 2
-    points_per_octave: int = 3
-    target_duration: float = 0.25
-    include_double: bool = True
-    include_cache: bool = True
-    include_chase: bool = True
-    faults: FaultPlan | None = None  #: seeded rig-fault model (None = clean).
-    max_retries: int = 2  #: per-run retry budget under faults.
-    retry_backoff: float = 0.0  #: first retry delay, s (doubles per retry).
+    settings: CampaignSettings
     trace: bool = False  #: record telemetry spans for this shard.
     #: Content-addressed store directory (docs/CACHE.md); ``None``
     #: disables caching.  Excluded (with ``cache_refresh`` and
@@ -309,9 +361,9 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
 
     Module-level so the process pool can pickle it; also callable
     inline for ``max_workers=1``, which must produce bit-identical
-    results.  The shard's fault injector is keyed on the shard seed, so
-    shards sharing one plan corrupt independently yet reproducibly for
-    any worker count.
+    results.  The shard computes through :func:`fit_platform` on the
+    campaign settings, so its fit is the one every other path gives
+    the same platform and settings.
 
     With ``spec.trace`` set the whole shard runs under a
     :class:`~repro.telemetry.recorder.TraceRecorder` -- a ``shard``
@@ -333,6 +385,7 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
     """
     started = time.perf_counter()
     recorder = TraceRecorder() if spec.trace else NULL_RECORDER
+    settings = spec.settings
     config = platform(spec.platform_id)
     store: CampaignStore | None = None
     key = ""
@@ -356,33 +409,17 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
                     spans=SpanTable.from_records(spans) if spans else (),
                 )
                 return fitted, report
-    grid = balanced_intensities(
-        config, points_per_octave=spec.points_per_octave
-    )
     runner = BenchmarkRunner(
         config,
-        seed=spec.seed,
-        target_duration=spec.target_duration,
-        faults=spec.faults,
-        max_retries=spec.max_retries,
-        retry_backoff=spec.retry_backoff,
+        seed=settings.seed,
+        target_duration=settings.target_duration,
+        faults=settings.faults,
+        max_retries=settings.max_retries,
         recorder=recorder,
     )
     with recorder.span("shard", platform=spec.platform_id):
-        with recorder.span("campaign"):
-            campaign = run_campaign(
-                config,
-                runner=runner,
-                replicates=spec.replicates,
-                intensities=grid,
-                include_double=spec.include_double,
-                include_cache=spec.include_cache,
-                include_chase=spec.include_chase,
-            )
-        fitted = fit_campaign(
-            campaign,
-            rng=np.random.default_rng(spec.seed + 1),
-            recorder=recorder,
+        fitted = fit_platform(
+            spec.platform_id, settings, runner=runner, recorder=recorder
         )
     fault_counters = runner.fault_counters
     # The publishable report: compute counters only.  Spans, trace
@@ -391,8 +428,8 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
     # its own.
     base = ShardReport(
         platform_id=spec.platform_id,
-        seed=spec.seed,
-        n_runs=campaign.n_runs,
+        seed=settings.seed,
+        n_runs=fitted.campaign.n_runs,
         calibration_hits=runner.calibration_hits,
         calibration_misses=runner.calibration_misses,
         wall_seconds=time.perf_counter() - started,
@@ -432,7 +469,7 @@ def _failed_report(
     """The report of a shard that produced no fit."""
     return ShardReport(
         platform_id=spec.platform_id,
-        seed=spec.seed,
+        seed=spec.settings.seed,
         n_runs=0,
         calibration_hits=0,
         calibration_misses=0,
@@ -449,24 +486,15 @@ class CampaignRunner:
     ----------
     platform_ids:
         Platforms to shard over (default: all twelve).
-    seed:
-        Parent seed; each shard draws its own child seed from it via
-        :func:`shard_seeds`, so results do not depend on worker count.
+    settings:
+        The :class:`CampaignSettings` every shard runs on, seed
+        included (default: ``CampaignSettings()``).  A ``None`` or
+        all-zero fault plan leaves results bit-for-bit identical to the
+        clean path.
     max_workers:
         Process-pool width; ``1`` runs the shards inline in this
-        process (still with spawned per-shard seeds, so the results
-        are identical to any parallel run).  Default: one worker per
-        shard, capped at the machine's CPU count.
-    replicates, points_per_octave, target_duration, include_*:
-        Campaign-size knobs, forwarded to every shard (see
-        :func:`repro.microbench.suite.run_campaign`).
-    faults:
-        Optional seeded :class:`~repro.faults.plan.FaultPlan` forwarded
-        to every shard.  ``None`` and the all-zero plan leave results
-        bit-for-bit identical to the clean path.
-    max_retries, retry_backoff:
-        Per-run retry budget and backoff under faults (see
-        :class:`~repro.microbench.runner.BenchmarkRunner`).
+        process, with results identical to any parallel run.  Default:
+        one worker per shard, capped at the machine's CPU count.
     shard_timeout:
         Deadline in seconds each shard must meet, measured from
         campaign start.  Shards still unfinished at the deadline are
@@ -500,18 +528,9 @@ class CampaignRunner:
     def __init__(
         self,
         platform_ids: Sequence[str] | None = None,
+        settings: CampaignSettings | None = None,
         *,
-        seed: int = 2014,
         max_workers: int | None = None,
-        replicates: int = 2,
-        points_per_octave: int = 3,
-        target_duration: float = 0.25,
-        include_double: bool = True,
-        include_cache: bool = True,
-        include_chase: bool = True,
-        faults: FaultPlan | None = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.0,
         shard_timeout: float | None = None,
         shard_fn: Callable[[ShardSpec], tuple[FittedPlatform, ShardReport]] = run_shard,
         trace: bool = False,
@@ -527,9 +546,8 @@ class CampaignRunner:
         if unknown:
             raise ValueError(f"unknown platform ids: {unknown}")
         if len(set(self.platform_ids)) != len(self.platform_ids):
-            # Shard k's seed is keyed to list position and the results
-            # are keyed by platform id: duplicates would silently run
-            # twice and collapse into one entry.
+            # Results are keyed by platform id: duplicates would
+            # silently run twice and collapse into one entry.
             raise ValueError("duplicate platform ids")
         if max_workers is None:
             max_workers = min(len(self.platform_ids), os.cpu_count() or 1)
@@ -539,17 +557,8 @@ class CampaignRunner:
             raise ValueError("shard_timeout must be positive (or None)")
         if cache_refresh and cache_dir is None:
             raise ValueError("cache_refresh requires cache_dir")
-        self.seed = seed
+        self.settings = settings or CampaignSettings()
         self.max_workers = max_workers
-        self.replicates = replicates
-        self.points_per_octave = points_per_octave
-        self.target_duration = target_duration
-        self.include_double = include_double
-        self.include_cache = include_cache
-        self.include_chase = include_chase
-        self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.shard_timeout = shard_timeout
         self.shard_fn = shard_fn
         self.trace = trace
@@ -562,26 +571,16 @@ class CampaignRunner:
         self.progress_errors: tuple[str, ...] = ()
 
     def shard_specs(self) -> list[ShardSpec]:
-        """The shard list, in platform order with spawned seeds."""
-        seeds = shard_seeds(self.seed, len(self.platform_ids))
+        """The shard list, in platform order, all on the one settings."""
         return [
             ShardSpec(
-                platform_id=pid,
-                seed=shard_seed,
-                replicates=self.replicates,
-                points_per_octave=self.points_per_octave,
-                target_duration=self.target_duration,
-                include_double=self.include_double,
-                include_cache=self.include_cache,
-                include_chase=self.include_chase,
-                faults=self.faults,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
-                trace=self.trace,
-                cache_dir=self.cache_dir,
-                cache_refresh=self.cache_refresh,
+                pid,
+                self.settings,
+                self.trace,
+                self.cache_dir,
+                self.cache_refresh,
             )
-            for pid, shard_seed in zip(self.platform_ids, seeds)
+            for pid in self.platform_ids
         ]
 
     def _run_inline(

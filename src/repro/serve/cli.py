@@ -26,8 +26,9 @@ import time
 from ..cli import positive_int
 from ..experiments.common import CampaignSettings
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
+from ..telemetry.jsonl import write_recorder_trace
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
-from .server import PredictServer, write_serve_trace
+from .server import PredictServer
 from .theta import ThetaResolver
 
 __all__ = ["build_serve_parser", "run_serve"]
@@ -189,7 +190,9 @@ def run_serve(args: argparse.Namespace) -> int:
         pass  # ^C raced the handler install; shutdown already ran.
     wall = time.perf_counter() - started
     if args.trace:
-        lines = write_serve_trace(args.trace, recorder, wall_seconds=wall)
+        lines = write_recorder_trace(
+            args.trace, "serve", recorder, wall_seconds=wall
+        )
         print(
             f"trace: {lines} records -> {args.trace}",
             file=sys.stderr,

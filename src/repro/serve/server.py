@@ -35,7 +35,8 @@ Telemetry: with a real recorder attached the request path records
 -- recorder nesting is strictly LIFO, interleaved coroutines would
 corrupt it -- so span durations measure CPU sections, and queueing
 time is the gap between a request's ``request`` and ``respond`` spans.
-:func:`write_serve_trace` exports the collected spans in the campaign
+``archline serve --trace`` exports the collected spans with
+:func:`repro.telemetry.jsonl.write_recorder_trace` in the campaign
 JSONL schema (docs/TELEMETRY.md) under a single pseudo-shard named
 ``"serve"``, so the existing validator, reader and flame summary all
 work on service traces unchanged.
@@ -46,12 +47,10 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any
 
-from ..telemetry.jsonl import write_trace
-from ..telemetry.recorder import NULL_RECORDER, SpanRecord, TraceRecorder
+from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .batcher import Batcher
 from .protocol import (
     ProtocolError,
@@ -62,7 +61,7 @@ from .protocol import (
 )
 from .theta import ThetaResolver
 
-__all__ = ["PredictServer", "write_serve_trace"]
+__all__ = ["PredictServer"]
 
 _REASONS = {
     200: "OK",
@@ -87,53 +86,6 @@ class _HttpRequest:
     target: str
     body: bytes
     close: bool  #: client sent ``Connection: close``.
-
-
-@dataclass
-class _ServeTraceShard:
-    """Duck-typed stand-in for a campaign ``ShardReport``: the whole
-    service is exported as one pseudo-shard named ``"serve"``."""
-
-    platform_id: str
-    status: str
-    seed: int
-    wall_seconds: float
-    spans: tuple[SpanRecord, ...]
-
-
-@dataclass
-class _ServeTraceReport:
-    """Duck-typed stand-in for a ``CampaignReport`` (one shard)."""
-
-    workers: int
-    wall_seconds: float
-    shards: list[_ServeTraceShard] = field(default_factory=list)
-
-
-def write_serve_trace(
-    path: str | Path,
-    recorder: TraceRecorder = NULL_RECORDER,
-    *,
-    wall_seconds: float,
-    status: str = "ok",
-) -> int:
-    """Write a service trace as campaign-schema JSONL; returns lines.
-
-    The file validates with
-    :func:`repro.telemetry.jsonl.validate_trace_file` and reads back
-    through ``read_spans`` under the shard name ``"serve"``.
-    """
-    shard = _ServeTraceShard(
-        platform_id="serve",
-        status=status,
-        seed=0,
-        wall_seconds=float(wall_seconds),
-        spans=recorder.records(),
-    )
-    report = _ServeTraceReport(
-        workers=1, wall_seconds=float(wall_seconds), shards=[shard]
-    )
-    return write_trace(path, report)
 
 
 async def _read_request(

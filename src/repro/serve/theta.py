@@ -110,9 +110,9 @@ class ThetaResolver:
         if fitted is not None:
             return fitted
         self.fitted_resolutions += 1
-        # The shared resolution path (same rng derivation as
-        # run_platform_fit), so a store shared with `archline fleet`
-        # replays the identical campaign and fit.
+        # The shared resolution path (fit_platform, like every other
+        # fit), so a store shared with `archline fleet` replays the
+        # identical campaign and fit.
         config = fitted_platform_config(
             platform_id,
             self.settings,

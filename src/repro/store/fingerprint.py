@@ -146,26 +146,18 @@ def shard_key(config: PlatformConfig, spec: Any) -> str:
     """The store key of one campaign shard (``run_shard``'s unit).
 
     ``spec`` is a :class:`~repro.microbench.campaign.ShardSpec`; the
-    key covers every field that can influence the shard's observations,
-    fits or deterministic counters -- and deliberately **excludes**
-    ``trace`` (telemetry never perturbs results; traced and untraced
-    shards are bit-identical) and the cache-control fields themselves.
+    key covers its platform and every field of its campaign settings
+    (seed, size, fault plan, max retries) -- and deliberately
+    **excludes** ``trace`` (telemetry never perturbs results; traced
+    and untraced shards are bit-identical) and the cache-control fields
+    themselves.
     """
     parts = {
         "kind": "shard",
         "engine": engine_fingerprint_version(),
         "platform": platform_fingerprint(config),
         "platform_id": spec.platform_id,
-        "seed": spec.seed,
-        "replicates": spec.replicates,
-        "points_per_octave": spec.points_per_octave,
-        "target_duration": spec.target_duration,
-        "include_double": spec.include_double,
-        "include_cache": spec.include_cache,
-        "include_chase": spec.include_chase,
-        "faults": _fault_part(spec.faults),
-        "max_retries": spec.max_retries,
-        "retry_backoff": spec.retry_backoff,
+        "settings": spec.settings,
     }
     assert "engine" in parts  # the engine version must key every cell.
     return fingerprint(parts)

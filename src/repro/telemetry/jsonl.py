@@ -27,9 +27,10 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Iterator, Sequence
 
-from .recorder import SpanRecord
+from .recorder import NULL_RECORDER, SpanRecord, TraceRecorder
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,6 +39,7 @@ __all__ = [
     "shard_counters",
     "campaign_records",
     "write_trace",
+    "write_recorder_trace",
     "read_trace",
     "read_spans",
     "trace_bytes",
@@ -170,6 +172,36 @@ def write_trace(path: str | Path, report: Any) -> int:
             handle.write(_dumps(obj) + "\n")
             lines += 1
     return lines
+
+
+def write_recorder_trace(
+    path: str | Path,
+    shard: str,
+    recorder: TraceRecorder = NULL_RECORDER,
+    *,
+    wall_seconds: float,
+    seed: int = 0,
+    status: str = "ok",
+) -> int:
+    """Write one recorder's spans as a one-shard trace; returns lines.
+
+    For commands that trace one scope rather than a campaign
+    (``archline serve`` writes shard ``"serve"``, ``archline fleet``
+    shard ``"fleet"``).  The file keeps the campaign schema, so the
+    validator, :func:`read_spans` and the summary read it unchanged.
+    Of the shard counter fields only ``wall_seconds`` is set, so it is
+    the shard's one counter.
+    """
+    wall = float(wall_seconds)
+    one = SimpleNamespace(
+        platform_id=shard,
+        status=status,
+        seed=seed,
+        wall_seconds=wall,
+        spans=recorder.records(),
+    )
+    report = SimpleNamespace(workers=1, wall_seconds=wall, shards=(one,))
+    return write_trace(path, report)
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:

@@ -50,14 +50,15 @@ from __future__ import annotations
 import pickle
 import tempfile
 import time
-from typing import Callable
+from dataclasses import replace
+from typing import Any, Callable
 
 import numpy as np
 
 from ..faults.plan import FaultPlan
 from ..machine.engine import Engine
 from ..machine.platforms import platform
-from ..microbench.campaign import CampaignRunner
+from ..microbench.campaign import CampaignRunner, CampaignSettings
 from ..microbench.kernels import intensity_kernel
 
 __all__ = [
@@ -160,6 +161,15 @@ def _campaign_metrics(runner: CampaignRunner) -> dict:
     }
 
 
+def _settings(seed: int, quick: bool, **overrides: Any) -> CampaignSettings:
+    """The suite's scaled-down campaign, one point per octave if quick."""
+    return replace(
+        CampaignSettings(seed=seed).scaled_down(),
+        points_per_octave=1 if quick else 2,
+        **overrides,
+    )
+
+
 def faulted_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     """Resilient inline campaign under a seeded fault plan."""
     plan = FaultPlan(
@@ -169,14 +179,8 @@ def faulted_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     )
     runner = CampaignRunner(
         ("gtx-titan", "nuc-gpu"),
-        seed=seed,
+        _settings(seed, quick, faults=plan),
         max_workers=1,
-        replicates=1,
-        points_per_octave=1 if quick else 2,
-        target_duration=0.1,
-        include_double=False,
-        faults=plan,
-        max_retries=2,
     )
     fits = runner.run()
     metrics = _campaign_metrics(runner)
@@ -188,12 +192,8 @@ def pool_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     """Four platforms sharded over a process pool."""
     runner = CampaignRunner(
         ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-        seed=seed,
+        _settings(seed, quick),
         max_workers=4,
-        replicates=1,
-        points_per_octave=1 if quick else 2,
-        target_duration=0.1,
-        include_double=False,
     )
     fits = runner.run()
     metrics = _campaign_metrics(runner)
@@ -233,12 +233,8 @@ def cached_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     def runner_for(cache_dir: str) -> CampaignRunner:
         return CampaignRunner(
             ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-            seed=seed,
+            _settings(seed, quick),
             max_workers=1,
-            replicates=1,
-            points_per_octave=1 if quick else 2,
-            target_duration=0.1,
-            include_double=False,
             cache_dir=cache_dir,
         )
 

@@ -11,6 +11,8 @@ Two properties anchor the whole fault subsystem:
   NaN positions included.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,13 +22,13 @@ from repro.machine.engine import Engine
 from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
 from repro.measurement.session import measure_session
-from repro.microbench.campaign import CampaignRunner
+from repro.microbench.campaign import CampaignRunner, CampaignSettings
 from repro.microbench.intensity import intensity_sweep
 from repro.microbench.runner import BenchmarkRunner
 
 #: Reduced campaign: enough kernels to exercise every sweep path the
 #: shards use, small enough to run several times in one test module.
-QUICK = dict(
+QUICK = CampaignSettings(
     replicates=1,
     points_per_octave=2,
     target_duration=0.1,
@@ -39,7 +41,7 @@ PLATFORMS = ("gtx-titan", "nuc-gpu")
 
 def run_quick_campaign(faults, max_workers):
     runner = CampaignRunner(
-        PLATFORMS, seed=2014, max_workers=max_workers, faults=faults, **QUICK
+        PLATFORMS, replace(QUICK, faults=faults), max_workers=max_workers
     )
     fits = runner.run()
     return fits, runner.report

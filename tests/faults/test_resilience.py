@@ -14,17 +14,19 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.common import run_all_fits
 from repro.faults import FaultPlan, InjectedRunFailureError
 from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
-from repro.microbench.campaign import CampaignRunner, run_shard
+from repro.microbench.campaign import CampaignRunner, CampaignSettings, run_shard
 from repro.microbench.runner import BenchmarkRunner
 from repro.microbench.suite import fit_campaign, run_campaign
 
-QUICK = dict(
+QUICK = CampaignSettings(
     replicates=1,
     points_per_octave=2,
     target_duration=0.1,
@@ -133,11 +135,8 @@ class TestFaultyCampaignCompletes:
         plan = FaultPlan(seed=99, run_failure_rate=0.10, sample_dropout=0.05)
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"),
-            seed=2014,
+            replace(QUICK, faults=plan, max_retries=2),
             max_workers=2,
-            faults=plan,
-            max_retries=2,
-            **QUICK,
         )
         fits = runner.run()  # must not raise.
         report = runner.report
@@ -198,7 +197,7 @@ def sleeping_shard(spec):
 
 def quick_runner(shard_fn, **kwargs):
     return CampaignRunner(
-        ("gtx-titan", "nuc-gpu"), seed=2014, shard_fn=shard_fn, **QUICK, **kwargs
+        ("gtx-titan", "nuc-gpu"), QUICK, shard_fn=shard_fn, **kwargs
     )
 
 
@@ -250,7 +249,6 @@ class TestShardIsolation:
             if __name__ == "__main__":
                 CampaignRunner(
                     ("gtx-titan", "nuc-gpu"),
-                    seed=2014,
                     shard_fn=hung_shard,
                     max_workers=2,
                     shard_timeout=0.5,
@@ -278,3 +276,22 @@ class TestShardIsolation:
     def test_shard_timeout_validation(self):
         with pytest.raises(ValueError):
             quick_runner(run_shard, shard_timeout=0.0)
+
+
+class TestRunAllFitsLosses:
+    """A platform whose shard fails is an error, not a missing key --
+    inline and pooled alike."""
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_failed_platform_raises(self, max_workers):
+        settings = CampaignSettings(
+            faults=FaultPlan(seed=1, run_failure_rate=1.0), max_retries=0
+        ).scaled_down()
+        with pytest.raises(RuntimeError) as err:
+            run_all_fits(
+                settings, ("gtx-titan", "nuc-gpu"), max_workers=max_workers
+            )
+        message = str(err.value)
+        assert "shard gtx-titan: failed" in message
+        assert "shard nuc-gpu: failed" in message
+        assert "no observations to fit" in message

@@ -8,6 +8,7 @@ stays tier-1 cheap.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
 from repro.microbench.campaign import (
     CampaignRunner,
+    CampaignSettings,
     ShardReport,
     ShardSpec,
     run_shard,
-    shard_seeds,
 )
 from repro.microbench.runner import BenchmarkRunner, Observation
 
-QUICK = dict(
+QUICK = CampaignSettings(
     replicates=1,
     points_per_octave=2,
     target_duration=0.1,
@@ -35,7 +36,7 @@ QUICK = dict(
 
 def quick_runner(platform_ids, seed=2014, max_workers=1):
     return CampaignRunner(
-        platform_ids, seed=seed, max_workers=max_workers, **QUICK
+        platform_ids, replace(QUICK, seed=seed), max_workers=max_workers
     )
 
 
@@ -44,7 +45,7 @@ def quick_runner(platform_ids, seed=2014, max_workers=1):
 def _shard_stub(spec, wall):
     return None, ShardReport(
         platform_id=spec.platform_id,
-        seed=spec.seed,
+        seed=spec.settings.seed,
         n_runs=1,
         calibration_hits=0,
         calibration_misses=0,
@@ -68,28 +69,9 @@ def _hanging_shard(spec):
     return _shard_stub(spec, 30.0)
 
 
-class TestShardSeeds:
-    def test_deterministic_and_distinct(self):
-        a = shard_seeds(2014, 4)
-        assert a == shard_seeds(2014, 4)
-        assert len(set(a)) == 4
-
-    def test_prefix_stable(self):
-        """Shard k's seed depends only on (parent, k) -- adding more
-        platforms never reshuffles the existing ones."""
-        assert shard_seeds(7, 3) == shard_seeds(7, 6)[:3]
-
-    def test_parent_seed_matters(self):
-        assert shard_seeds(1, 3) != shard_seeds(2, 3)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            shard_seeds(0, -1)
-
-
 class TestRunShard:
     def test_reports_counters(self):
-        spec = ShardSpec(platform_id="gtx-titan", seed=99, **QUICK)
+        spec = ShardSpec("gtx-titan", replace(QUICK, seed=99))
         fitted, report = run_shard(spec)
         assert fitted.config.name == platform("gtx-titan").name
         assert report.platform_id == "gtx-titan"
@@ -155,14 +137,6 @@ class TestCampaignRunner:
             "gtx-titan", "xeon-phi",
         ]
 
-    def test_shard_specs_carry_spawned_seeds(self):
-        runner = quick_runner(("gtx-titan", "xeon-phi", "nuc-gpu"))
-        specs = runner.shard_specs()
-        assert [s.platform_id for s in specs] == [
-            "gtx-titan", "xeon-phi", "nuc-gpu",
-        ]
-        assert [s.seed for s in specs] == shard_seeds(2014, 3)
-
 
 class TestPoolAccounting:
     """The report's parallel accounting: actual pool width, burned
@@ -173,8 +147,8 @@ class TestPoolAccounting:
         shard count and the report must say so, or
         parallel_efficiency is understated by workers/len(specs)."""
         runner = CampaignRunner(
-            ("gtx-titan", "nuc-gpu"), max_workers=8,
-            shard_fn=_sleepy_shard, **QUICK,
+            ("gtx-titan", "nuc-gpu"), QUICK, max_workers=8,
+            shard_fn=_sleepy_shard,
         )
         runner.run()
         report = runner.report
@@ -186,24 +160,24 @@ class TestPoolAccounting:
 
     def test_inline_run_reports_one_worker(self):
         runner = CampaignRunner(
-            ("gtx-titan", "nuc-gpu"), max_workers=1,
-            shard_fn=lambda spec: _shard_stub(spec, 0.01), **QUICK,
+            ("gtx-titan", "nuc-gpu"), QUICK, max_workers=1,
+            shard_fn=lambda spec: _shard_stub(spec, 0.01),
         )
         runner.run()
         assert runner.report.workers == 1
 
     def test_single_shard_runs_inline_regardless_of_request(self):
         runner = CampaignRunner(
-            ("gtx-titan",), max_workers=4,
-            shard_fn=lambda spec: _shard_stub(spec, 0.01), **QUICK,
+            ("gtx-titan",), QUICK, max_workers=4,
+            shard_fn=lambda spec: _shard_stub(spec, 0.01),
         )
         runner.run()
         assert runner.report.workers == 1
 
     def test_failed_pool_shards_report_burned_time(self):
         runner = CampaignRunner(
-            ("gtx-titan", "nuc-gpu"), max_workers=2,
-            shard_fn=_failing_shard, **QUICK,
+            ("gtx-titan", "nuc-gpu"), QUICK, max_workers=2,
+            shard_fn=_failing_shard,
         )
         fits = runner.run()
         report = runner.report
@@ -218,8 +192,8 @@ class TestPoolAccounting:
 
     def test_timeout_shards_report_elapsed_not_nominal(self):
         runner = CampaignRunner(
-            ("gtx-titan", "nuc-gpu"), max_workers=2,
-            shard_fn=_hanging_shard, shard_timeout=0.4, **QUICK,
+            ("gtx-titan", "nuc-gpu"), QUICK, max_workers=2,
+            shard_fn=_hanging_shard, shard_timeout=0.4,
         )
         fits = runner.run()
         report = runner.report
@@ -242,9 +216,9 @@ class TestPoolAccounting:
         # leave the work queue and must cancel cleanly.
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu", "xeon-phi", "arndale-gpu",
-             "apu-gpu", "gtx-580"),
+             "apu-gpu", "gtx-580"), QUICK,
             max_workers=2,
-            shard_fn=_hanging_shard, shard_timeout=0.4, **QUICK,
+            shard_fn=_hanging_shard, shard_timeout=0.4,
         )
         fits = runner.run()
         report = runner.report
@@ -283,8 +257,8 @@ class TestProgressIsolation:
 
     def test_pool_progress_exception_recorded(self):
         runner = CampaignRunner(
-            ("gtx-titan", "nuc-gpu"), max_workers=2,
-            shard_fn=_sleepy_shard, **QUICK,
+            ("gtx-titan", "nuc-gpu"), QUICK, max_workers=2,
+            shard_fn=_sleepy_shard,
         )
         runner.run(progress=self._boom)
         assert runner.report is not None

@@ -12,8 +12,11 @@ from __future__ import annotations
 import asyncio
 
 from repro.serve import PredictServer
-from repro.serve.server import write_serve_trace
-from repro.telemetry.jsonl import read_spans, validate_trace_file
+from repro.telemetry.jsonl import (
+    read_spans,
+    validate_trace_file,
+    write_recorder_trace,
+)
 from repro.telemetry.recorder import TraceRecorder
 
 from .conftest import post_predict
@@ -64,7 +67,7 @@ def test_spans_nest_strictly():
 def test_trace_file_round_trip(tmp_path):
     recorder = _run_traced(n_requests=5)
     path = tmp_path / "serve_trace.jsonl"
-    lines = write_serve_trace(path, recorder, wall_seconds=1.25)
+    lines = write_recorder_trace(path, "serve", recorder, wall_seconds=1.25)
     assert lines > 0
     validate_trace_file(path)  # raises on any schema violation
     spans = read_spans(path)

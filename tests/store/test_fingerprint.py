@@ -10,7 +10,7 @@ import pytest
 import repro.machine.engine as engine_module
 from repro.faults.plan import FaultPlan
 from repro.machine.platforms import platform
-from repro.microbench.campaign import ShardSpec
+from repro.microbench.campaign import CampaignSettings, ShardSpec
 from repro.store import (
     campaign_key,
     canonical,
@@ -72,10 +72,20 @@ class TestCanonical:
         assert canonical(A(1)) == canonical(A(1))
 
 
-def spec(**overrides) -> ShardSpec:
-    base = dict(platform_id="gtx-titan", seed=7)
-    base.update(overrides)
-    return ShardSpec(**base)
+def spec(
+    platform_id="gtx-titan",
+    trace=False,
+    cache_dir=None,
+    cache_refresh=False,
+    **settings,
+) -> ShardSpec:
+    return ShardSpec(
+        platform_id,
+        CampaignSettings(**{"seed": 7, **settings}),
+        trace,
+        cache_dir,
+        cache_refresh,
+    )
 
 
 class TestShardKey:

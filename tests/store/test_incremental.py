@@ -23,8 +23,7 @@ import repro.machine.engine as engine_module
 from repro.experiments.common import CampaignSettings
 from repro.faults.plan import FaultPlan
 from repro.machine.platforms import platform
-from repro.microbench.campaign import CampaignRunner
-from repro.microbench.intensity import balanced_intensities
+from repro.microbench.campaign import CampaignRunner, fit_platform
 from repro.microbench.suite import fit_campaign, run_campaign
 from repro.store import CampaignStore
 
@@ -34,6 +33,8 @@ QUICK = dict(
     include_double=False,
     include_chase=False,
 )
+#: The smallest campaign the shard-level tests run.
+TINY = CampaignSettings(points_per_octave=1, **QUICK)
 
 
 def quick_campaign(store, *, seed, faults=None, cache_refresh=False):
@@ -106,19 +107,10 @@ class TestColdWarmDifferential:
 
 
 class TestRunnerInvalidation:
-    def runner(self, cache_dir, **overrides):
-        kwargs = dict(
-            seed=2014,
-            max_workers=1,
-            replicates=1,
-            points_per_octave=1,
-            target_duration=0.05,
-            include_double=False,
-            include_chase=False,
-            cache_dir=cache_dir,
+    def runner(self, cache_dir):
+        return CampaignRunner(
+            ("pandaboard-es",), TINY, max_workers=1, cache_dir=cache_dir
         )
-        kwargs.update(overrides)
-        return CampaignRunner(("pandaboard-es",), **kwargs)
 
     def test_engine_version_bump_misses_warm_cache(
         self, tmp_path, monkeypatch
@@ -209,13 +201,8 @@ class TestContention:
         def runner(workers):
             return CampaignRunner(
                 ("pandaboard-es", "nuc-cpu"),
-                seed=2014,
+                TINY,
                 max_workers=workers,
-                replicates=1,
-                points_per_octave=1,
-                target_duration=0.05,
-                include_double=False,
-                include_chase=False,
                 cache_dir=tmp_path,
             )
 
@@ -252,27 +239,9 @@ class TestAcceptance:
         )
         golden = json.loads(golden_path.read_text())
         cfg = CampaignSettings().scaled_down()
-        config = platform("gtx-titan")
-        grid = balanced_intensities(
-            config, points_per_octave=cfg.points_per_octave
-        )
 
         def fit_with(store):
-            campaign = run_campaign(
-                config,
-                seed=cfg.seed,
-                replicates=cfg.replicates,
-                intensities=grid,
-                target_duration=cfg.target_duration,
-                include_double=cfg.include_double,
-                include_cache=cfg.include_cache,
-                include_chase=cfg.include_chase,
-                faults=cfg.faults,
-                max_retries=cfg.max_retries,
-                store=store,
-            )
-            rng = np.random.default_rng(cfg.seed + 1)
-            return fit_campaign(campaign, rng=rng, store=store)
+            return fit_platform("gtx-titan", cfg, store=store)
 
         import tempfile
 

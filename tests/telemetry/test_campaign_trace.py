@@ -8,13 +8,20 @@ shard's wall time (root span duration never exceeds the reported
 ``wall_seconds``).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.microbench.campaign import CampaignRunner, ShardSpec, run_shard
+from repro.microbench.campaign import (
+    CampaignRunner,
+    CampaignSettings,
+    ShardSpec,
+    run_shard,
+)
 from repro.telemetry.jsonl import read_spans, validate_trace_file, write_trace
 from repro.telemetry.summary import render_summary
 
-QUICK = dict(
+QUICK = CampaignSettings(
     replicates=1,
     points_per_octave=2,
     target_duration=0.1,
@@ -26,7 +33,7 @@ QUICK = dict(
 
 def _spec(platform_id="gtx-titan", trace=False, **overrides):
     return ShardSpec(
-        platform_id=platform_id, seed=99, trace=trace, **{**QUICK, **overrides}
+        platform_id, replace(QUICK, seed=99, **overrides), trace=trace
     )
 
 
@@ -83,7 +90,7 @@ class TestTraceParity:
 class TestPoolMerge:
     def test_spans_cross_the_pool_boundary(self, tmp_path):
         ids = ("gtx-titan", "nuc-gpu")
-        runner = CampaignRunner(ids, max_workers=2, trace=True, **QUICK)
+        runner = CampaignRunner(ids, QUICK, max_workers=2, trace=True)
         fits = runner.run()
         report = runner.report
         assert set(fits) == set(ids)
@@ -105,14 +112,14 @@ class TestPoolMerge:
             )
 
     def test_trace_off_by_default(self):
-        runner = CampaignRunner(("gtx-titan",), max_workers=1, **QUICK)
+        runner = CampaignRunner(("gtx-titan",), QUICK, max_workers=1)
         runner.run()
         assert not runner.report.traced
         assert runner.report.trace_bytes == 0
 
     def test_summary_renders_traced_campaign(self):
         runner = CampaignRunner(
-            ("gtx-titan",), max_workers=1, trace=True, **QUICK
+            ("gtx-titan",), QUICK, max_workers=1, trace=True
         )
         runner.run()
         out = render_summary(runner.report)

@@ -14,6 +14,7 @@ from repro.telemetry.jsonl import (
     trace_bytes,
     validate_record,
     validate_trace_file,
+    write_recorder_trace,
     write_trace,
 )
 from repro.telemetry.recorder import (
@@ -323,6 +324,64 @@ class TestJsonl:
         )
         with pytest.raises(ValueError, match="duplicate shard"):
             validate_trace_file(path)
+
+
+def _ticking_recorder() -> TraceRecorder:
+    """Three spans on a clock that advances 0.25 s per reading."""
+    ticks = iter(0.25 * k for k in range(100))
+    recorder = TraceRecorder(clock=lambda: next(ticks))
+    with recorder.span("request", kernel="spmv"):
+        with recorder.span("respond"):
+            pass
+    with recorder.span("fleet_solve", bins=8):
+        pass
+    return recorder
+
+
+#: What the serve and fleet trace writers wrote for ``_ticking_recorder``
+#: before they became one function; e2ebench reads these files, so the
+#: bytes must not move.
+_SERVE_LINES = """\
+{"schema":1,"shards":1,"type":"campaign","wall_seconds":1.25,"workers":1}
+{"seed":0,"shard":"serve","status":"ok","type":"shard","wall_seconds":1.25}
+{"name":"wall_seconds","shard":"serve","type":"counter","value":1.25}
+{"depth":0,"duration":0.75,"index":0,"meta":{"kernel":"spmv"},"name":"request","parent":-1,"shard":"serve","start":0.25,"type":"span"}
+{"depth":1,"duration":0.25,"index":1,"meta":{},"name":"respond","parent":0,"shard":"serve","start":0.5,"type":"span"}
+{"depth":0,"duration":0.25,"index":2,"meta":{"bins":"8"},"name":"fleet_solve","parent":-1,"shard":"serve","start":1.25,"type":"span"}
+"""
+_FLEET_LINES = """\
+{"schema":1,"shards":1,"type":"campaign","wall_seconds":0.75,"workers":1}
+{"seed":7,"shard":"fleet","status":"failed","type":"shard","wall_seconds":0.75}
+{"name":"wall_seconds","shard":"fleet","type":"counter","value":0.75}
+{"depth":0,"duration":0.75,"index":0,"meta":{"kernel":"spmv"},"name":"request","parent":-1,"shard":"fleet","start":0.25,"type":"span"}
+{"depth":1,"duration":0.25,"index":1,"meta":{},"name":"respond","parent":0,"shard":"fleet","start":0.5,"type":"span"}
+{"depth":0,"duration":0.25,"index":2,"meta":{"bins":"8"},"name":"fleet_solve","parent":-1,"shard":"fleet","start":1.25,"type":"span"}
+"""
+
+
+class TestRecorderTrace:
+    def test_serve_bytes(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        lines = write_recorder_trace(
+            path, "serve", _ticking_recorder(), wall_seconds=1.25
+        )
+        assert path.read_text() == _SERVE_LINES
+        assert lines == 6 == validate_trace_file(path)
+
+    def test_fleet_bytes(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        write_recorder_trace(
+            path,
+            "fleet",
+            _ticking_recorder(),
+            wall_seconds=0.75,
+            seed=7,
+            status="failed",
+        )
+        assert path.read_text() == _FLEET_LINES
+        assert [s.name for s in read_spans(path)["fleet"]] == [
+            "request", "respond", "fleet_solve",
+        ]
 
 
 class TestSummary:
