@@ -13,6 +13,8 @@ its effect, so the contribution of every mechanism is auditable:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from conftest import run_once
 
@@ -23,17 +25,20 @@ from repro.machine.platforms import platform
 from repro.machine.power import PowerTrace
 from repro.measurement.energy import trapezoid_energy
 from repro.measurement.powermon import PowerMon
-from repro.microbench.suite import fit_campaign, run_campaign, to_fit_observations
+from repro.microbench.runner import BenchmarkRunner
+from repro.microbench.suite import (
+    CampaignSettings,
+    fit_campaign,
+    run_campaign,
+    to_fit_observations,
+)
+
+#: The ablations' campaign: Arndale CPU, single precision.
+SETTINGS = CampaignSettings(replicates=2, include_double=False)
 
 
-def _campaign(seed=2014, **kwargs):
-    return run_campaign(
-        platform("arndale-cpu"),
-        seed=seed,
-        replicates=2,
-        include_double=False,
-        **kwargs,
-    )
+def _campaign():
+    return run_campaign(platform("arndale-cpu"), SETTINGS)
 
 
 def test_ablation_capped_extra_parameter(benchmark):
@@ -88,12 +93,13 @@ def test_ablation_noise_vs_recovery_error(benchmark):
 
     def run():
         noisy = fit_campaign(_campaign())
+        config = platform("arndale-cpu")
         clean = fit_campaign(
             run_campaign(
-                platform("arndale-cpu"),
-                seed=None,  # all stochastic effects off
-                replicates=1,
-                include_double=False,
+                config,
+                replace(SETTINGS, replicates=1),
+                # seed=None: all stochastic effects off.
+                runner=BenchmarkRunner(config, seed=None),
             )
         )
         return noisy, clean
@@ -216,17 +222,14 @@ def test_ablation_sweep_density_vs_flags(benchmark):
     sweep points inside the cap region.  A sparse sweep (1 pt/octave)
     loses the Arndale CPU flag a dense sweep (4 pts/octave) finds."""
     from repro.core.errors import compare_models
-    from repro.microbench.intensity import balanced_intensities
 
     cfg = platform("arndale-cpu")
 
     def run():
         pvalues = {}
         for density in (1, 4):
-            grid = balanced_intensities(cfg, points_per_octave=density)
             campaign = run_campaign(
-                cfg, seed=2014, replicates=2, intensities=grid,
-                include_double=False,
+                cfg, replace(SETTINGS, points_per_octave=density)
             )
             fitted = fit_campaign(campaign)
             cmp = compare_models(

@@ -87,7 +87,7 @@ def test_extension_utilisation_model(benchmark):
     from repro.machine.config import PlatformEffects
     from repro.machine.governor import GovernorSettings
     from repro.machine.noise import NoiseSpec
-    from repro.microbench.suite import fit_campaign, run_campaign
+    from repro.microbench.suite import CampaignSettings, fit_campaign, run_campaign
 
     cfg = replace(
         platform("arndale-gpu"),
@@ -100,7 +100,9 @@ def test_extension_utilisation_model(benchmark):
     )
 
     def run():
-        fitted = fit_campaign(run_campaign(cfg, seed=11, include_double=False))
+        fitted = fit_campaign(
+            run_campaign(cfg, CampaignSettings(seed=11, include_double=False))
+        )
         return fitted, fit_slope(fitted.capped, fitted.fit_observations)
 
     fitted, um = run_once(benchmark, run)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.experiments import table1
-from repro.experiments.common import CampaignSettings, run_platform_fit
+from repro.microbench.campaign import fit_platform
 
 
 def test_table1_reproduction(benchmark, fits):
@@ -25,7 +25,7 @@ def test_table1_reproduction(benchmark, fits):
 def test_single_platform_campaign_and_fit(benchmark, settings):
     """End-to-end cost of one platform's full campaign + joint fit."""
     fitted = benchmark.pedantic(
-        run_platform_fit,
+        fit_platform,
         args=("gtx-titan", settings),
         rounds=1,
         iterations=1,

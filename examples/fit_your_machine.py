@@ -23,7 +23,7 @@ from repro.core.params import CacheLevelParams, MachineParams, RandomAccessParam
 from repro.machine.config import PlatformConfig, PlatformEffects, VendorPeaks
 from repro.machine.governor import GovernorSettings
 from repro.machine.noise import NoiseSpec
-from repro.microbench.suite import fit_campaign, run_campaign
+from repro.microbench.suite import CampaignSettings, fit_campaign, run_campaign
 from repro.report import Table, fmt_si
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,9 @@ device = PlatformConfig(
 # 2-3. Campaign and fits.
 # ---------------------------------------------------------------------------
 print(f"benchmarking {device.name} ...")
-campaign = run_campaign(device, seed=7, replicates=2, include_double=False)
+campaign = run_campaign(
+    device, CampaignSettings(seed=7, replicates=2, include_double=False)
+)
 fitted = fit_campaign(campaign)
 print(f"  {campaign.n_runs} runs executed")
 print()

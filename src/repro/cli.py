@@ -88,9 +88,10 @@ import sys
 from typing import Sequence
 
 from .core.balance import summarise_balance
-from .experiments.common import CampaignSettings, run_platform_fit
+from .experiments.common import CampaignSettings
 from .experiments.registry import EXPERIMENTS, run_all, run_experiment
 from .machine.platforms import PLATFORM_IDS, all_platforms, platform
+from .microbench.campaign import fit_platform
 from .report.tables import Table, fmt_num, fmt_pct, fmt_si
 
 __all__ = [
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject seeded rig faults, e.g. "
         "'dropout=0.05,jitter=1e-4,run_failure=0.1,seed=7' "
         "(fields: dropout, jitter, desync, desync_prob, saturation, "
-        "nan, truncation, run_failure, seed; see docs/FAULTS.md)",
+        "nan, run_failure, seed; see docs/FAULTS.md)",
     )
     camp_p.add_argument(
         "--max-retries",
@@ -441,7 +442,7 @@ def _cmd_platform(platform_id: str) -> str:
 
 
 def _cmd_bench(platform_id: str, seed: int) -> str:
-    fit = run_platform_fit(platform_id, CampaignSettings(seed=seed))
+    fit = fit_platform(platform_id, CampaignSettings(seed=seed))
     truth = fit.truth
     fitted = fit.capped.params
     table = Table(
@@ -552,12 +553,13 @@ def _cmd_campaign(
             f"archline campaign: unknown platform(s) {', '.join(unknown)}; "
             f"choose from {', '.join(PLATFORM_IDS)}"
         )
-    plan = None
-    if faults_spec is not None:
-        try:
-            plan = FaultPlan.parse(faults_spec)
-        except ValueError as err:
-            raise SystemExit(f"archline campaign: bad --faults spec: {err}")
+    try:
+        plan = None if faults_spec is None else FaultPlan.parse(faults_spec)
+        settings = CampaignSettings(
+            seed=seed, faults=plan, max_retries=max_retries
+        )
+    except ValueError as err:
+        raise SystemExit(f"archline campaign: bad --faults spec: {err}")
     if no_cache:
         if cache_dir is not None:
             raise SystemExit(
@@ -572,7 +574,6 @@ def _cmd_campaign(
             "archline campaign: --refresh needs a cache (--cache DIR or "
             "$ARCHLINE_CACHE)"
         )
-    settings = CampaignSettings(seed=seed, faults=plan, max_retries=max_retries)
     if quick:
         settings = settings.scaled_down()
     runner = CampaignRunner(

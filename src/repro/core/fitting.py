@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _MIN_OBSERVATIONS = 8
+#: Optimiser starts per fit: the seeded start plus five perturbed ones.
+_N_RESTARTS = 6
 
 
 @dataclass(frozen=True)
@@ -459,7 +461,6 @@ def fit_machine(
     capped: bool = True,
     anchor_times: bool = True,
     name: str = "fitted",
-    n_restarts: int = 6,
     rng: np.random.Generator | None = None,
 ) -> ModelFit:
     """Fit the capped or uncapped model jointly over all observations.
@@ -488,7 +489,7 @@ def fit_machine(
         objective.residuals,
         x0,
         jacobian=objective.jacobian,
-        n_restarts=n_restarts,
+        n_restarts=_N_RESTARTS,
         rng=rng,
     )
     theta = objective.unpack(result.params)

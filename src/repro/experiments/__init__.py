@@ -20,7 +20,7 @@ from . import (
     table1,
 )
 from .base import ExperimentResult
-from .common import CampaignSettings, run_all_fits, run_platform_fit
+from .common import CampaignSettings, run_all_fits
 from .registry import EXPERIMENTS, ExperimentSpec, run_all, run_experiment
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "ExperimentResult",
     "CampaignSettings",
     "run_all_fits",
-    "run_platform_fit",
     "EXPERIMENTS",
     "ExperimentSpec",
     "run_all",

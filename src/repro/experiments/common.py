@@ -3,8 +3,8 @@
 Table I and Fig. 4 both consume the full per-platform microbenchmark
 campaigns; running them once and sharing the fits keeps the experiment
 modules declarative.  ``CampaignSettings`` (declared in
-:mod:`repro.microbench.campaign`, re-exported here) scales campaign
-size down for quick runs (benchmarks) and up for higher-fidelity
+:mod:`repro.microbench.suite`, re-exported here) scales campaign size
+down for quick runs (benchmarks) and up for higher-fidelity
 reproduction.
 
 Every helper below fits a platform through
@@ -32,15 +32,7 @@ __all__ = [
     "CampaignSettings",
     "fitted_platform_config",
     "run_all_fits",
-    "run_platform_fit",
 ]
-
-
-def run_platform_fit(
-    platform_id: str, settings: CampaignSettings | None = None
-) -> FittedPlatform:
-    """Run and fit one platform's campaign."""
-    return fit_platform(platform_id, settings or CampaignSettings())
 
 
 def fitted_platform_config(

@@ -15,13 +15,14 @@ matching the identifiability analysis in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..microbench.campaign import fit_platform
 from ..microbench.suite import FittedPlatform
 from ..report.tables import Table
-from .common import CampaignSettings, run_platform_fit
+from .common import CampaignSettings
 
 __all__ = ["ParameterSpread", "UncertaintyResult", "quantify"]
 
@@ -105,18 +106,14 @@ def quantify(
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
     base = settings or CampaignSettings()
-    fits = []
-    for k in range(n_seeds):
-        seeded = CampaignSettings(
-            seed=base_seed + 101 * k,
-            replicates=base.replicates,
-            points_per_octave=base.points_per_octave,
-            target_duration=base.target_duration,
-            include_double=False,  # single precision carries the fit
-            include_cache=base.include_cache,
-            include_chase=base.include_chase,
+    fits = [
+        # Single precision carries the fit; faults and retries stay base's.
+        fit_platform(
+            platform_id,
+            replace(base, seed=base_seed + 101 * k, include_double=False),
         )
-        fits.append(run_platform_fit(platform_id, seeded))
+        for k in range(n_seeds)
+    ]
     truth = fits[0].truth
     spreads = {}
     for name in _PARAMETERS:

@@ -20,8 +20,8 @@ between shards:
   through the vectorised :meth:`~repro.machine.engine.Engine.run_batch`
   path.
 * **Counters.**  Every shard reports its run count, calibration
-  hit/miss counters, wall time, fault/retry/quarantine totals and
-  backoff-sleep seconds; the aggregate lands in
+  hit/miss counters, wall time and fault/retry/quarantine totals; the
+  aggregate lands in
   :attr:`CampaignRunner.report`, whose ``workers`` field records the
   *actual* pool width so ``parallel_efficiency`` is normalised
   honestly.
@@ -38,7 +38,8 @@ between shards:
   lookups before compute, publication after, hit/miss/stale counters
   in every :class:`ShardReport`.  Replayed shards are bit-identical to
   computed ones -- the cache changes *whether* a shard runs, never
-  what it produces.
+  what it produces.  Outside the pool only :func:`fit_platform`
+  caches, as separate campaign and fit entries.
 * **Resilience.**  A shard that raises, crashes its worker process or
   misses the ``shard_timeout`` deadline is quarantined -- recorded in
   the report with a named status and excluded from the returned fits
@@ -55,13 +56,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ..faults.plan import FaultPlan
 from ..machine.platforms import PLATFORM_IDS, platform
-from ..store.fingerprint import shard_key
+from ..store.fingerprint import campaign_key, fit_key, shard_key
 from ..store.store import CampaignStore
 from ..telemetry.jsonl import trace_bytes as _trace_bytes
 from ..telemetry.recorder import (
@@ -70,9 +70,8 @@ from ..telemetry.recorder import (
     SpanTable,
     TraceRecorder,
 )
-from .intensity import balanced_intensities
 from .runner import BenchmarkRunner, QuarantinedCell
-from .suite import FittedPlatform, fit_campaign, run_campaign
+from .suite import CampaignSettings, FittedPlatform, fit_campaign, run_campaign
 
 __all__ = [
     "CampaignSettings",
@@ -85,31 +84,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CampaignSettings:
-    """Knobs controlling campaign size and determinism."""
+_T = TypeVar("_T")
 
-    seed: int = 2014  #: the paper's publication year, for flavour.
-    replicates: int = 2
-    points_per_octave: int = 3
-    target_duration: float = 0.25  #: seconds per calibrated run.
-    include_double: bool = True
-    include_cache: bool = True
-    include_chase: bool = True
-    #: Seeded rig-fault model (None = clean rig; the all-zero plan is
-    #: bit-for-bit identical to None).
-    faults: FaultPlan | None = None
-    max_retries: int = 2  #: per-run retry budget under faults.
 
-    def scaled_down(self) -> "CampaignSettings":
-        """Cheaper settings for smoke tests and benchmark harnesses."""
-        return replace(
-            self,
-            replicates=1,
-            points_per_octave=2,
-            target_duration=0.1,
-            include_double=False,
-        )
+def _through_store(
+    store: CampaignStore | None,
+    kind: str,
+    platform_name: str,
+    key: Callable[[], str],
+    compute: Callable[[], _T],
+    *,
+    refresh: bool,
+    recorder: TraceRecorder = NULL_RECORDER,
+) -> _T:
+    """``compute()``, looked up in ``store`` first and published after
+    (``key`` hashes the whole input, so it runs only with a store)."""
+    if store is None:
+        return compute()
+    cell = key()
+    if not refresh:
+        with recorder.span("cache_lookup", platform=platform_name, key=cell[:12]):
+            cached = store.get(cell, kind=kind)
+        if cached is not None:
+            return cached
+    value = compute()
+    with recorder.span("cache_store", platform=platform_name, key=cell[:12]):
+        store.put(cell, value, kind=kind, platform=platform_name)
+    return value
 
 
 def fit_platform(
@@ -123,41 +124,43 @@ def fit_platform(
 ) -> FittedPlatform:
     """Run and fit one platform's campaign -- the only body that does.
 
-    Measures the suite over the platform's balanced intensity grid
-    under a ``campaign`` span, then fits it with the optimiser's
-    generator seeded from ``settings.seed + 1``.  Pass ``runner`` (a
-    :class:`~repro.microbench.runner.BenchmarkRunner` built from
-    ``settings``) to read its counters afterwards, as :func:`run_shard`
-    does.  ``store`` caches the campaign and the fit as content-keyed
-    entries (docs/CACHE.md) and cannot be combined with ``runner``;
+    Measures the suite under a ``campaign`` span, then fits it with the
+    optimiser's generator seeded from ``settings.seed + 1``.  Pass
+    ``runner`` (a :class:`~repro.microbench.runner.BenchmarkRunner`
+    built from ``settings``) to read its counters afterwards, as
+    :func:`run_shard` does.  ``store`` caches the campaign and the fit
+    as content-keyed entries (docs/CACHE.md) and cannot be combined
+    with ``runner``, whose counters would not advance on a hit;
     ``refresh`` skips their lookups but still publishes.
     """
+    if store is not None and runner is not None:
+        raise ValueError(
+            "store cannot be combined with a preconstructed runner; "
+            "cache at shard granularity instead (run_shard)"
+        )
     config = platform(platform_id)
     with recorder.span("campaign"):
-        campaign = run_campaign(
-            config,
-            seed=settings.seed,
-            replicates=settings.replicates,
-            intensities=balanced_intensities(
-                config, points_per_octave=settings.points_per_octave
+        campaign = _through_store(
+            store,
+            "campaign",
+            config.name,
+            lambda: campaign_key(config, settings),
+            lambda: run_campaign(
+                config, settings, runner=runner, recorder=recorder
             ),
-            target_duration=settings.target_duration,
-            include_double=settings.include_double,
-            include_cache=settings.include_cache,
-            include_chase=settings.include_chase,
-            faults=settings.faults,
-            max_retries=settings.max_retries,
-            runner=runner,
+            refresh=refresh,
             recorder=recorder,
-            store=store,
-            cache_refresh=refresh,
         )
-    return fit_campaign(
-        campaign,
-        rng=np.random.default_rng(settings.seed + 1),
+    rng = np.random.default_rng(settings.seed + 1)
+    # fit_key reads the generator's entry state: key before the fit draws.
+    return _through_store(
+        store,
+        "fit",
+        config.name,
+        lambda: fit_key(campaign, rng=rng),
+        lambda: fit_campaign(campaign, rng=rng, recorder=recorder),
+        refresh=refresh,
         recorder=recorder,
-        store=store,
-        cache_refresh=refresh,
     )
 
 
@@ -203,7 +206,6 @@ class ShardReport:
     samples_dropped: int = 0
     samples_corrupted: int = 0  #: dropped + NaN + saturated samples.
     quarantined: tuple[QuarantinedCell, ...] = ()
-    backoff_seconds: float = 0.0  #: seconds slept in retry backoff.
     #: Store counters (all zero when the shard ran uncached).  A shard
     #: is all-or-nothing, so ``cache_hits + cache_misses <= 1``;
     #: ``cache_stale`` counts corrupt/foreign entries evicted on the
@@ -332,10 +334,6 @@ class CampaignReport:
     # -- telemetry aggregates -----------------------------------------
 
     @property
-    def backoff_seconds(self) -> float:
-        return sum(shard.backoff_seconds for shard in self.shards)
-
-    @property
     def trace_bytes(self) -> int:
         return sum(shard.trace_bytes for shard in self.shards)
 
@@ -441,7 +439,6 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
         samples_dropped=fault_counters.samples_dropped,
         samples_corrupted=fault_counters.samples_corrupted,
         quarantined=tuple(runner.quarantined),
-        backoff_seconds=runner.backoff_seconds,
     )
     if store is not None:
         with recorder.span(

@@ -10,10 +10,10 @@ noise-free dry run, then executes the scaled kernel for real.
 Under an active :class:`~repro.faults.plan.FaultPlan` the runner also
 carries the *resilient execution path* a real rig operator needs:
 per-run validation (:func:`validate_measured_run` rejects non-finite or
-non-positive measurements with a named error), bounded retry with
-exponential backoff, and quarantine of ``(benchmark, kernel)`` cells
-that keep failing -- the campaign proceeds on surviving observations
-and the counters account for every attempt:
+non-positive measurements with a named error), immediate bounded
+retry, and quarantine of ``(benchmark, kernel)`` cells that keep
+failing -- the campaign proceeds on surviving observations and the
+counters account for every attempt:
 
 ``runs_attempted == len(accepted) + runs_failed`` and
 ``runs_failed == retries + len(quarantined)``.
@@ -22,7 +22,6 @@ and the counters account for every attempt:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -183,17 +182,14 @@ class BenchmarkRunner:
         and enables the resilient retry/quarantine machinery in
         :meth:`execute_resilient` / :meth:`execute_replicates`.
     max_retries:
-        Extra attempts per run after a fault-class failure.
-    retry_backoff:
-        First retry delay in seconds, doubled per subsequent retry
-        (0 disables sleeping -- the twin's faults need no cool-down,
-        but a real rig's USB re-enumeration does).
+        Extra attempts per run after a fault-class failure, made
+        immediately (the twin's faults need no cool-down).
     recorder:
         Optional :class:`~repro.telemetry.recorder.TraceRecorder`.
         Every execution records nested spans (``run`` containing
-        ``calibrate`` -> ``engine`` -> ``measure`` -> ``validate``)
-        and the ``backoff_seconds`` counter; both engines share the
-        recorder, so calibration dry-runs show up under ``calibrate``.
+        ``calibrate`` -> ``engine`` -> ``measure`` -> ``validate``);
+        both engines share the recorder, so calibration dry-runs show
+        up under ``calibrate``.
         The default no-op recorder leaves execution bit-for-bit
         unchanged.
     """
@@ -207,15 +203,12 @@ class BenchmarkRunner:
         powermon: PowerMon | None = None,
         faults: FaultPlan | None = None,
         max_retries: int = 2,
-        retry_backoff: float = 0.0,
         recorder: TraceRecorder | None = NULL_RECORDER,
     ) -> None:
         if not target_duration > 0:
             raise ValueError("target_duration must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
         self.config = config
         self.target_duration = target_duration
         self.recorder = NULL_RECORDER if recorder is None else recorder
@@ -229,7 +222,6 @@ class BenchmarkRunner:
         )
         self.rig = MeasurementRig(config, powermon, faults=self.injector)
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         # Calibration dry-runs are deterministic per kernel *shape*, so
         # replicated runs (and repeated sweeps over the same grid) can
         # reuse the factor instead of re-running the noise-free engine.
@@ -243,7 +235,6 @@ class BenchmarkRunner:
         self.retries = 0
         self.rejected = 0  #: validation failures (subset of runs_failed).
         self.runs_skipped = 0  #: calls short-circuited by quarantine.
-        self.backoff_seconds = 0.0  #: total time slept between retries.
         self.quarantined: list[QuarantinedCell] = []
         self._quarantined_keys: set[tuple[str, str]] = set()
 
@@ -360,7 +351,7 @@ class BenchmarkRunner:
     def execute_resilient(
         self, kernel: KernelSpec, benchmark: str, *, replicate: int = 0
     ) -> Observation | None:
-        """Execute with bounded retry, backoff and quarantine.
+        """Execute with bounded retry and quarantine.
 
         Returns the observation, or ``None`` when the run was lost:
         either its cell is already quarantined (skipped without an
@@ -373,17 +364,10 @@ class BenchmarkRunner:
         if key in self._quarantined_keys:
             self.runs_skipped += 1
             return None
-        delay = self.retry_backoff
         last_error: RigFaultError | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 self.retries += 1
-                if delay > 0:
-                    with self.recorder.span("backoff"):
-                        time.sleep(delay)
-                    self.backoff_seconds += delay
-                    self.recorder.add("backoff_seconds", delay)
-                    delay *= 2.0
             try:
                 return self.execute(kernel, benchmark, replicate=replicate)
             except RigFaultError as err:
@@ -406,18 +390,14 @@ class BenchmarkRunner:
     ) -> list[Observation]:
         """Run the same kernel several times (distinct noise draws).
 
-        With faults enabled, lost replicates are simply absent from the
+        Every replicate goes through :meth:`execute_resilient`.  With
+        faults enabled, lost replicates are simply absent from the
         returned list (possibly leaving it empty) and accounted for in
         the runner's counters -- graceful degradation rather than a
-        dead sweep.
+        dead sweep; without them no attempt can fail.
         """
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.injector is None or not self.injector.active:
-            return [
-                self.execute(kernel, benchmark, replicate=r)
-                for r in range(replicates)
-            ]
         out = []
         for r in range(replicates):
             obs = self.execute_resilient(kernel, benchmark, replicate=r)

@@ -1,18 +1,18 @@
 """Full per-platform microbenchmark campaign and parameter recovery.
 
 ``run_campaign`` executes everything Section IV describes for one
-platform: the single- and double-precision intensity sweeps, the
-per-level cache benchmarks, the pointer chase, and the sustained-peak
-runs.  ``fit_campaign`` then reproduces Section V-A: jointly fit the
-capped and uncapped models to *all* runs (the paper: "These include
-runs in which the total data accessed only fits in a given level of
-the memory hierarchy"), yielding one complete, *measured* Table I row
-that can be compared against the platform's ground truth.
+platform on one :class:`CampaignSettings`: the single- and
+double-precision intensity sweeps, the per-level cache benchmarks, the
+pointer chase, and the sustained-peak runs.  ``fit_campaign`` then
+reproduces Section V-A: jointly fit the capped and uncapped models to
+*all* runs (the paper: "These include runs in which the total data
+accessed only fits in a given level of the memory hierarchy"),
+yielding one complete, *measured* Table I row that can be compared
+against the platform's ground truth.
 
-Both functions accept a content-addressed ``store``
-(:class:`~repro.store.store.CampaignStore`, docs/CACHE.md): the cell
-key covers every input that can change the result, a hit replays the
-cached object bit-identically, and a miss computes then publishes.
+Both are pure compute.  Caching campaigns and fits in the
+content-addressed store (docs/CACHE.md) is the job of
+:func:`repro.microbench.campaign.fit_platform` alone.
 """
 
 from __future__ import annotations
@@ -26,23 +26,55 @@ from ..core.params import CacheLevelParams, MachineParams, RandomAccessParams
 from ..faults.plan import FaultPlan
 from ..machine.config import PlatformConfig
 from ..machine.kernel import DRAM
-from ..measurement.powermon import PowerMon
-from ..store.fingerprint import campaign_key, fit_key
-from ..store.store import CampaignStore
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .cachebench import cache_sweep
-from .intensity import intensity_sweep
+from .intensity import balanced_intensities, intensity_sweep
 from .peak import peak_flops, peak_stream, sustained_bandwidth, sustained_flops
 from .pointer_chase import chase_sweep
 from .runner import BenchmarkRunner, Observation, QuarantinedCell
 
 __all__ = [
     "Campaign",
+    "CampaignSettings",
     "FittedPlatform",
     "run_campaign",
     "fit_campaign",
     "to_fit_observations",
 ]
+
+
+@dataclass(frozen=True)
+class CampaignSettings:
+    """Knobs controlling campaign size and determinism."""
+
+    seed: int = 2014  #: the paper's publication year, for flavour.
+    replicates: int = 2
+    points_per_octave: int = 3  #: density of the balanced intensity grid.
+    target_duration: float = 0.25  #: seconds per calibrated run.
+    include_double: bool = True
+    #: Seeded rig-fault model (None = clean rig; the all-zero plan is
+    #: bit-for-bit identical to None).
+    faults: FaultPlan | None = None
+    max_retries: int = 2  #: per-run retry budget under faults.
+
+    def __post_init__(self) -> None:
+        if self.faults is not None and self.faults.truncation_rate > 0:
+            # Only measurement sessions truncate; no campaign run goes
+            # through one, so the plan would be accepted and ignored.
+            raise ValueError(
+                "truncation_rate applies to measurement sessions only; "
+                "a campaign never truncates a run"
+            )
+
+    def scaled_down(self) -> "CampaignSettings":
+        """Cheaper settings for smoke tests and benchmark harnesses."""
+        return replace(
+            self,
+            replicates=1,
+            points_per_octave=2,
+            target_duration=0.1,
+            include_double=False,
+        )
 
 
 @dataclass(frozen=True)
@@ -88,105 +120,57 @@ class Campaign:
 
 def run_campaign(
     config: PlatformConfig,
+    settings: CampaignSettings | None = None,
     *,
-    seed: int | None = 0,
-    replicates: int = 2,
-    intensities=None,
-    target_duration: float = 0.25,
-    powermon: PowerMon | None = None,
-    include_double: bool = True,
-    include_cache: bool = True,
-    include_chase: bool = True,
     runner: BenchmarkRunner | None = None,
-    faults: FaultPlan | None = None,
-    max_retries: int = 2,
-    recorder: TraceRecorder | None = NULL_RECORDER,
-    store: CampaignStore | None = None,
-    cache_refresh: bool = False,
+    recorder: TraceRecorder = NULL_RECORDER,
 ) -> Campaign:
     """Run the full Section IV benchmark suite on one platform.
 
-    Pass a preconstructed ``runner`` to reuse its calibration cache or
-    to inspect its counters afterwards (the parallel campaign shards
-    do); ``seed``, ``target_duration``, ``powermon``, ``faults``,
-    ``max_retries`` and ``recorder`` are then taken from it and the
-    keyword values are ignored.  Under an active fault plan, runs the
-    resilient path: persistently failing cells are quarantined
-    (recorded on :attr:`Campaign.quarantined`) and the campaign
-    completes on what survives.  Each suite stage records a ``sweep``
-    span on the runner's recorder (a no-op by default).
-
-    With ``store`` set the campaign is looked up by its content key
-    (:func:`repro.store.fingerprint.campaign_key`) first and published
-    after computing; a hit replays the cached :class:`Campaign`
-    bit-identically.  Incompatible with a preconstructed ``runner``
-    (its calibration/fault counters would not advance on a hit -- the
-    parallel shards cache at shard granularity instead,
-    :func:`repro.microbench.campaign.run_shard`) and with a custom
-    ``powermon`` (the instrument changes observations but has no
-    stable fingerprint).  ``cache_refresh`` skips the lookup but still
-    publishes.
+    The intensity sweeps cover the platform's balanced grid at
+    ``settings.points_per_octave`` (default: ``CampaignSettings()``).
+    Without a ``runner`` one is built from ``settings`` -- seed, target
+    duration, fault plan, retry budget -- recording on ``recorder``.  A
+    runner that is passed keeps its own seed, target duration, faults,
+    retries and recorder; pass one to reuse its calibration cache or to
+    read its counters afterwards (the campaign shards do).  Under an
+    active fault plan, runs the resilient path: persistently failing
+    cells are quarantined (recorded on :attr:`Campaign.quarantined`)
+    and the campaign completes on what survives.  Each suite stage
+    records a ``sweep`` span on the runner's recorder.
     """
-    rec0 = NULL_RECORDER if recorder is None else recorder
-    key = ""
-    if store is not None:
-        if runner is not None:
-            raise ValueError(
-                "store cannot be combined with a preconstructed runner; "
-                "cache at shard granularity instead (run_shard)"
-            )
-        if powermon is not None:
-            raise ValueError(
-                "store cannot be combined with a custom powermon: the "
-                "instrument changes observations but has no stable "
-                "fingerprint"
-            )
-        key = campaign_key(
-            config,
-            seed=seed,
-            replicates=replicates,
-            intensities=intensities,
-            target_duration=target_duration,
-            include_double=include_double,
-            include_cache=include_cache,
-            include_chase=include_chase,
-            faults=faults,
-            max_retries=max_retries,
-        )
-        if not cache_refresh:
-            with rec0.span(
-                "cache_lookup", platform=config.name, key=key[:12]
-            ):
-                cached = store.get(key, kind="campaign")
-            if cached is not None:
-                return cached
+    settings = settings or CampaignSettings()
     if runner is None:
         runner = BenchmarkRunner(
             config,
-            seed=seed,
-            target_duration=target_duration,
-            powermon=powermon,
-            faults=faults,
-            max_retries=max_retries,
+            seed=settings.seed,
+            target_duration=settings.target_duration,
+            faults=settings.faults,
+            max_retries=settings.max_retries,
             recorder=recorder,
         )
+    intensities = balanced_intensities(
+        config, points_per_octave=settings.points_per_octave
+    )
+    replicates = settings.replicates
+    include_double = (
+        settings.include_double and config.truth.tau_flop_double is not None
+    )
     rec = runner.recorder
     with rec.span("sweep", benchmark="intensity:single"):
         single = intensity_sweep(
             runner, intensities, replicates=replicates, precision="single"
         )
     double: list[Observation] = []
-    if include_double and config.truth.tau_flop_double is not None:
+    if include_double:
         with rec.span("sweep", benchmark="intensity:double"):
             double = intensity_sweep(
                 runner, intensities, replicates=replicates, precision="double"
             )
-    caches: dict[str, list[Observation]] = {}
-    if include_cache:
-        with rec.span("sweep", benchmark="cache"):
-            caches = cache_sweep(runner, replicates=replicates)
+    with rec.span("sweep", benchmark="cache"):
+        caches = cache_sweep(runner, replicates=replicates)
     chase: list[Observation] = []
-    if include_chase and config.truth.random is not None:
+    if config.truth.random is not None:
         with rec.span("sweep", benchmark="pointer_chase"):
             chase = chase_sweep(runner, replicates=max(replicates, 2))
     with rec.span("sweep", benchmark="peaks"):
@@ -194,12 +178,12 @@ def run_campaign(
             runner, precision="single", replicates=max(replicates, 2)
         )
         peaks_d: list[Observation] = []
-        if include_double and config.truth.tau_flop_double is not None:
+        if include_double:
             peaks_d = peak_flops(
                 runner, precision="double", replicates=max(replicates, 2)
             )
         stream = peak_stream(runner, replicates=max(replicates, 2))
-    campaign = Campaign(
+    return Campaign(
         config=config,
         intensity_single=single,
         intensity_double=double,
@@ -210,10 +194,6 @@ def run_campaign(
         stream_obs=stream,
         quarantined=tuple(runner.quarantined),
     )
-    if store is not None:
-        with rec0.span("cache_store", platform=config.name, key=key[:12]):
-            store.put(key, campaign, kind="campaign", platform=config.name)
-    return campaign
 
 
 def to_fit_observations(observations: list[Observation]) -> FitObservations:
@@ -321,45 +301,21 @@ class FittedPlatform:
 def fit_campaign(
     campaign: Campaign,
     *,
-    anchor_times: bool = True,
     rng: np.random.Generator | None = None,
-    recorder: TraceRecorder | None = NULL_RECORDER,
-    store: CampaignStore | None = None,
-    cache_refresh: bool = False,
+    recorder: TraceRecorder = NULL_RECORDER,
 ) -> FittedPlatform:
     """Reproduce the Section V-A fitting procedure on one campaign.
 
     ``recorder`` (no-op by default) gets one span per model fit
     (capped, uncapped, double), so traced campaigns show how much of a
     shard's wall time the fitting stage consumed.
-
-    With ``store`` set the fit is keyed on the campaign's *content*
-    plus the fit options and the ``rng``'s entry state
-    (:func:`repro.store.fingerprint.fit_key`).  On a hit the cached
-    :class:`FittedPlatform` replays bit-identically and ``rng`` is
-    **not consumed** -- callers drawing further values from it must
-    treat the generator as campaign-scoped (the shard path constructs
-    a fresh one per fit, so this costs nothing there).
     """
-    rec = NULL_RECORDER if recorder is None else recorder
     config = campaign.config
-    key = ""
-    if store is not None:
-        key = fit_key(campaign, anchor_times=anchor_times, rng=rng)
-        if not cache_refresh:
-            with rec.span("cache_lookup", platform=config.name, key=key[:12]):
-                cached = store.get(key, kind="fit")
-            if cached is not None:
-                return cached
     main_obs = to_fit_observations(campaign.single_precision_runs)
-    with rec.span("fit", model="capped"):
-        capped = fit_machine(
-            main_obs, capped=True, anchor_times=anchor_times, name=config.name, rng=rng
-        )
-    with rec.span("fit", model="uncapped"):
-        uncapped = fit_machine(
-            main_obs, capped=False, anchor_times=anchor_times, name=config.name, rng=rng
-        )
+    with recorder.span("fit", model="capped"):
+        capped = fit_machine(main_obs, capped=True, name=config.name, rng=rng)
+    with recorder.span("fit", model="uncapped"):
+        uncapped = fit_machine(main_obs, capped=False, name=config.name, rng=rng)
 
     eps_d: float | None = None
     sustained_d: float | None = None
@@ -367,11 +323,10 @@ def fit_campaign(
         double_obs = to_fit_observations(
             campaign.intensity_double + campaign.peak_double
         )
-        with rec.span("fit", model="double"):
+        with recorder.span("fit", model="double"):
             double_fit = fit_machine(
                 double_obs,
                 capped=True,
-                anchor_times=anchor_times,
                 name=f"{config.name} (double)",
                 rng=rng,
             )
@@ -381,7 +336,7 @@ def fit_campaign(
         if campaign.peak_double:
             sustained_d = sustained_flops(campaign.peak_double)
 
-    fitted = FittedPlatform(
+    return FittedPlatform(
         config=config,
         campaign=campaign,
         capped=capped,
@@ -390,7 +345,3 @@ def fit_campaign(
         eps_flop_double=eps_d,
         sustained_flops_double=sustained_d,
     )
-    if store is not None:
-        with rec.span("cache_store", platform=config.name, key=key[:12]):
-            store.put(key, fitted, kind="fit", platform=config.name)
-    return fitted

@@ -8,9 +8,8 @@ runs with:
     :func:`repro.machine.platforms.platform`.
 ``"fitted"``
     Theta-hat: the constants *recovered* from a microbenchmark
-    campaign (:func:`~repro.microbench.suite.run_campaign` +
-    :func:`~repro.microbench.suite.fit_campaign`), exactly the
-    Section V-A procedure.  Serving from theta-hat answers "what would
+    campaign (:func:`~repro.microbench.campaign.fit_platform`), exactly
+    the Section V-A procedure.  Serving from theta-hat answers "what would
     the model we actually measured predict?" -- the honest production
     configuration.
 

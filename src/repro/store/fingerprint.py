@@ -34,7 +34,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..faults.plan import FaultPlan
 from ..machine import engine as _engine
 from ..machine.config import PlatformConfig
 
@@ -135,13 +134,6 @@ def platform_fingerprint(config: PlatformConfig) -> str:
     return fingerprint({"platform_config": config})
 
 
-def _fault_part(faults: FaultPlan | None) -> Any:
-    # None and the all-zero plan corrupt nothing and are documented
-    # bit-identical to each other, but they are *distinct configs*; keep
-    # their keys distinct rather than special-casing equivalences here.
-    return None if faults is None else canonical(faults)
-
-
 def shard_key(config: PlatformConfig, spec: Any) -> str:
     """The store key of one campaign shard (``run_shard``'s unit).
 
@@ -163,37 +155,20 @@ def shard_key(config: PlatformConfig, spec: Any) -> str:
     return fingerprint(parts)
 
 
-def campaign_key(
-    config: PlatformConfig,
-    *,
-    seed: int | None,
-    replicates: int,
-    intensities: Any,
-    target_duration: float,
-    include_double: bool,
-    include_cache: bool,
-    include_chase: bool,
-    faults: FaultPlan | None,
-    max_retries: int,
-) -> str:
-    """The store key of one sequential :func:`~repro.microbench.suite.run_campaign`."""
+def campaign_key(config: PlatformConfig, settings: Any) -> str:
+    """The store key of one :func:`~repro.microbench.suite.run_campaign`.
+
+    ``settings`` is a :class:`~repro.microbench.suite.CampaignSettings`;
+    the key covers the platform and every settings field (seed, size,
+    fault plan, max retries), as :func:`shard_key` does.  A ``None``
+    and an all-zero fault plan are bit-identical in effect but distinct
+    configs, so their keys differ.
+    """
     parts = {
         "kind": "campaign",
         "engine": engine_fingerprint_version(),
         "platform": platform_fingerprint(config),
-        "seed": seed,
-        "replicates": replicates,
-        "intensities": (
-            None
-            if intensities is None
-            else [float(i) for i in intensities]
-        ),
-        "target_duration": target_duration,
-        "include_double": include_double,
-        "include_cache": include_cache,
-        "include_chase": include_chase,
-        "faults": _fault_part(faults),
-        "max_retries": max_retries,
+        "settings": settings,
     }
     assert "engine" in parts  # the engine version must key every cell.
     return fingerprint(parts)
@@ -238,22 +213,16 @@ def _rng_part(rng: np.random.Generator | None) -> Any:
     )
 
 
-def fit_key(
-    campaign: Any,
-    *,
-    anchor_times: bool,
-    rng: np.random.Generator | None,
-) -> str:
+def fit_key(campaign: Any, *, rng: np.random.Generator | None) -> str:
     """The store key of one :func:`~repro.microbench.suite.fit_campaign`.
 
-    Keyed on the campaign's *content* (not its provenance), the fit
-    options, the optimiser's RNG state, and the engine version.
+    Keyed on the campaign's *content* (not its provenance), the
+    optimiser's RNG state, and the engine version.
     """
     parts = {
         "kind": "fit",
         "engine": engine_fingerprint_version(),
         "campaign": campaign_content_fingerprint(campaign),
-        "anchor_times": anchor_times,
         "rng": _rng_part(rng),
     }
     assert "engine" in parts  # the engine version must key every cell.

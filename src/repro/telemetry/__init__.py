@@ -8,10 +8,10 @@ engine?  fitting?  pool overhead?) must be answerable from data, not
 guesswork.  This package provides that observability layer:
 
 * :mod:`repro.telemetry.recorder` -- the :class:`Span` /
-  :class:`TraceRecorder` API: nested spans with monotonic timestamps
-  plus named counters.  The default :data:`NULL_RECORDER` is a no-op
-  whose presence leaves every instrumented code path bit-for-bit
-  identical to uninstrumented execution.
+  :class:`TraceRecorder` API: nested spans with monotonic timestamps.
+  The default :data:`NULL_RECORDER` is a no-op whose presence leaves
+  every instrumented code path bit-for-bit identical to uninstrumented
+  execution.
 * :mod:`repro.telemetry.jsonl` -- JSONL serialisation of a campaign's
   trace (one self-describing record per line) with a hand-rolled
   schema validator, so CI can assert a trace file is well formed
@@ -23,7 +23,7 @@ guesswork.  This package provides that observability layer:
 
 Instrumented layers: :class:`~repro.machine.engine.Engine` (run /
 run_batch), :class:`~repro.microbench.runner.BenchmarkRunner`
-(calibrate -> engine -> measure -> validate, plus retry backoff),
+(calibrate -> engine -> measure -> validate),
 :func:`~repro.microbench.suite.fit_campaign` (per-fit spans) and
 :class:`~repro.microbench.campaign.CampaignRunner` (per-shard root
 spans, serialised across the process-pool boundary and merged into

@@ -11,8 +11,7 @@ line, each tagged with a ``"type"``:
     ``wall_seconds``.
 ``counter``
     Per-shard metric counters (runs, retries, calibration hits,
-    backoff seconds, trace bytes, ...): ``shard``, ``name``,
-    ``value``.
+    trace bytes, ...): ``shard``, ``name``, ``value``.
 ``span``
     One closed span: ``shard``, ``index``, ``parent``, ``depth``,
     ``name``, ``start``, ``duration``, ``meta`` (string -> string).
@@ -60,7 +59,6 @@ _SHARD_COUNTER_FIELDS = (
     "runs_skipped",
     "calibration_hits",
     "calibration_misses",
-    "backoff_seconds",
     "trace_bytes",
     "wall_seconds",
 )

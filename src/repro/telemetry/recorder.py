@@ -1,12 +1,12 @@
-"""Span tracing: nested monotonic-clock spans plus named counters.
+"""Span tracing: nested monotonic-clock spans.
 
 Two recorders share one interface.  :class:`TraceRecorder` collects
 :class:`SpanRecord` entries (frozen, picklable -- they cross the
-campaign's process-pool boundary inside ``ShardReport``) and float
-counters.  :class:`NullRecorder` -- the default everywhere -- is a
-no-op: ``span()`` hands back one shared reusable context manager and
-``add()`` returns immediately, so instrumented code paths cost two
-attribute lookups and an empty ``with`` block per span.  Neither
+campaign's process-pool boundary inside ``ShardReport``).
+:class:`NullRecorder` -- the default everywhere -- is a no-op:
+``span()`` hands back one shared reusable context manager, so
+instrumented code paths cost two attribute lookups and an empty
+``with`` block per span.  Neither
 recorder touches any random generator, which is what keeps traced and
 untraced campaigns bit-for-bit identical (asserted by
 ``tests/telemetry``).
@@ -126,7 +126,7 @@ class SpanTable:
 
 
 class TraceRecorder:
-    """Collects nested spans and counters for one traced scope.
+    """Collects nested spans for one traced scope.
 
     Use one recorder per shard (they are not thread-safe; the campaign
     runner gives every pool worker its own).  ``clock`` is injectable
@@ -150,7 +150,6 @@ class TraceRecorder:
         self._clock = clock
         self.epoch = clock()
         self.spans: list[SpanRecord] = []
-        self.counters: dict[str, float] = {}
         self._stack: list[int] = []  # indices of currently open spans.
         self._next_index = 0
 
@@ -188,10 +187,6 @@ class TraceRecorder:
                 )
             )
 
-    def add(self, name: str, value: float = 1.0) -> None:
-        """Accumulate a named counter (e.g. seconds slept in backoff)."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
-
     def records(self) -> tuple[SpanRecord, ...]:
         """All closed spans in timeline (start) order."""
         return tuple(sorted(self.spans, key=lambda s: (s.start, s.index)))
@@ -216,8 +211,8 @@ class NullRecorder(TraceRecorder):
     """The zero-overhead default recorder: records nothing.
 
     Shares :class:`TraceRecorder`'s interface so call sites never
-    branch; ``span()`` returns one shared context manager and ``add``
-    is a pass.  :attr:`spans` and :attr:`counters` stay empty forever.
+    branch; ``span()`` returns one shared context manager.
+    :attr:`spans` stays empty forever.
     """
 
     enabled = False
@@ -227,9 +222,6 @@ class NullRecorder(TraceRecorder):
 
     def span(self, name: str, **meta: object) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN
-
-    def add(self, name: str, value: float = 1.0) -> None:
-        return None
 
 
 #: The process-wide no-op recorder; instrumented constructors default

@@ -157,7 +157,6 @@ def _campaign_metrics(runner: CampaignRunner) -> dict:
         "runs_skipped": report.runs_skipped,
         "quarantined_cells": len(report.quarantined_cells),
         "failed_shards": len(report.failed_shards),
-        "backoff_seconds": report.backoff_seconds,
     }
 
 

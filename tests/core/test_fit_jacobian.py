@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core import fitting
-from repro.experiments.common import CampaignSettings, run_platform_fit
 from repro.machine.platforms import PLATFORM_IDS
+from repro.microbench.campaign import CampaignSettings, fit_platform
 from repro.microbench.suite import fit_campaign
 from repro.stats.regression import fit_log_params
 
@@ -33,7 +33,7 @@ KINK_MARGIN = 1e-3
 @pytest.fixture(scope="module")
 def fitted_platforms():
     settings = CampaignSettings().scaled_down()
-    return {pid: run_platform_fit(pid, settings) for pid in PLATFORM_IDS}
+    return {pid: fit_platform(pid, settings) for pid in PLATFORM_IDS}
 
 
 def pack(model_theta, objective) -> np.ndarray:

@@ -11,7 +11,7 @@ from repro.machine.config import PlatformEffects
 from repro.machine.governor import GovernorSettings
 from repro.machine.noise import NoiseSpec
 from repro.machine.platforms import platform
-from repro.microbench.suite import fit_campaign, run_campaign
+from repro.microbench.suite import CampaignSettings, fit_campaign, run_campaign
 
 
 def clean_config(pid: str, slope: float):
@@ -78,7 +78,9 @@ class TestSlopeRecovery:
     @pytest.mark.parametrize("true_slope", [0.0, 0.15])
     def test_recovers_slope_on_clean_campaign(self, true_slope):
         cfg = clean_config("arndale-gpu", true_slope)
-        campaign = run_campaign(cfg, seed=11, include_double=False)
+        campaign = run_campaign(
+            cfg, CampaignSettings(seed=11, include_double=False)
+        )
         fitted = fit_campaign(campaign)
         um = fit_slope(fitted.capped, fitted.fit_observations)
         assert um.slope == pytest.approx(true_slope, abs=0.03)
@@ -87,7 +89,9 @@ class TestSlopeRecovery:
         """The plain capped fit absorbs the utilisation effect into
         shrunken epsilons; the joint fit restores them."""
         cfg = clean_config("arndale-gpu", 0.15)
-        campaign = run_campaign(cfg, seed=11, include_double=False)
+        campaign = run_campaign(
+            cfg, CampaignSettings(seed=11, include_double=False)
+        )
         fitted = fit_campaign(campaign)
         truth = cfg.truth
         plain_dev = abs(fitted.capped.params.eps_flop - truth.eps_flop)
@@ -98,7 +102,9 @@ class TestSlopeRecovery:
 
     def test_requires_capped_base(self):
         cfg = clean_config("arndale-gpu", 0.1)
-        campaign = run_campaign(cfg, seed=3, include_double=False)
+        campaign = run_campaign(
+            cfg, CampaignSettings(seed=3, include_double=False)
+        )
         fitted = fit_campaign(campaign)
         with pytest.raises(ValueError, match="capped"):
             fit_slope(fitted.uncapped, fitted.fit_observations)
@@ -108,7 +114,10 @@ class TestSlopeRecovery:
         attenuated by the other cap-bending effects (the documented
         confounding) but the model's fit never degrades much."""
         fitted = fit_campaign(
-            run_campaign(platform("arndale-gpu"), seed=11, include_double=False)
+            run_campaign(
+                platform("arndale-gpu"),
+                CampaignSettings(seed=11, include_double=False),
+            )
         )
         obs = fitted.fit_observations
         um = fit_slope(fitted.capped, obs)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.common import CampaignSettings
 from repro.experiments.uncertainty import quantify
+from repro.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,17 @@ class TestQuantify:
     def test_needs_multiple_seeds(self):
         with pytest.raises(ValueError):
             quantify("gtx-titan", n_seeds=1)
+
+    def test_campaigns_keep_the_fault_plan_and_retry_budget(self):
+        faulted = quantify(
+            "gtx-titan",
+            n_seeds=2,
+            settings=CampaignSettings(
+                faults=FaultPlan(seed=1, run_failure_rate=0.3), max_retries=0
+            ).scaled_down(),
+        )
+        # With no retries a 30% run-failure rate must retire cells.
+        assert all(fit.campaign.quarantined for fit in faulted.fits)
 
     def test_structure(self, titan_uq):
         assert titan_uq.n_seeds == 3

@@ -31,8 +31,6 @@ QUICK = CampaignSettings(
     points_per_octave=2,
     target_duration=0.1,
     include_double=False,
-    include_cache=False,
-    include_chase=False,
 )
 
 
@@ -104,19 +102,6 @@ class TestRetryAndQuarantine:
         with pytest.raises(ValueError):
             runner.execute_replicates(kernel(), "intensity", 0)
 
-    def test_retry_backoff_sleeps(self, monkeypatch):
-        naps = []
-        monkeypatch.setattr(time, "sleep", naps.append)
-        runner = BenchmarkRunner(
-            platform("gtx-titan"),
-            seed=1,
-            faults=FaultPlan(seed=1, run_failure_rate=1.0),
-            max_retries=2,
-            retry_backoff=0.1,
-        )
-        runner.execute_resilient(kernel(), "intensity")
-        assert naps == [0.1, 0.2]  # exponential, per retry.
-
     def test_injected_failure_is_named(self):
         runner = BenchmarkRunner(
             platform("gtx-titan"),
@@ -163,11 +148,8 @@ class TestFaultyCampaignCompletes:
         )
         campaign = run_campaign(
             platform("gtx-titan"),
+            CampaignSettings(replicates=1, include_double=False),
             runner=runner,
-            replicates=1,
-            include_double=False,
-            include_cache=False,
-            include_chase=False,
         )
         assert len(campaign.quarantined) > 0
         assert campaign.n_runs > 0  # survivors made it through.

@@ -29,8 +29,6 @@ QUICK = CampaignSettings(
     points_per_octave=2,
     target_duration=0.1,
     include_double=False,
-    include_cache=False,
-    include_chase=False,
 )
 
 

@@ -1,9 +1,10 @@
 """One path: a platform's fit depends only on (platform, settings).
 
-Every way to campaign and fit a platform -- the sequential helper, the
-fitted-theta resolution serve and fleet use, a one-platform campaign
-runner and a pooled twelve-platform runner in reversed order -- must
-measure the same campaign and fit the same theta-hat, bit for bit.
+Every way to campaign and fit a platform -- ``fit_platform`` itself, a
+bare ``run_campaign`` on the same settings, the fitted-theta
+resolution serve and fleet use, a one-platform campaign runner and a
+pooled twelve-platform runner in reversed order -- must measure the
+same campaign and fit the same theta-hat, bit for bit.
 Campaigns compare by dataclass equality (exact floats); fitted
 parameters compare by pickle bytes.
 """
@@ -12,10 +13,11 @@ import pickle
 
 import pytest
 
-from repro.experiments.common import fitted_platform_config, run_platform_fit
+from repro.experiments.common import fitted_platform_config
 from repro.faults import FaultPlan
-from repro.machine.platforms import PLATFORM_IDS
-from repro.microbench.campaign import CampaignRunner, CampaignSettings
+from repro.machine.platforms import PLATFORM_IDS, platform
+from repro.microbench.campaign import CampaignRunner, CampaignSettings, fit_platform
+from repro.microbench.suite import run_campaign
 
 SEEDS = (2014, 7)
 FAULTED = CampaignSettings(
@@ -32,7 +34,8 @@ def runner_fits(platform_ids, settings, max_workers):
 
 
 def assert_one_fit(pid, settings, pooled_fit):
-    reference = run_platform_fit(pid, settings)
+    reference = fit_platform(pid, settings)
+    assert run_campaign(platform(pid), settings) == reference.campaign
     expected = pickle.dumps(reference.fitted_params)
     (alone,) = runner_fits((pid,), settings, max_workers=1).values()
     for fit in (alone, pooled_fit):

@@ -1,11 +1,14 @@
 """Integration tests: full campaigns and parameter recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.fitting import fit_cache_level, fit_random_access
 from repro.machine.platforms import platform
 from repro.microbench.suite import (
+    CampaignSettings,
     fit_campaign,
     run_campaign,
     to_fit_observations,
@@ -14,7 +17,9 @@ from repro.microbench.suite import (
 
 @pytest.fixture(scope="module")
 def titan_campaign():
-    return run_campaign(platform("gtx-titan"), seed=3, replicates=2)
+    return run_campaign(
+        platform("gtx-titan"), CampaignSettings(seed=3, replicates=2)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +51,15 @@ class TestCampaignStructure:
     def test_opt_outs(self):
         campaign = run_campaign(
             platform("arndale-cpu"),
-            seed=0,
-            replicates=1,
-            include_double=False,
-            include_cache=False,
-            include_chase=False,
+            CampaignSettings(seed=0, replicates=1, include_double=False),
         )
         assert campaign.intensity_double == []
-        assert campaign.cache_obs == {}
-        assert campaign.chase_obs == []
+        assert campaign.peak_double == []
 
     def test_platform_without_double_skips_it(self):
-        campaign = run_campaign(platform("arndale-gpu"), seed=0, replicates=1)
+        campaign = run_campaign(
+            platform("arndale-gpu"), CampaignSettings(seed=0, replicates=1)
+        )
         assert campaign.intensity_double == []
         assert campaign.peak_double == []
 
@@ -162,16 +164,18 @@ class TestCrossCheckEstimators:
 class TestDeterminism:
     def test_same_seed_same_campaign(self):
         cfg = platform("pandaboard-es")
-        a = run_campaign(cfg, seed=9, replicates=1, include_double=False)
-        b = run_campaign(cfg, seed=9, replicates=1, include_double=False)
+        settings = CampaignSettings(seed=9, replicates=1, include_double=False)
+        a = run_campaign(cfg, settings)
+        b = run_campaign(cfg, settings)
         ta = [o.wall_time for o in a.single_precision_runs]
         tb = [o.wall_time for o in b.single_precision_runs]
         assert ta == tb
 
     def test_different_seed_differs(self):
         cfg = platform("pandaboard-es")
-        a = run_campaign(cfg, seed=9, replicates=1, include_double=False)
-        b = run_campaign(cfg, seed=10, replicates=1, include_double=False)
+        settings = CampaignSettings(seed=9, replicates=1, include_double=False)
+        a = run_campaign(cfg, settings)
+        b = run_campaign(cfg, replace(settings, seed=10))
         ta = [o.wall_time for o in a.single_precision_runs]
         tb = [o.wall_time for o in b.single_precision_runs]
         assert ta != tb

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -147,54 +147,50 @@ class TestShardKey:
         assert shard_key(config, spec()) != before
 
 
+#: One changed value per ``CampaignSettings`` field.
+CHANGED_SETTINGS = {
+    "seed": 8,
+    "replicates": 3,
+    "points_per_octave": 4,
+    "target_duration": 0.5,
+    "include_double": False,
+    "faults": FaultPlan(seed=3, run_failure_rate=0.1),
+    "max_retries": 0,
+}
+
+
 class TestCampaignAndFitKeys:
     def test_campaign_key_covers_knobs(self):
         config = platform("gtx-titan")
+        settings = CampaignSettings(seed=0, replicates=1, target_duration=0.1)
 
         def key(**overrides):
-            base = dict(
-                seed=0,
-                replicates=1,
-                intensities=None,
-                target_duration=0.1,
-                include_double=False,
-                include_cache=True,
-                include_chase=True,
-                faults=None,
-                max_retries=2,
-            )
-            base.update(overrides)
-            return campaign_key(config, **base)
+            return campaign_key(config, replace(settings, **overrides))
 
         assert key() == key()
         assert key() != key(seed=1)
         assert key() != key(replicates=2)
-        assert key() != key(intensities=[1.0, 2.0])
-        assert key(intensities=[1.0]) == key(intensities=np.array([1.0]))
+        assert key() != key(points_per_octave=2)
+        assert key(faults=FaultPlan(seed=1)) == key(faults=FaultPlan(seed=1))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CampaignSettings)])
+    def test_campaign_key_changes_with_every_settings_field(self, name):
+        config = platform("gtx-titan")
+        base = CampaignSettings(seed=7)
+        changed = replace(base, **{name: CHANGED_SETTINGS[name]})
+        assert campaign_key(config, base) != campaign_key(config, changed)
 
     def test_fit_key_covers_rng_state(self, quick_settings):
         from repro.machine.platforms import platform as plat
         from repro.microbench.suite import run_campaign
 
-        campaign = run_campaign(
-            plat("pandaboard-es"),
-            seed=quick_settings.seed,
-            replicates=1,
-            include_double=False,
-            include_chase=False,
-        )
-        same_a = fit_key(
-            campaign, anchor_times=True, rng=np.random.default_rng(1)
-        )
-        same_b = fit_key(
-            campaign, anchor_times=True, rng=np.random.default_rng(1)
-        )
+        campaign = run_campaign(plat("pandaboard-es"), quick_settings)
+        same_a = fit_key(campaign, rng=np.random.default_rng(1))
+        same_b = fit_key(campaign, rng=np.random.default_rng(1))
         assert same_a == same_b
-        assert same_a != fit_key(
-            campaign, anchor_times=True, rng=np.random.default_rng(2)
-        )
+        assert same_a != fit_key(campaign, rng=np.random.default_rng(2))
         # A consumed generator is a different optimiser input.
         rng = np.random.default_rng(1)
         rng.random()
-        assert same_a != fit_key(campaign, anchor_times=True, rng=rng)
-        assert same_a != fit_key(campaign, anchor_times=False, rng=None)
+        assert same_a != fit_key(campaign, rng=rng)
+        assert same_a != fit_key(campaign, rng=None)

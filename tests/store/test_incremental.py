@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import pickle
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,28 +24,30 @@ from repro.experiments.common import CampaignSettings
 from repro.faults.plan import FaultPlan
 from repro.machine.platforms import platform
 from repro.microbench.campaign import CampaignRunner, fit_platform
-from repro.microbench.suite import fit_campaign, run_campaign
 from repro.store import CampaignStore
 
-QUICK = dict(
+#: The smallest campaign the store tests run.
+TINY = CampaignSettings(
     replicates=1,
+    points_per_octave=1,
     target_duration=0.05,
     include_double=False,
-    include_chase=False,
 )
-#: The smallest campaign the shard-level tests run.
-TINY = CampaignSettings(points_per_octave=1, **QUICK)
 
 
-def quick_campaign(store, *, seed, faults=None, cache_refresh=False):
-    return run_campaign(
-        platform("pandaboard-es"),
-        seed=seed,
-        faults=faults,
+def quick_fit(store, *, seed, faults=None, refresh=False):
+    return fit_platform(
+        "pandaboard-es",
+        replace(TINY, seed=seed, faults=faults),
         store=store,
-        cache_refresh=cache_refresh,
-        **QUICK,
+        refresh=refresh,
     )
+
+
+def assert_same_fit(a, b):
+    assert a.campaign == b.campaign
+    assert pickle.dumps(a.fitted_params) == pickle.dumps(b.fitted_params)
+    assert a.uncapped.params == b.uncapped.params
 
 
 class TestColdWarmDifferential:
@@ -57,6 +59,8 @@ class TestColdWarmDifferential:
     def test_warm_campaign_replays_bit_identical(
         self, tmp_path_factory, seed, faulted
     ):
+        """A warm ``fit_platform`` replays both its campaign and its fit
+        entries and lands on the cold campaign and theta-hat."""
         store = CampaignStore(
             tmp_path_factory.mktemp("cache") / f"s{seed}-{faulted}"
         )
@@ -65,45 +69,36 @@ class TestColdWarmDifferential:
             if faulted
             else None
         )
-        cold = quick_campaign(store, seed=seed, faults=plan)
-        assert (store.hits, store.misses) == (0, 1)
-        warm = quick_campaign(store, seed=seed, faults=plan)
-        assert store.hits == 1
-        assert warm == cold
+        cold = quick_fit(store, seed=seed, faults=plan)
+        assert (store.hits, store.misses) == (0, 2)  # campaign + fit.
+        warm = quick_fit(store, seed=seed, faults=plan)
+        assert (store.hits, store.misses) == (2, 2)
+        assert_same_fit(warm, cold)
 
     def test_warm_fit_replays_bit_identical(self, tmp_path):
+        """The fit entry a warm run replays is the theta-hat an uncached
+        ``fit_platform`` computes: caching changes nothing fitted."""
         store = CampaignStore(tmp_path)
-        campaign = quick_campaign(None, seed=3)
-        cold = fit_campaign(
-            campaign, rng=np.random.default_rng(4), store=store
-        )
-        warm = fit_campaign(
-            campaign, rng=np.random.default_rng(4), store=store
-        )
-        assert store.hits == 1
-        assert warm.campaign == cold.campaign
-        assert pickle.dumps(warm.fitted_params) == pickle.dumps(
-            cold.fitted_params
-        )
-        assert warm.uncapped.params == cold.uncapped.params
+        quick_fit(store, seed=3)
+        warm = quick_fit(store, seed=3)
+        assert (store.hits, store.misses) == (2, 2)
+        assert_same_fit(warm, quick_fit(None, seed=3))
 
     def test_refresh_recomputes_but_matches(self, tmp_path):
         store = CampaignStore(tmp_path)
-        cold = quick_campaign(store, seed=9)
-        refreshed = quick_campaign(
-            store, seed=9, cache_refresh=True
-        )
-        # Refresh skips the lookup, so only the cold run is a miss --
-        # but both runs published.
+        cold = quick_fit(store, seed=9)
+        refreshed = quick_fit(store, seed=9, refresh=True)
+        # Refresh skips the lookups, so only the cold run misses -- but
+        # both runs published both entries.
         assert store.hits == 0
-        assert (store.misses, store.puts) == (1, 2)
-        assert refreshed == cold
+        assert (store.misses, store.puts) == (2, 4)
+        assert_same_fit(refreshed, cold)
 
     def test_different_seed_misses(self, tmp_path):
         store = CampaignStore(tmp_path)
-        quick_campaign(store, seed=1)
-        quick_campaign(store, seed=2)
-        assert (store.hits, store.misses) == (0, 2)
+        quick_fit(store, seed=1)
+        quick_fit(store, seed=2)
+        assert (store.hits, store.misses) == (0, 4)
 
 
 class TestRunnerInvalidation:
@@ -154,21 +149,11 @@ class TestGuardRails:
     def test_store_rejects_preconstructed_runner(self, tmp_path):
         from repro.microbench.runner import BenchmarkRunner
 
-        config = platform("pandaboard-es")
         with pytest.raises(ValueError, match="preconstructed runner"):
-            run_campaign(
-                config,
-                runner=BenchmarkRunner(config),
-                store=CampaignStore(tmp_path),
-            )
-
-    def test_store_rejects_custom_powermon(self, tmp_path):
-        from repro.measurement.powermon import PowerMon
-
-        with pytest.raises(ValueError, match="custom powermon"):
-            run_campaign(
-                platform("pandaboard-es"),
-                powermon=PowerMon(),
+            fit_platform(
+                "pandaboard-es",
+                TINY,
+                runner=BenchmarkRunner(platform("pandaboard-es")),
                 store=CampaignStore(tmp_path),
             )
 

@@ -10,8 +10,6 @@ shard's wall time (root span duration never exceeds the reported
 
 from dataclasses import replace
 
-import pytest
-
 from repro.microbench.campaign import (
     CampaignRunner,
     CampaignSettings,
@@ -26,8 +24,6 @@ QUICK = CampaignSettings(
     points_per_octave=2,
     target_duration=0.1,
     include_double=False,
-    include_cache=False,
-    include_chase=False,
 )
 
 

@@ -90,13 +90,6 @@ class TestTraceRecorder:
             pass
         assert rec.spans[-1].parent == -1
 
-    def test_counters_accumulate(self):
-        rec = TraceRecorder(clock=ManualClock())
-        rec.add("backoff_seconds", 0.5)
-        rec.add("backoff_seconds", 0.25)
-        rec.add("hits")
-        assert rec.counters == {"backoff_seconds": 0.75, "hits": 1.0}
-
     def test_sibling_spans_share_parent(self):
         clock = ManualClock()
         rec = TraceRecorder(clock=clock)
@@ -114,9 +107,8 @@ class TestNullRecorder:
     def test_records_nothing(self):
         rec = NullRecorder()
         with rec.span("ignored", meta="x"):
-            rec.add("counter", 5.0)
+            pass
         assert rec.spans == []
-        assert rec.counters == {}
         assert rec.records() == ()
 
     def test_disabled_flag(self):
@@ -161,7 +153,6 @@ def _sample_report():
         runs_skipped=0,
         calibration_hits=20,
         calibration_misses=5,
-        backoff_seconds=0.0,
         trace_bytes=trace_bytes("gtx-titan", spans),
         spans=spans,
     )

@@ -92,6 +92,16 @@ class TestCommands:
         assert "delta_pi" in out
 
 
+class TestCampaignFaults:
+    @pytest.mark.parametrize("spec", ["bogus=1", "truncation=0.9"])
+    def test_unusable_plan_is_a_usage_error(self, capsys, spec):
+        """A campaign never truncates a run, so a truncation plan is
+        refused like any other bad spec instead of running clean."""
+        with pytest.raises(SystemExit, match="bad --faults spec"):
+            main(["campaign", "pandaboard-es", "--quick", "--faults", spec])
+        assert capsys.readouterr().out == ""
+
+
 class TestClosedPipe:
     """``archline list | head -1``: a reader that closes stdout early
     ends the process quietly, without a ``BrokenPipeError`` traceback."""

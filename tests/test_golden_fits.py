@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import CampaignSettings, run_platform_fit
+from repro.microbench.campaign import CampaignSettings, fit_platform
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fits.json"
 PLATFORMS = ("gtx-titan", "xeon-phi")
@@ -39,7 +39,7 @@ FIELDS = (
 
 
 def compute_entry(platform_id: str) -> dict:
-    fit = run_platform_fit(platform_id, CampaignSettings().scaled_down())
+    fit = fit_platform(platform_id, CampaignSettings().scaled_down())
     params = fit.capped.params
     entry = {name: getattr(params, name) for name in FIELDS}
     entry["n_runs"] = fit.campaign.n_runs

@@ -63,10 +63,10 @@ class TestPipelineSanity:
         """The headline Fig. 4 conclusion (capped model no worse) is a
         property of the system, not of one seed."""
         from repro.core.errors import compare_models
-        from repro.experiments.common import CampaignSettings, run_platform_fit
+        from repro.microbench.campaign import CampaignSettings, fit_platform
 
         for seed in (1, 99):
-            fp = run_platform_fit(
+            fp = fit_platform(
                 "arndale-cpu", CampaignSettings(seed=seed, replicates=2)
             )
             cmp = compare_models(
@@ -78,10 +78,11 @@ class TestPipelineSanity:
     def test_campaign_energy_conservation(self):
         """Measured energy across a campaign equals avg power x time
         per run (the estimator's defining identity)."""
-        from repro.microbench.suite import run_campaign
+        from repro.microbench.suite import CampaignSettings, run_campaign
 
         campaign = run_campaign(
-            platform("nuc-cpu"), seed=5, replicates=1, include_double=False
+            platform("nuc-cpu"),
+            CampaignSettings(seed=5, replicates=1, include_double=False),
         )
         for obs in campaign.all_observations:
             assert obs.energy == pytest.approx(
@@ -115,11 +116,11 @@ class TestPipelineSanity:
     def test_observed_max_power_close_to_annotation(self):
         """The campaign's highest observed power approaches pi1 +
         delta_pi (Fig. 5's normalisation makes sense)."""
-        from repro.microbench.suite import run_campaign
+        from repro.microbench.suite import CampaignSettings, run_campaign
 
         cfg = platform("gtx-titan")
         campaign = run_campaign(
-            cfg, seed=4, replicates=1, include_double=False
+            cfg, CampaignSettings(seed=4, replicates=1, include_double=False)
         )
         max_power = max(o.avg_power for o in campaign.all_observations)
         budget = cfg.truth.pi1 + cfg.truth.delta_pi
