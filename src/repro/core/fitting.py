@@ -18,12 +18,14 @@ Estimation strategy
    *over*-prediction on power-capped platforms: its roofline is built
    from peaks the cap does not let the machine sustain at mid
    intensities).  ``anchor_times=False`` frees them (an ablation).
-2. **Seed energies** come from a non-negative linear solve of
+2. **Seed energies** come from a non-negative linear solve (Lawson and
+   Hanson's NNLS, :func:`repro.stats.regression.nonnegative_lstsq`) of
    ``E ~ W eps_flop + Q eps_mem + sum_l Q_l eps_l + A eps_rand + T pi1``
    (exactly linear in the unknowns).
 3. **Refinement** minimises relative (log-space) residuals of predicted
    vs measured time *and* energy jointly, in log-parameter space with
-   multistart (:func:`repro.stats.regression.fit_log_params`).  The
+   multistart (:func:`repro.stats.regression.fit_log_params`, on a
+   numpy port of scipy's trust-region ``trf`` solver).  The
    optimiser gets the model's analytic Jacobian: each time residual
    follows the branch of the model's ``max()`` that attains it, so no
    residual evaluation is spent on finite differences.

@@ -1,6 +1,6 @@
 """Fleet/procurement optimization under power & cost budgets.
 
-Given a workload histogram (ROADMAP item 1), a rack power budget and
+Given a workload histogram, a rack power budget and
 per-node prices, pick the integer platform mix that minimises
 energy-to-solution or procurement cost -- the "which building block,
 and how many" question the paper's single-node analysis sets up.

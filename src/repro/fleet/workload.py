@@ -5,7 +5,7 @@ horizon: each :class:`WorkloadBin` names *what* runs -- one of the six
 abstract algorithms of :mod:`repro.apps.algorithms` at a problem size
 and precision, or a raw ``(W, Q)`` work/traffic pair -- and *how many*
 jobs of it must complete within the horizon.  This is the "workload
-mix (intensity histogram)" of ROADMAP item 1, kept as (algorithm,
+mix (intensity histogram)", kept as (algorithm,
 size) pairs rather than fixed intensities so each platform's cache
 capacity yields its own intensity through ``Q(n; Z)``, exactly as the
 paper's Section III intends.

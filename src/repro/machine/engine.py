@@ -72,7 +72,7 @@ __all__ = [
 #: Pure refactors, speedups proven bit-identical by the differential
 #: tests, and new optional features that default off do NOT require a
 #: bump.
-ENGINE_FINGERPRINT_VERSION = 2
+ENGINE_FINGERPRINT_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,6 @@ def run_suite(
     ``progress`` (if given) is called with ``(campaign_name, metrics)``
     as each campaign completes.
     """
-    # The fit imports scipy on first use.  Pay that one-time import
-    # here, outside every timed region, so the first campaign to fit
-    # does not carry it and the gate keeps measuring campaign work.
-    import scipy.optimize  # noqa: F401
-
     campaigns: dict[str, dict] = {}
     for name, fn in SUITE.items():
         metrics = fn(seed=seed, quick=quick)

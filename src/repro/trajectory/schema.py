@@ -1,7 +1,7 @@
 """Schema of ``BENCH_campaign.json``: the repo's perf-trajectory record.
 
 One report per PR, committed at the repo root, so every speed claim
-survives across PRs as a diffable artifact (ROADMAP item 5).  The
+survives across PRs as a diffable artifact.  The
 report is a single JSON object::
 
     {

@@ -7,12 +7,13 @@ Two contracts:
   the capped and uncapped model with anchored and free per-op times;
   ``theta`` is drawn so time rows sit on both sides of the cap and no
   row lies near a kink of the model's ``max()``;
-* fits made with the Jacobian agree with fits made by scipy's 2-point
-  finite differences (``jacobian=None``) within 1e-6 relative on every
-  Table I field the data pins, on scaled-down campaigns of all twelve
-  platforms.
+* fits made with the Jacobian agree with scipy's trf fits on 2-point
+  finite-difference Jacobians (a test-only oracle,
+  :mod:`tests.stats.scipy_oracle`) within 1e-6 relative on every Table I
+  field the data pins, on scaled-down campaigns of all twelve platforms.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from repro.core import fitting
 from repro.machine.platforms import PLATFORM_IDS
 from repro.microbench.campaign import CampaignSettings, fit_platform
 from repro.microbench.suite import fit_campaign
-from repro.stats.regression import fit_log_params
+
+from ..stats.scipy_oracle import scipy_fit_log_params
 
 #: Log-space step of the central differences.
 STEP = 1e-5
@@ -163,8 +165,25 @@ def energy_shares(params, obs) -> dict[str, float]:
 UNIDENTIFIED_SHARE = 1e-6
 
 
-def finite_difference_fit_log_params(residuals, x0, *, jacobian=None, **kwargs):
-    return fit_log_params(residuals, x0, **kwargs)
+def assert_fields_agree(got_params, want_params, obs, *, rtol=1e-6):
+    """Every Table I field of two fits of ``obs`` agrees within ``rtol``,
+    except marginal energies that neither fit pins."""
+    want = table_fields(want_params)
+    got = table_fields(got_params)
+    assert got.keys() == want.keys()
+    shares = energy_shares(got_params, obs)
+    want_shares = energy_shares(want_params, obs)
+    for name, value in want.items():
+        if value is None or math.isinf(value):
+            assert got[name] == value, name
+        elif max(shares.get(name, 1.0), want_shares.get(name, 1.0)) < (
+            UNIDENTIFIED_SHARE
+        ):
+            continue
+        else:
+            assert abs(got[name] - value) <= rtol * abs(value), (
+                f"{name}: {got[name]!r} vs {value!r}"
+            )
 
 
 @pytest.mark.parametrize("platform_id", PLATFORM_IDS)
@@ -175,23 +194,11 @@ def test_fits_agree_with_finite_difference_fits(
     seed = CampaignSettings().seed + 1
     analytic = fit_campaign(fitted.campaign, rng=np.random.default_rng(seed))
     monkeypatch.setattr(
-        fitting, "fit_log_params", finite_difference_fit_log_params
+        fitting,
+        "fit_log_params",
+        functools.partial(scipy_fit_log_params, two_point=True),
     )
     numeric = fit_campaign(fitted.campaign, rng=np.random.default_rng(seed))
-    want = table_fields(numeric.fitted_params)
-    got = table_fields(analytic.fitted_params)
-    assert got.keys() == want.keys()
-    obs = fitted.fit_observations
-    shares = energy_shares(analytic.fitted_params, obs)
-    numeric_shares = energy_shares(numeric.fitted_params, obs)
-    for name, value in want.items():
-        if value is None or math.isinf(value):
-            assert got[name] == value, name
-        elif max(shares.get(name, 1.0), numeric_shares.get(name, 1.0)) < (
-            UNIDENTIFIED_SHARE
-        ):
-            continue
-        else:
-            assert abs(got[name] - value) <= 1e-6 * abs(value), (
-                f"{name}: {got[name]!r} vs {value!r}"
-            )
+    assert_fields_agree(
+        analytic.fitted_params, numeric.fitted_params, fitted.fit_observations
+    )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import model
+from repro.core import fitting, model
 from repro.core.fitting import (
     FitObservations,
     fit_cache_level,
@@ -13,6 +13,8 @@ from repro.core.fitting import (
     fit_random_access,
 )
 from repro.core.params import MachineParams
+from repro.microbench.campaign import CampaignSettings, fit_platform
+from repro.stats.regression import fit_log_params
 
 
 def synthetic_observations(
@@ -209,6 +211,30 @@ class TestJointHierarchyFit:
         assert fit.params.random.eps_access == pytest.approx(
             m.random.eps_access, rel=0.02
         )
+
+
+    def test_single_start_fit_keeps_every_energy_positive(self, monkeypatch):
+        """Scaled-down apu-gpu's capped fit, from its NNLS seed alone,
+        drives the unidentified L1 energy towards log -846.  The fit
+        returns the theta its cost was computed at (log clipped at
+        -500), not an energy rounded to exactly 0.0."""
+        obs = fit_platform(
+            "apu-gpu", CampaignSettings().scaled_down()
+        ).fit_observations
+        results = []
+
+        def recording(residuals, x0, **kwargs):
+            results.append((residuals, fit_log_params(residuals, x0, **kwargs)))
+            return results[-1][1]
+
+        monkeypatch.setattr(fitting, "_N_RESTARTS", 1)
+        monkeypatch.setattr(fitting, "fit_log_params", recording)
+        fit = fit_machine(obs, capped=True)
+        ((residuals, result),) = results
+        assert np.all(np.isfinite(result.params)) and np.all(result.params > 0)
+        r = residuals(result.params)
+        assert 0.5 * np.dot(r, r) == result.cost
+        assert fit.params.caches[0].eps_byte > 0
 
 
 class TestStandaloneEstimators:

@@ -11,6 +11,8 @@ from repro.stats.descriptive import boxplot_stats, pearson, quantile, spearman
 from repro.stats.ks import kolmogorov_sf, ks_2sample, ks_statistic
 from repro.stats.regression import fit_log_params, nonnegative_lstsq
 
+from .scipy_oracle import scipy_fit_log_params
+
 
 class TestKS:
     def test_identical_samples_zero_statistic(self):
@@ -193,6 +195,8 @@ class TestRegression:
     def test_nonnegative_lstsq_validation(self):
         with pytest.raises(ValueError):
             nonnegative_lstsq(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(ValueError):
+            nonnegative_lstsq(np.array([[1.0], [np.nan]]), np.ones(2))
 
     def test_fit_log_params_recovers_power_law(self, rng):
         x = np.logspace(0, 3, 40)
@@ -202,13 +206,17 @@ class TestRegression:
         def residuals(theta):
             return np.log(theta[0] * x ** theta[1]) - np.log(y)
 
-        result = fit_log_params(residuals, [1.0, 1.0], rng=rng)
+        def jacobian(theta):
+            return np.column_stack([np.full(len(x), 1.0 / theta[0]), np.log(x)])
+
+        result = fit_log_params(residuals, [1.0, 1.0], jacobian=jacobian, rng=rng)
         assert np.allclose(result.params, true, rtol=1e-6)
         assert result.rms_residual < 1e-8
 
     def test_fit_log_params_natural_scale_jacobian(self, rng):
         """A natural-scale Jacobian (chain rule applied inside) reaches
-        the finite-difference optimum with fewer residual evaluations."""
+        the optimum of scipy's 2-point trf fit with fewer residual
+        evaluations."""
         x = np.logspace(0, 3, 40)
         true = np.array([2.5, 0.7])
         y = true[0] * x ** true[1]
@@ -223,7 +231,13 @@ class TestRegression:
                 [np.full(len(x), 1.0 / theta[0]), np.log(x)]
             )
 
-        numeric = fit_log_params(residuals, [1.0, 1.0], rng=np.random.default_rng(3))
+        numeric = scipy_fit_log_params(
+            residuals,
+            [1.0, 1.0],
+            jacobian=jacobian,
+            rng=np.random.default_rng(3),
+            two_point=True,
+        )
         numeric_calls = len(calls)
         calls.clear()
         analytic = fit_log_params(
@@ -235,7 +249,9 @@ class TestRegression:
 
     def test_fit_log_params_rejects_nonpositive_start(self, rng):
         with pytest.raises(ValueError):
-            fit_log_params(lambda t: t, [0.0, 1.0], rng=rng)
+            fit_log_params(
+                lambda t: t, [0.0, 1.0], jacobian=lambda t: np.eye(2), rng=rng
+            )
 
     def test_fit_log_params_multistart_beats_bad_seed(self, rng):
         """A deliberately distant initial guess still converges thanks
@@ -246,8 +262,16 @@ class TestRegression:
         def residuals(theta):
             return np.log(theta[0] * x) - np.log(y)
 
+        def jacobian(theta):
+            return np.full((len(x), 1), 1.0 / theta[0])
+
         result = fit_log_params(
-            residuals, [1e6], n_restarts=8, perturbation=2.0, rng=rng
+            residuals,
+            [1e6],
+            jacobian=jacobian,
+            n_restarts=8,
+            perturbation=2.0,
+            rng=rng,
         )
         assert result.params[0] == pytest.approx(4.0, rel=1e-6)
 

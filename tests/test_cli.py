@@ -129,9 +129,9 @@ class TestClosedPipe:
         assert proc.returncode == 1
 
 
-class TestNoScipyWithoutFit:
-    """scipy loads on the first fit, not at import: a process that never
-    fits never pays for it."""
+class TestNoScipy:
+    """No command imports scipy, not even one that fits: the fit's
+    solvers are numpy ports and scipy is a test-only dependency."""
 
     PROBE = (
         "import sys\n"
@@ -152,12 +152,25 @@ class TestNoScipyWithoutFit:
             ["platform", "gtx-titan"],
             ["audit"],
             ["fleet", "--workload", FLEET_WORKLOAD],
+            ["campaign", "gtx-titan", "--quick", "--workers", "1"],
+            ["uncertainty", "gtx-titan", "--seeds", "2"],
+            ["fleet", "--workload", FLEET_WORKLOAD, "--theta", "fitted"],
         ],
-        ids=["import", "list", "platform", "audit", "fleet"],
+        ids=[
+            "import",
+            "list",
+            "platform",
+            "audit",
+            "fleet",
+            "campaign",
+            "uncertainty",
+            "fleet-fitted",
+        ],
     )
     def test_scipy_not_imported(self, argv):
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
+        env.pop("ARCHLINE_CACHE", None)  # a warm store would skip the fit
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")])
         )
