@@ -30,51 +30,34 @@ Quickstart
 956
 """
 
-from .core import (
-    CacheLevelParams,
-    MachineParams,
-    RandomAccessParams,
-    Regime,
-    avg_power,
-    compare_power_matched,
-    crossover_intensities,
-    energy,
-    energy_per_flop,
-    ensemble,
-    fit_machine,
-    flops_per_joule,
-    intensity_grid,
-    performance,
-    power_curve,
-    regime,
-    sample_curve,
-    throttle_scenario,
-    time,
-    time_per_flop,
-)
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CacheLevelParams",
-    "MachineParams",
-    "RandomAccessParams",
-    "Regime",
-    "avg_power",
-    "compare_power_matched",
-    "crossover_intensities",
-    "energy",
-    "energy_per_flop",
-    "ensemble",
-    "fit_machine",
-    "flops_per_joule",
-    "intensity_grid",
-    "performance",
-    "power_curve",
-    "regime",
-    "sample_curve",
-    "throttle_scenario",
-    "time",
-    "time_per_flop",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".core.fitting": ("fit_machine",),
+        ".core.model": (
+            "Regime",
+            "avg_power",
+            "energy",
+            "energy_per_flop",
+            "flops_per_joule",
+            "performance",
+            "power_curve",
+            "regime",
+            "time",
+            "time_per_flop",
+        ),
+        ".core.params": ("CacheLevelParams", "MachineParams", "RandomAccessParams"),
+        ".core.rooflines": (
+            "crossover_intensities",
+            "intensity_grid",
+            "sample_curve",
+        ),
+        ".core.scaling": ("compare_power_matched", "ensemble"),
+        ".core.throttle": ("throttle_scenario",),
+    },
+)
+__all__ += ["__version__"]

@@ -87,32 +87,51 @@ import os
 import sys
 from typing import Sequence
 
-from .core.balance import summarise_balance
-from .experiments.common import CampaignSettings
+# Only the modules ``build_parser`` needs load here; each command
+# imports its own, so a process pays for the command it runs.
 from .experiments.registry import EXPERIMENTS, run_all, run_experiment
 from .machine.platforms import PLATFORM_IDS, all_platforms, platform
-from .microbench.campaign import fit_platform
-from .report.tables import Table, fmt_num, fmt_pct, fmt_si
 
 __all__ = [
     "main",
     "build_parser",
     "nonnegative_float",
+    "nonnegative_int",
+    "port_number",
     "positive_float",
     "positive_int",
 ]
 
 
-def positive_int(text: str) -> int:
+def _bounded_int(text: str, low: int, high: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _bounded_int(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    return _bounded_int(text, 0)
+
+
+def port_number(text: str) -> int:
+    return _bounded_int(text, 0, 65535)
+
+
+def _seed_count(text: str) -> int:
+    # One seed has no dispersion to report.
+    return _bounded_int(text, 2)
 
 
 def _finite_float(text: str) -> float:
@@ -124,8 +143,9 @@ def _finite_float(text: str) -> float:
         ) from None
     # A bare ``type=float`` happily accepts "nan" and "inf", which then
     # poison downstream comparisons (a NaN timeout never fires, a NaN
-    # budget is "within" every check).  All numeric CLI flags go
-    # through these validators instead.
+    # budget is "within" every check).  All float CLI flags go
+    # through these validators instead, and integer flags through
+    # ``_bounded_int``.
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"must be a finite number, got {text!r}"
@@ -147,10 +167,6 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
-# Backwards-compatible private alias (pre-fleet name).
-_positive_int = positive_int
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``archline`` argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -170,13 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EXPERIMENT",
         help=f"one of: {', '.join(sorted(EXPERIMENTS))}",
     )
-    run_p.add_argument("--seed", type=int, default=2014)
+    run_p.add_argument("--seed", type=nonnegative_int, default=2014)
     run_p.add_argument(
         "--quick", action="store_true", help="smaller campaigns (smoke run)"
     )
     run_p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="run campaigns through the parallel CampaignRunner with N "
@@ -200,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(PLATFORM_IDS),
         help="platform to fit (omit with --trajectory)",
     )
-    bench_p.add_argument("--seed", type=int, default=2014)
+    bench_p.add_argument("--seed", type=nonnegative_int, default=2014)
     bench_p.add_argument(
         "--trajectory",
         action="store_true",
@@ -243,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"platforms to shard over (default: all); "
         f"one of: {', '.join(PLATFORM_IDS)}",
     )
-    camp_p.add_argument("--seed", type=int, default=2014)
+    camp_p.add_argument("--seed", type=nonnegative_int, default=2014)
     camp_p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="process-pool width (default: one per platform, capped at "
@@ -266,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp_p.add_argument(
         "--max-retries",
-        type=int,
+        type=nonnegative_int,
         default=2,
         metavar="N",
         help="per-run retry budget before a cell is quarantined "
@@ -367,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "uncertainty", help="seed-bootstrap uncertainty of one platform's fit"
     )
     uq_p.add_argument("platform_id", choices=list(PLATFORM_IDS))
-    uq_p.add_argument("--seeds", type=int, default=5)
+    uq_p.add_argument("--seeds", type=_seed_count, default=5)
 
     alg_p = sub.add_parser(
         "algorithms", help="abstract-algorithm intensities and best platforms"
@@ -383,6 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> str:
+    from .report.tables import Table, fmt_si
+
     exp_table = Table(
         columns=["id", "paper artifact", "title"], title="Experiments", align="lll"
     )
@@ -405,6 +423,9 @@ def _cmd_list() -> str:
 
 
 def _cmd_platform(platform_id: str) -> str:
+    from .core.balance import summarise_balance
+    from .report.tables import Table, fmt_num, fmt_pct, fmt_si
+
     cfg = platform(platform_id)
     truth = cfg.truth
     balance = summarise_balance(truth)
@@ -442,6 +463,10 @@ def _cmd_platform(platform_id: str) -> str:
 
 
 def _cmd_bench(platform_id: str, seed: int) -> str:
+    from .microbench.campaign import fit_platform
+    from .microbench.suite import CampaignSettings
+    from .report.tables import Table, fmt_si
+
     fit = fit_platform(platform_id, CampaignSettings(seed=seed))
     truth = fit.truth
     fitted = fit.capped.params
@@ -468,9 +493,9 @@ def _cmd_bench_trajectory(args) -> int:
     write (or gate) ``BENCH_campaign.json``; see docs/BENCHMARKS.md."""
     from pathlib import Path
 
-    from .trajectory import (
+    from .trajectory.compare import compare_reports
+    from .trajectory.runner import (
         DEFAULT_REPORT_NAME,
-        compare_reports,
         load_report,
         run_suite,
         write_report,
@@ -543,8 +568,10 @@ def _cmd_campaign(
     no_cache: bool = False,
     cache_refresh: bool = False,
 ) -> str:
-    from .faults import FaultPlan
+    from .faults.plan import FaultPlan
     from .microbench.campaign import CampaignRunner
+    from .microbench.suite import CampaignSettings
+    from .report.tables import Table, fmt_pct
     from .store.cli import resolve_cache_dir
 
     unknown = [p for p in platform_ids if p not in PLATFORM_IDS]
@@ -701,9 +728,7 @@ def _cmd_compare(a: str, b: str, metric: str) -> str:
 
 
 def _cmd_algorithms(platform_id: str) -> str:
-    from .apps import (
-        best_platform,
-        fast_memory_capacity,
+    from .apps.algorithms import (
         fft,
         matrix_multiply,
         sort_mergesort,
@@ -711,6 +736,8 @@ def _cmd_algorithms(platform_id: str) -> str:
         stencil,
         stream_triad,
     )
+    from .apps.analysis import best_platform, fast_memory_capacity
+    from .report.tables import Table, fmt_num
 
     cfg = platform(platform_id)
     Z = fast_memory_capacity(cfg)
@@ -851,6 +878,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"total diverging claims: {failures}")
         return 0
     if args.command == "run":
+        from .microbench.suite import CampaignSettings
+
         settings = CampaignSettings(seed=args.seed)
         if args.quick:
             settings = settings.scaled_down()

@@ -9,152 +9,90 @@ crossovers, balance intervals, throttling scenarios, ensembles, error
 distributions).
 """
 
-from .balance import BalanceSummary, summarise_balance
-from .bounding import (
-    BoundedCandidate,
-    best_block,
-    best_mix,
-    bounded_ensemble,
-    crossover_budget,
-    evaluate_candidates,
-    pareto_frontier,
-)
-from .composite import CompositeMachine
-from .dvfs import (
-    dvfs_useless_threshold,
-    energy_savings,
-    optimal_frequency,
-    scaled_params,
-)
-from .errors import (
-    ErrorDistribution,
-    ModelErrorComparison,
-    compare_models,
-    error_distribution,
-)
-from .hierarchy import (
-    LevelCeiling,
-    ceilings,
-    levels_of,
-    locality_energy_gain,
-    locality_speedup,
-    params_for_level,
-)
-from . import irregular
-from .utilisation import UtilisationModel, fit_slope
-from .fitting import (
-    FitDiagnostics,
-    FitObservations,
-    ModelFit,
-    fit_cache_level,
-    fit_machine,
-    fit_random_access,
-)
-from .model import (
-    Regime,
-    avg_power,
-    energy,
-    energy_per_flop,
-    flop_costs,
-    flops_per_joule,
-    performance,
-    power_curve,
-    regime,
-    time,
-    time_per_flop,
-)
-from .params import CacheLevelParams, MachineParams, RandomAccessParams
-from .rooflines import (
-    RooflineCurve,
-    crossover_intensities,
-    dominance_intervals,
-    intensity_grid,
-    metric_ratio,
-    parity_upper_bound,
-    sample_curve,
-)
-from .scaling import (
-    EnsembleComparison,
-    compare_power_matched,
-    ensemble,
-    power_matched_count,
-    power_matched_ensemble,
-)
-from .throttle import (
-    DEFAULT_CAP_FACTORS,
-    ThrottleCurve,
-    ThrottleScenario,
-    cap_for_power_budget,
-    performance_retention,
-    power_retention,
-    throttle_scenario,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BoundedCandidate",
-    "best_block",
-    "best_mix",
-    "bounded_ensemble",
-    "crossover_budget",
-    "evaluate_candidates",
-    "pareto_frontier",
-    "CompositeMachine",
-    "dvfs_useless_threshold",
-    "energy_savings",
-    "optimal_frequency",
-    "scaled_params",
-    "LevelCeiling",
-    "ceilings",
-    "levels_of",
-    "locality_energy_gain",
-    "locality_speedup",
-    "params_for_level",
-    "irregular",
-    "UtilisationModel",
-    "fit_slope",
-    "BalanceSummary",
-    "summarise_balance",
-    "ErrorDistribution",
-    "ModelErrorComparison",
-    "compare_models",
-    "error_distribution",
-    "FitDiagnostics",
-    "FitObservations",
-    "ModelFit",
-    "fit_cache_level",
-    "fit_machine",
-    "fit_random_access",
-    "Regime",
-    "avg_power",
-    "energy",
-    "energy_per_flop",
-    "flop_costs",
-    "flops_per_joule",
-    "performance",
-    "power_curve",
-    "regime",
-    "time",
-    "time_per_flop",
-    "CacheLevelParams",
-    "MachineParams",
-    "RandomAccessParams",
-    "RooflineCurve",
-    "crossover_intensities",
-    "dominance_intervals",
-    "intensity_grid",
-    "metric_ratio",
-    "parity_upper_bound",
-    "sample_curve",
-    "EnsembleComparison",
-    "compare_power_matched",
-    "ensemble",
-    "power_matched_count",
-    "power_matched_ensemble",
-    "DEFAULT_CAP_FACTORS",
-    "ThrottleCurve",
-    "ThrottleScenario",
-    "cap_for_power_budget",
-    "performance_retention",
-    "power_retention",
-    "throttle_scenario",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".balance": ("BalanceSummary", "summarise_balance"),
+        ".bounding": (
+            "BoundedCandidate",
+            "best_block",
+            "best_mix",
+            "bounded_ensemble",
+            "crossover_budget",
+            "evaluate_candidates",
+            "pareto_frontier",
+        ),
+        ".composite": ("CompositeMachine",),
+        ".dvfs": (
+            "dvfs_useless_threshold",
+            "energy_savings",
+            "optimal_frequency",
+            "scaled_params",
+        ),
+        ".errors": (
+            "ErrorDistribution",
+            "ModelErrorComparison",
+            "compare_models",
+            "error_distribution",
+        ),
+        ".fitting": (
+            "FitDiagnostics",
+            "FitObservations",
+            "ModelFit",
+            "fit_cache_level",
+            "fit_machine",
+            "fit_random_access",
+        ),
+        ".hierarchy": (
+            "LevelCeiling",
+            "ceilings",
+            "levels_of",
+            "locality_energy_gain",
+            "locality_speedup",
+            "params_for_level",
+        ),
+        ".model": (
+            "Regime",
+            "avg_power",
+            "energy",
+            "energy_per_flop",
+            "flop_costs",
+            "flops_per_joule",
+            "performance",
+            "power_curve",
+            "regime",
+            "time",
+            "time_per_flop",
+        ),
+        ".params": ("CacheLevelParams", "MachineParams", "RandomAccessParams"),
+        ".rooflines": (
+            "RooflineCurve",
+            "crossover_intensities",
+            "dominance_intervals",
+            "intensity_grid",
+            "metric_ratio",
+            "parity_upper_bound",
+            "sample_curve",
+        ),
+        ".scaling": (
+            "EnsembleComparison",
+            "compare_power_matched",
+            "ensemble",
+            "power_matched_count",
+            "power_matched_ensemble",
+        ),
+        ".throttle": (
+            "DEFAULT_CAP_FACTORS",
+            "ThrottleCurve",
+            "ThrottleScenario",
+            "cap_for_power_budget",
+            "performance_retention",
+            "power_retention",
+            "throttle_scenario",
+        ),
+        ".utilisation": ("UtilisationModel", "fit_slope"),
+    },
+    submodules=("irregular",),
+)

@@ -7,38 +7,26 @@ One module per artifact (``table1``, ``fig1`` .. ``fig7``,
 (:mod:`~repro.experiments.registry`).
 """
 
-from . import (
-    fig1,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    section_vb,
-    section_vc,
-    section_vd,
-    section_vi,
-    table1,
-)
-from .base import ExperimentResult
-from .common import CampaignSettings, run_all_fits
-from .registry import EXPERIMENTS, ExperimentSpec, run_all, run_experiment
+from .._lazy import attach
 
-__all__ = [
-    "fig1",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "section_vb",
-    "section_vc",
-    "section_vd",
-    "section_vi",
-    "table1",
-    "ExperimentResult",
-    "CampaignSettings",
-    "run_all_fits",
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "run_all",
-    "run_experiment",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "..microbench.suite": ("CampaignSettings",),
+        ".base": ("ExperimentResult",),
+        ".common": ("run_all_fits",),
+        ".registry": ("EXPERIMENTS", "ExperimentSpec", "run_all", "run_experiment"),
+    },
+    submodules=(
+        "fig1",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "section_vb",
+        "section_vc",
+        "section_vd",
+        "section_vi",
+        "table1",
+    ),
+)

@@ -1,31 +1,23 @@
 """Registry of all experiment reproductions.
 
-Maps experiment ids (matching DESIGN.md's experiment index) to runner
-callables.  ``run_experiment`` shares campaign fits between the
-experiments that need them, so ``run_all`` executes each platform's
-microbenchmark campaign exactly once.
+Maps experiment ids (matching DESIGN.md's experiment index) to the
+module that reproduces each one.  The registry itself imports no
+experiment: :func:`run_experiment` imports an experiment's module only
+when that experiment runs, so ``archline list`` and the parser read
+the ids and titles for free.  ``run_experiment`` shares campaign fits
+between the experiments that need them, so ``run_all`` executes each
+platform's microbenchmark campaign exactly once.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from ..microbench.suite import FittedPlatform
-from . import (
-    fig1,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    section_vb,
-    section_vc,
-    section_vd,
-    section_vi,
-    table1,
-)
-from .base import ExperimentResult
-from .common import CampaignSettings, run_all_fits
+if TYPE_CHECKING:
+    from ..microbench.suite import CampaignSettings, FittedPlatform
+    from .base import ExperimentResult
 
 __all__ = ["ExperimentSpec", "EXPERIMENTS", "run_experiment", "run_all"]
 
@@ -38,7 +30,9 @@ class ExperimentSpec:
     title: str
     paper_artifact: str  #: which table/figure/section it reproduces.
     needs_campaigns: bool  #: whether it consumes the full campaign fits.
-    runner: Callable[..., ExperimentResult]
+    #: the :mod:`repro.experiments` module whose ``run`` reproduces it;
+    #: ``run(fits=...)`` when it needs campaigns, ``run()`` otherwise.
+    module: str
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -49,70 +43,70 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "Platform summary: fitted constants vs Table I",
             "Table I",
             True,
-            lambda fits=None: table1.run(fits=fits),
+            "table1",
         ),
         ExperimentSpec(
             "fig1",
             "GTX Titan vs Arndale GPU building blocks",
             "Fig. 1",
             False,
-            lambda fits=None: fig1.run(),
+            "fig1",
         ),
         ExperimentSpec(
             "fig4",
             "Capped vs uncapped model error distributions",
             "Fig. 4",
             True,
-            lambda fits=None: fig4.run(fits=fits),
+            "fig4",
         ),
         ExperimentSpec(
             "fig5",
             "Normalised power vs intensity (12 panels)",
             "Fig. 5",
             False,
-            lambda fits=None: fig5.run(),
+            "fig5",
         ),
         ExperimentSpec(
             "fig6",
             "Power under reduced caps",
             "Fig. 6",
             False,
-            lambda fits=None: fig6.run(),
+            "fig6",
         ),
         ExperimentSpec(
             "fig7",
             "Performance and energy-efficiency under reduced caps",
             "Fig. 7a/7b",
             False,
-            lambda fits=None: fig7.run(),
+            "fig7",
         ),
         ExperimentSpec(
             "vb",
             "Memory-hierarchy energy interpretation",
             "Section V-B",
             True,
-            lambda fits=None: section_vb.run(fits=fits),
+            "section_vb",
         ),
         ExperimentSpec(
             "vc",
             "Constant power across platforms",
             "Section V-C",
             False,
-            lambda fits=None: section_vc.run(),
+            "section_vc",
         ),
         ExperimentSpec(
             "vd",
             "Power throttling and bounding scenarios",
             "Section V-D",
             False,
-            lambda fits=None: section_vd.run(),
+            "section_vd",
         ),
         ExperimentSpec(
             "vi",
             "Irregular workloads: the Xeon Phi remark (extension)",
             "Section VI",
             False,
-            lambda fits=None: section_vi.run(),
+            "section_vi",
         ),
     )
 }
@@ -132,15 +126,22 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; "
             f"available: {sorted(EXPERIMENTS)}"
         ) from None
-    if spec.needs_campaigns and fits is None:
+    module = importlib.import_module(f".{spec.module}", __package__)
+    if not spec.needs_campaigns:
+        return module.run()
+    if fits is None:
+        from .common import run_all_fits
+
         fits = run_all_fits(settings)
-    return spec.runner(fits=fits)
+    return module.run(fits=fits)
 
 
 def run_all(
     settings: CampaignSettings | None = None,
 ) -> dict[str, ExperimentResult]:
     """Run every registered experiment, sharing one campaign pass."""
+    from .common import run_all_fits
+
     fits = run_all_fits(settings)
     return {
         eid: run_experiment(eid, fits=fits, settings=settings)

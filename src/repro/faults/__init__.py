@@ -9,27 +9,21 @@ errors (:mod:`repro.faults.errors`) the resilient campaign execution
 path retries, validates and quarantines on.  See ``docs/FAULTS.md``.
 """
 
-from .errors import (
-    CorruptObservationError,
-    EmptyChannelError,
-    InjectedRunFailureError,
-    RigFaultError,
-    ShardFailureError,
-    ShardTimeoutError,
-    TruncatedSessionError,
-)
-from .injector import FaultCounters, FaultInjector
-from .plan import FaultPlan
+from .._lazy import attach
 
-__all__ = [
-    "FaultPlan",
-    "FaultInjector",
-    "FaultCounters",
-    "RigFaultError",
-    "InjectedRunFailureError",
-    "EmptyChannelError",
-    "CorruptObservationError",
-    "TruncatedSessionError",
-    "ShardFailureError",
-    "ShardTimeoutError",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".errors": (
+            "CorruptObservationError",
+            "EmptyChannelError",
+            "InjectedRunFailureError",
+            "RigFaultError",
+            "ShardFailureError",
+            "ShardTimeoutError",
+            "TruncatedSessionError",
+        ),
+        ".injector": ("FaultCounters", "FaultInjector"),
+        ".plan": ("FaultPlan",),
+    },
+)

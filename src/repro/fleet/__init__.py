@@ -8,41 +8,27 @@ docs/FLEET.md walks through the formulation; ``archline fleet`` is the
 CLI front end.
 """
 
-from .evaluate import (
-    BinOnPlatform,
-    EvaluationMatrix,
-    FleetExclusion,
-    evaluate_fleet,
-)
-from .offers import DEFAULT_UNIT_COSTS, PlatformOffer, default_offer
-from .report import fleet_report, render_fleet
-from .solver import (
-    FleetAllocation,
-    FleetInstance,
-    FleetSolution,
-    allocations,
-    solve,
-    solve_exact,
-)
-from .workload import ALGORITHM_NAMES, WorkloadBin, WorkloadSpec
+from .._lazy import attach
 
-__all__ = [
-    "ALGORITHM_NAMES",
-    "BinOnPlatform",
-    "DEFAULT_UNIT_COSTS",
-    "EvaluationMatrix",
-    "FleetAllocation",
-    "FleetExclusion",
-    "FleetInstance",
-    "FleetSolution",
-    "PlatformOffer",
-    "WorkloadBin",
-    "WorkloadSpec",
-    "allocations",
-    "default_offer",
-    "evaluate_fleet",
-    "fleet_report",
-    "render_fleet",
-    "solve",
-    "solve_exact",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".evaluate": (
+            "BinOnPlatform",
+            "EvaluationMatrix",
+            "FleetExclusion",
+            "evaluate_fleet",
+        ),
+        ".offers": ("DEFAULT_UNIT_COSTS", "PlatformOffer", "default_offer"),
+        ".report": ("fleet_report", "render_fleet"),
+        ".solver": (
+            "FleetAllocation",
+            "FleetInstance",
+            "FleetSolution",
+            "allocations",
+            "solve",
+            "solve_exact",
+        ),
+        ".workload": ("ALGORITHM_NAMES", "WorkloadBin", "WorkloadSpec"),
+    },
+)

@@ -31,17 +31,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from ..cli import positive_float, positive_int
-from ..experiments.common import CampaignSettings, fitted_platform_config
+from ..cli import nonnegative_int, positive_float, positive_int
 from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
-from ..telemetry.jsonl import write_recorder_trace
-from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
-from .evaluate import evaluate_fleet
-from .offers import default_offer, parse_cost_overrides
-from .report import fleet_report, render_fleet
-from .solver import FleetInstance, solve, solve_exact
-from .workload import WorkloadSpec
 
 __all__ = ["build_fleet_parser", "run_fleet"]
 
@@ -173,7 +165,7 @@ def build_fleet_parser(
         action="store_true",
         help="shrunken campaigns for --theta fitted (smoke runs)",
     )
-    parser.add_argument("--seed", type=int, default=2014)
+    parser.add_argument("--seed", type=nonnegative_int, default=2014)
     return parser
 
 
@@ -184,6 +176,13 @@ def _usage(message: str) -> int:
 
 def run_fleet(args: argparse.Namespace) -> int:
     """Solve as configured by the parsed arguments."""
+    from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
+    from .evaluate import evaluate_fleet
+    from .offers import default_offer, parse_cost_overrides
+    from .report import fleet_report, render_fleet
+    from .solver import FleetInstance, solve, solve_exact
+    from .workload import WorkloadSpec
+
     try:
         workload = WorkloadSpec.from_json(
             Path(args.workload).read_text(encoding="utf-8")
@@ -236,6 +235,10 @@ def run_fleet(args: argparse.Namespace) -> int:
     if args.theta == "truth":
         configs = {pid: platform(pid) for pid in platform_ids}
     else:
+        # Only the fitted path loads the campaign, fit and store code.
+        from ..experiments.common import fitted_platform_config
+        from ..microbench.suite import CampaignSettings
+
         settings = CampaignSettings(seed=args.seed)
         if args.quick_fit:
             settings = settings.scaled_down()
@@ -293,6 +296,8 @@ def run_fleet(args: argparse.Namespace) -> int:
         )
         print(f"report -> {args.json_path}", file=sys.stderr)
     if args.trace is not None:
+        from ..telemetry.jsonl import write_recorder_trace
+
         wall = time.perf_counter() - started
         lines = write_recorder_trace(
             args.trace, "fleet", recorder, wall_seconds=wall, seed=args.seed

@@ -14,24 +14,17 @@ catalog).
 
 from __future__ import annotations
 
-from .baseline import load_baseline, write_baseline
-from .context import ModuleContext
-from .engine import lint_paths, lint_source
-from .findings import Finding, Severity
-from .output import render
-from .rules import Rule, all_rules, load_builtin_rules, register
+from .._lazy import attach
 
-__all__ = [
-    "Finding",
-    "Severity",
-    "ModuleContext",
-    "Rule",
-    "register",
-    "all_rules",
-    "load_builtin_rules",
-    "lint_source",
-    "lint_paths",
-    "render",
-    "load_baseline",
-    "write_baseline",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".baseline": ("load_baseline", "write_baseline"),
+        ".context": ("ModuleContext",),
+        ".engine": ("lint_paths", "lint_source"),
+        ".findings": ("Finding", "Severity"),
+        ".output": ("render",),
+        ".rules": ("load_builtin_rules",),
+        ".rules.base": ("Rule", "all_rules", "register"),
+    },
+)

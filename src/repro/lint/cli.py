@@ -23,20 +23,12 @@ narrows a per-file run to files the git worktree touches.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    filter_baselined,
-    load_baseline,
-    write_baseline,
-)
-from .engine import lint_paths
-from .output import FORMATS, render
-from .rules import all_rules, load_builtin_rules
+from .baseline import DEFAULT_BASELINE_NAME
+from .output import FORMATS
 
 #: The relaxed subset ``--include-tests`` runs over tests/ and
 #: benchmarks/: hygiene rules that catch real bugs in test code
@@ -147,6 +139,8 @@ def _resolve_baseline_path(arg: str | None) -> Path | None:
 def _changed_files(paths: Sequence[str]) -> list[str] | None:
     """Worktree-changed ``.py`` files under ``paths``; ``None`` when
     git is unavailable (not a repo, no git binary)."""
+    import subprocess
+
     commands = (
         ["git", "diff", "--name-only", "HEAD", "--", "*.py"],
         ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
@@ -176,6 +170,12 @@ def _changed_files(paths: Sequence[str]) -> list[str] | None:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute the lint subcommand from parsed arguments."""
+    from .baseline import filter_baselined, load_baseline, write_baseline
+    from .engine import lint_paths
+    from .output import render
+    from .rules import load_builtin_rules
+    from .rules.base import all_rules
+
     load_builtin_rules()
     if args.list_rules:
         for code, rule_cls in all_rules().items():
@@ -222,7 +222,7 @@ def run_lint(args: argparse.Namespace) -> int:
 
     try:
         if args.project:
-            from .project import lint_project
+            from .project.engine import lint_project
 
             findings, stats = lint_project(
                 lint_targets,

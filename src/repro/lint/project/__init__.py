@@ -32,14 +32,13 @@ once.  The pipeline is:
 
 from __future__ import annotations
 
-from .engine import ProjectStats, lint_project
-from .graph import ProjectGraph
-from .summaries import ModuleSummary, summarize_module
+from ..._lazy import attach
 
-__all__ = [
-    "ModuleSummary",
-    "ProjectGraph",
-    "ProjectStats",
-    "lint_project",
-    "summarize_module",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".engine": ("ProjectStats", "lint_project"),
+        ".graph": ("ProjectGraph",),
+        ".summaries": ("ModuleSummary", "summarize_module"),
+    },
+)

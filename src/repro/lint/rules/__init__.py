@@ -9,9 +9,16 @@ directly.
 
 from __future__ import annotations
 
-from .base import Rule, all_rules, register, rules_for
+from ..._lazy import attach
 
-__all__ = ["Rule", "all_rules", "register", "rules_for", "load_builtin_rules"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".base": ("Rule", "all_rules", "register", "rules_for"),
+    },
+)
+__all__ += ["load_builtin_rules"]
+
 
 _LOADED = False
 

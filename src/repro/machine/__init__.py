@@ -7,60 +7,45 @@ rounding, OS interference, noise) that make measurement and model
 fitting realistic.  See DESIGN.md for the substitution rationale.
 """
 
-from .cache import (
-    AccessStats,
-    CacheGeometry,
-    CacheHierarchySim,
-    CacheLevelSim,
-    expected_chase_level,
-    expected_stream_hits,
-    hierarchy_from_level_params,
-)
-from .config import PlatformConfig, PlatformEffects, VendorPeaks, smooth_max
-from .engine import BatchResult, Engine, RunResult, SessionResult
-from .governor import GovernorResult, GovernorSettings, run_governor
-from .kernel import DRAM, KernelSpec
-from .memory import Prefetcher, PrefetchStats, chase_counts, serving_level, stream_traffic
-from .noise import NoiseSpec
-from .platforms import PLATFORM_IDS, all_params, all_platforms, params, platform
-from .power import PowerTrace
-from .trace import chase_permutation, pointer_chase_trace, stream_trace, strided_trace
+from .._lazy import attach
 
-__all__ = [
-    "AccessStats",
-    "CacheGeometry",
-    "CacheHierarchySim",
-    "CacheLevelSim",
-    "expected_chase_level",
-    "expected_stream_hits",
-    "hierarchy_from_level_params",
-    "PlatformConfig",
-    "PlatformEffects",
-    "VendorPeaks",
-    "smooth_max",
-    "BatchResult",
-    "Engine",
-    "RunResult",
-    "SessionResult",
-    "GovernorResult",
-    "GovernorSettings",
-    "run_governor",
-    "DRAM",
-    "KernelSpec",
-    "Prefetcher",
-    "PrefetchStats",
-    "chase_counts",
-    "serving_level",
-    "stream_traffic",
-    "NoiseSpec",
-    "PLATFORM_IDS",
-    "all_params",
-    "all_platforms",
-    "params",
-    "platform",
-    "PowerTrace",
-    "chase_permutation",
-    "pointer_chase_trace",
-    "stream_trace",
-    "strided_trace",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".cache": (
+            "AccessStats",
+            "CacheGeometry",
+            "CacheHierarchySim",
+            "CacheLevelSim",
+            "expected_chase_level",
+            "expected_stream_hits",
+            "hierarchy_from_level_params",
+        ),
+        ".config": ("PlatformConfig", "PlatformEffects", "VendorPeaks", "smooth_max"),
+        ".engine": ("BatchResult", "Engine", "RunResult", "SessionResult"),
+        ".governor": ("GovernorResult", "GovernorSettings", "run_governor"),
+        ".kernel": ("DRAM", "KernelSpec"),
+        ".memory": (
+            "Prefetcher",
+            "PrefetchStats",
+            "chase_counts",
+            "serving_level",
+            "stream_traffic",
+        ),
+        ".noise": ("NoiseSpec",),
+        ".platforms": (
+            "PLATFORM_IDS",
+            "all_params",
+            "all_platforms",
+            "params",
+            "platform",
+        ),
+        ".power": ("PowerTrace",),
+        ".trace": (
+            "chase_permutation",
+            "pointer_chase_trace",
+            "stream_trace",
+            "strided_trace",
+        ),
+    },
+)

@@ -8,30 +8,26 @@ via a ``faults=`` parameter; the named errors they raise
 re-exported for convenience.
 """
 
-from ..faults.errors import EmptyChannelError, TruncatedSessionError
-from .energy import MeasuredRun, MeasurementRig, mean_power_energy, trapezoid_energy
-from .interposer import InterposerReading, PCIeInterposer
-from .powermon import ChannelReading, Measurement, PowerMon
-from .rails import PCIE_SLOT_LIMIT, RailTopology, topology_for
-from .session import SessionMeasurement, Window, detect_windows, measure_session
+from .._lazy import attach
 
-__all__ = [
-    "MeasuredRun",
-    "MeasurementRig",
-    "mean_power_energy",
-    "trapezoid_energy",
-    "InterposerReading",
-    "PCIeInterposer",
-    "ChannelReading",
-    "Measurement",
-    "PowerMon",
-    "PCIE_SLOT_LIMIT",
-    "RailTopology",
-    "topology_for",
-    "SessionMeasurement",
-    "Window",
-    "detect_windows",
-    "measure_session",
-    "EmptyChannelError",
-    "TruncatedSessionError",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "..faults.errors": ("EmptyChannelError", "TruncatedSessionError"),
+        ".energy": (
+            "MeasuredRun",
+            "MeasurementRig",
+            "mean_power_energy",
+            "trapezoid_energy",
+        ),
+        ".interposer": ("InterposerReading", "PCIeInterposer"),
+        ".powermon": ("ChannelReading", "Measurement", "PowerMon"),
+        ".rails": ("PCIE_SLOT_LIMIT", "RailTopology", "topology_for"),
+        ".session": (
+            "SessionMeasurement",
+            "Window",
+            "detect_windows",
+            "measure_session",
+        ),
+    },
+)

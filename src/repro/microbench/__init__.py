@@ -1,64 +1,47 @@
 """The microbenchmark suite of Section IV, run against the simulator."""
 
-from .cachebench import cache_sweep, working_set_staircase
-from .campaign import (
-    CampaignReport,
-    CampaignRunner,
-    CampaignSettings,
-    ShardReport,
-    ShardSpec,
-    fit_platform,
-    run_shard,
-)
-from .intensity import default_intensities, intensity_sweep
-from .kernels import (
-    cache_kernel,
-    chase_kernel,
-    intensity_kernel,
-    peak_flops_kernel,
-    stream_kernel,
-)
-from .peak import peak_flops, peak_stream, sustained_bandwidth, sustained_flops
-from .pointer_chase import chase_sweep, dram_miss_fraction
-from .runner import BenchmarkRunner, Observation, QuarantinedCell, validate_measured_run
-from .suite import (
-    Campaign,
-    FittedPlatform,
-    fit_campaign,
-    run_campaign,
-    to_fit_observations,
-)
+from .._lazy import attach
 
-__all__ = [
-    "cache_sweep",
-    "working_set_staircase",
-    "CampaignReport",
-    "CampaignRunner",
-    "CampaignSettings",
-    "ShardReport",
-    "ShardSpec",
-    "fit_platform",
-    "run_shard",
-    "default_intensities",
-    "intensity_sweep",
-    "cache_kernel",
-    "chase_kernel",
-    "intensity_kernel",
-    "peak_flops_kernel",
-    "stream_kernel",
-    "peak_flops",
-    "peak_stream",
-    "sustained_bandwidth",
-    "sustained_flops",
-    "chase_sweep",
-    "dram_miss_fraction",
-    "BenchmarkRunner",
-    "Observation",
-    "QuarantinedCell",
-    "validate_measured_run",
-    "Campaign",
-    "FittedPlatform",
-    "fit_campaign",
-    "run_campaign",
-    "to_fit_observations",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".cachebench": ("cache_sweep", "working_set_staircase"),
+        ".campaign": (
+            "CampaignReport",
+            "CampaignRunner",
+            "ShardReport",
+            "ShardSpec",
+            "fit_platform",
+            "run_shard",
+        ),
+        ".intensity": ("default_intensities", "intensity_sweep"),
+        ".kernels": (
+            "cache_kernel",
+            "chase_kernel",
+            "intensity_kernel",
+            "peak_flops_kernel",
+            "stream_kernel",
+        ),
+        ".peak": (
+            "peak_flops",
+            "peak_stream",
+            "sustained_bandwidth",
+            "sustained_flops",
+        ),
+        ".pointer_chase": ("chase_sweep", "dram_miss_fraction"),
+        ".runner": (
+            "BenchmarkRunner",
+            "Observation",
+            "QuarantinedCell",
+            "validate_measured_run",
+        ),
+        ".suite": (
+            "Campaign",
+            "CampaignSettings",
+            "FittedPlatform",
+            "fit_campaign",
+            "run_campaign",
+            "to_fit_observations",
+        ),
+    },
+)

@@ -6,7 +6,8 @@ A full reproduction campaign is embarrassingly parallel across
 platforms, so :class:`CampaignRunner` runs one :func:`run_shard` --
 ``fit_platform`` plus the shard's cache and counters -- per platform,
 inline or over a ``concurrent.futures`` process pool, sharing nothing
-between shards:
+between shards.  The pool is imported on the first pooled run, so an
+inline campaign (``--workers 1``) never loads ``multiprocessing``:
 
 * **Seeding.**  Every shard runs on the campaign seed itself
   (``settings.seed``), as :func:`fit_platform` does for one platform.
@@ -53,8 +54,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, TypeVar
 
@@ -626,6 +625,11 @@ class CampaignRunner:
         emit: Callable[[str, FittedPlatform | None, ShardReport], None],
         workers: int,
     ) -> None:
+        # Imported on the first pooled run: the pool brings in
+        # ``multiprocessing``, which an inline campaign never needs.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+
         pool = ProcessPoolExecutor(max_workers=workers)
         # Shards abandoned mid-run cannot report their own wall time,
         # so they are accounted from submission: the time a shard

@@ -58,6 +58,12 @@ class CampaignSettings:
     max_retries: int = 2  #: per-run retry budget under faults.
 
     def __post_init__(self) -> None:
+        # Rejected here, not deep inside the first shard: a negative
+        # seed fails only where a generator is first seeded.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.faults is not None and self.faults.truncation_rate > 0:
             # Only measurement sessions truncate; no campaign run goes
             # through one, so the plan would be accepted and ignored.

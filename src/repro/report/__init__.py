@@ -1,32 +1,20 @@
 """Plain-text reporting: tables, series rendering, paper-vs-measured."""
 
-from .compare import (
-    Claim,
-    claim_close,
-    claim_true,
-    fraction_passing,
-    rel_deviation,
-    render_claims,
-)
-from .export import export_all, rows_to_csv, write_csv
-from .series import log2_label, series_table, sparkline
-from .tables import Table, fmt_num, fmt_pct, fmt_si
+from .._lazy import attach
 
-__all__ = [
-    "export_all",
-    "rows_to_csv",
-    "write_csv",
-    "Claim",
-    "claim_close",
-    "claim_true",
-    "fraction_passing",
-    "rel_deviation",
-    "render_claims",
-    "log2_label",
-    "series_table",
-    "sparkline",
-    "Table",
-    "fmt_num",
-    "fmt_pct",
-    "fmt_si",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".compare": (
+            "Claim",
+            "claim_close",
+            "claim_true",
+            "fraction_passing",
+            "rel_deviation",
+            "render_claims",
+        ),
+        ".export": ("export_all", "rows_to_csv", "write_csv"),
+        ".series": ("log2_label", "series_table", "sparkline"),
+        ".tables": ("Table", "fmt_num", "fmt_pct", "fmt_si"),
+    },
+)

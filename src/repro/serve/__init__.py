@@ -33,27 +33,21 @@ Layers
 Protocol, batching policy and SLO methodology: ``docs/SERVE.md``.
 """
 
-from .batcher import BatchStats, Batcher
-from .protocol import (
-    KERNEL_IDS,
-    PredictQuery,
-    ProtocolError,
-    build_kernel,
-    encode_prediction,
-    parse_predict_body,
-)
-from .server import PredictServer
-from .theta import ThetaResolver
+from .._lazy import attach
 
-__all__ = [
-    "KERNEL_IDS",
-    "PredictQuery",
-    "ProtocolError",
-    "build_kernel",
-    "encode_prediction",
-    "parse_predict_body",
-    "Batcher",
-    "BatchStats",
-    "PredictServer",
-    "ThetaResolver",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".batcher": ("BatchStats", "Batcher"),
+        ".protocol": (
+            "KERNEL_IDS",
+            "PredictQuery",
+            "ProtocolError",
+            "build_kernel",
+            "encode_prediction",
+            "parse_predict_body",
+        ),
+        ".server": ("PredictServer",),
+        ".theta": ("ThetaResolver",),
+    },
+)

@@ -17,19 +17,17 @@ code 0 on clean shutdown, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import signal
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from ..cli import positive_int
-from ..experiments.common import CampaignSettings
+from ..cli import nonnegative_int, port_number, positive_int
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
-from ..telemetry.jsonl import write_recorder_trace
-from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
-from .server import PredictServer
-from .theta import ThetaResolver
+
+if TYPE_CHECKING:
+    from .server import PredictServer
 
 __all__ = ["build_serve_parser", "run_serve"]
 
@@ -49,7 +47,7 @@ def build_serve_parser(
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port",
-        type=int,
+        type=port_number,
         default=8787,
         help="listen port; 0 picks a free one (default 8787)",
     )
@@ -62,7 +60,7 @@ def build_serve_parser(
     )
     parser.add_argument(
         "--linger-us",
-        type=int,
+        type=nonnegative_int,
         default=1000,
         metavar="US",
         help="batching window in microseconds after the first request "
@@ -108,13 +106,15 @@ def build_serve_parser(
         help="shrunken campaigns for fitted-theta resolution (smoke "
         "runs; predictions differ from full-campaign theta-hat)",
     )
-    parser.add_argument("--seed", type=int, default=2014)
+    parser.add_argument("--seed", type=nonnegative_int, default=2014)
     return parser
 
 
 async def _run_until_signal(server: PredictServer) -> None:
     """Serve until SIGINT/SIGTERM (or KeyboardInterrupt on platforms
     without ``add_signal_handler``), then stop gracefully."""
+    import asyncio
+
     loop = asyncio.get_running_loop()
     stop_event = asyncio.Event()
     installed: list[signal.Signals] = []
@@ -145,6 +145,14 @@ async def _run_until_signal(server: PredictServer) -> None:
 
 def run_serve(args: argparse.Namespace) -> int:
     """Run the service as configured by the parsed arguments."""
+    import asyncio
+
+    from ..microbench.suite import CampaignSettings
+    from ..telemetry.jsonl import write_recorder_trace
+    from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
+    from .server import PredictServer
+    from .theta import ThetaResolver
+
     if args.no_cache and args.cache_dir is not None:
         print(
             "archline serve: --cache and --no-cache are mutually exclusive",

@@ -1,24 +1,19 @@
 """Statistics utilities: K-S test, descriptive stats, bootstrap, NLS."""
 
-from .bootstrap import BootstrapCI, bootstrap_ci, bootstrap_paired_ci
-from .descriptive import BoxplotStats, boxplot_stats, pearson, quantile, spearman
-from .ks import KSResult, kolmogorov_sf, ks_2sample, ks_statistic
-from .regression import LogFitResult, fit_log_params, nonnegative_lstsq
+from .._lazy import attach
 
-__all__ = [
-    "BootstrapCI",
-    "bootstrap_ci",
-    "bootstrap_paired_ci",
-    "BoxplotStats",
-    "boxplot_stats",
-    "pearson",
-    "quantile",
-    "spearman",
-    "KSResult",
-    "kolmogorov_sf",
-    "ks_2sample",
-    "ks_statistic",
-    "LogFitResult",
-    "fit_log_params",
-    "nonnegative_lstsq",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".bootstrap": ("BootstrapCI", "bootstrap_ci", "bootstrap_paired_ci"),
+        ".descriptive": (
+            "BoxplotStats",
+            "boxplot_stats",
+            "pearson",
+            "quantile",
+            "spearman",
+        ),
+        ".ks": ("KSResult", "kolmogorov_sf", "ks_2sample", "ks_statistic"),
+        ".regression": ("LogFitResult", "fit_log_params", "nonnegative_lstsq"),
+    },
+)

@@ -13,32 +13,28 @@ commands (``archline cache stats|gc|verify``).
 
 from __future__ import annotations
 
-from .atomic import atomic_write_bytes, atomic_write_text
-from .fingerprint import (
-    campaign_content_fingerprint,
-    campaign_key,
-    canonical,
-    engine_fingerprint_version,
-    fingerprint,
-    fit_key,
-    platform_fingerprint,
-    shard_key,
-)
-from .store import CampaignStore, GcResult, StoreEntryInfo, StoreStats
+from .._lazy import attach
 
-__all__ = [
-    "CampaignStore",
-    "StoreEntryInfo",
-    "StoreStats",
-    "GcResult",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "canonical",
-    "fingerprint",
-    "engine_fingerprint_version",
-    "platform_fingerprint",
-    "shard_key",
-    "campaign_key",
-    "campaign_content_fingerprint",
-    "fit_key",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".atomic": ("atomic_write_bytes", "atomic_write_text"),
+        ".fingerprint": (
+            "campaign_content_fingerprint",
+            "campaign_key",
+            "canonical",
+            "engine_fingerprint_version",
+            "fingerprint",
+            "fit_key",
+            "platform_fingerprint",
+            "shard_key",
+        ),
+        ".store": ("CampaignStore", "GcResult", "StoreEntryInfo", "StoreStats"),
+    },
+)
+
+# ``fingerprint`` names both a function and the submodule defining it.
+# Importing a submodule sets it as a package attribute, which would
+# shadow a lazily bound function; bound here, the function wins, as it
+# did when every export was eager.
+from .fingerprint import fingerprint  # noqa: E402

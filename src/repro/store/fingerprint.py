@@ -34,7 +34,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..machine import engine as _engine
 from ..machine.config import PlatformConfig
 
 __all__ = [
@@ -58,8 +57,12 @@ def sha1_hex(data: bytes) -> str:
 def engine_fingerprint_version() -> int:
     """The engine's current semantic version (read at call time, so a
     monkeypatched bump in tests -- or a real bump in a commit --
-    immediately changes every key built afterwards)."""
-    return int(_engine.ENGINE_FINGERPRINT_VERSION)
+    immediately changes every key built afterwards).  The engine is
+    imported here, not at module top: ``repro.store`` binds this
+    module eagerly, and a command that builds no key needs no engine."""
+    from ..machine import engine
+
+    return int(engine.ENGINE_FINGERPRINT_VERSION)
 
 
 def canonical(value: Any) -> Any:

@@ -30,11 +30,11 @@ spans, serialised across the process-pool boundary and merged into
 :class:`~repro.microbench.campaign.CampaignReport`).
 """
 
-from .recorder import NULL_RECORDER, NullRecorder, SpanRecord, TraceRecorder
+from .._lazy import attach
 
-__all__ = [
-    "NULL_RECORDER",
-    "NullRecorder",
-    "SpanRecord",
-    "TraceRecorder",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".recorder": ("NULL_RECORDER", "NullRecorder", "SpanRecord", "TraceRecorder"),
+    },
+)

@@ -268,9 +268,11 @@ def fleet_small(*, seed: int = 2014, quick: bool = False) -> dict:
     evaluate + LP + greedy + polish; measured best-of like the sweeps.
     """
     del seed  # truth-theta: nothing stochastic to seed
-    from ..fleet import FleetInstance, WorkloadBin, WorkloadSpec
-    from ..fleet import default_offer, evaluate_fleet
-    from ..fleet import solve as fleet_solve
+    from ..fleet.evaluate import evaluate_fleet
+    from ..fleet.offers import default_offer
+    from ..fleet.solver import FleetInstance
+    from ..fleet.solver import solve as fleet_solve
+    from ..fleet.workload import WorkloadBin, WorkloadSpec
     from ..machine.platforms import PLATFORM_IDS
 
     workload = WorkloadSpec(

@@ -15,6 +15,12 @@ from repro.microbench.suite import (
 )
 
 
+@pytest.mark.parametrize("field", ["seed", "max_retries"])
+def test_settings_reject_negative_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        CampaignSettings(**{field: -1})
+
+
 @pytest.fixture(scope="module")
 def titan_campaign():
     return run_campaign(

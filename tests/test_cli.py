@@ -1,5 +1,6 @@
 """Tests for the archline CLI."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,21 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+
+
+def _subprocess_env() -> dict:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("ARCHLINE_CACHE", None)  # a warm store would skip the fit
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+FLEET_WORKLOAD = str(
+    Path(__file__).parent.parent / "examples" / "fleet_workload.json"
+)
 
 
 class TestParser:
@@ -108,11 +124,6 @@ class TestClosedPipe:
 
     @pytest.mark.parametrize("command", ["list", "audit"])
     def test_reader_gone_before_first_write(self, command):
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -120,7 +131,7 @@ class TestClosedPipe:
                 [sys.executable, "-m", "repro.cli", command],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=_subprocess_env(),
                 timeout=120,
             )
         finally:
@@ -129,32 +140,79 @@ class TestClosedPipe:
         assert proc.returncode == 1
 
 
+#: What a campaign, a replay of one, ``list`` and a bare import must not
+#: load: the other commands' engines, every experiment, and the
+#: process pool that ``--workers 1`` never starts.
+NOT_FOR_CAMPAIGN = (
+    "asyncio",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "repro.serve.server",
+    "repro.fleet.solver",
+    "repro.lint.engine",
+    "repro.experiments.fig1",
+)
+#: A truth-theta fleet solve fits nothing and reads no store.
+NOT_FOR_FLEET = (
+    "asyncio",
+    "repro.microbench.campaign",
+    "repro.core.fitting",
+    "repro.store.store",
+    "repro.lint.engine",
+)
+NOT_FOR_LINT = ("asyncio", "repro.microbench.campaign")
+CAMPAIGN = ["campaign", "gtx-titan", "--quick", "--workers", "1"]
+
+
 class TestNoScipy:
-    """No command imports scipy, not even one that fits: the fit's
-    solvers are numpy ports and scipy is a test-only dependency."""
+    """Each command imports only what it runs (DESIGN.md, "Import
+    conventions").  No command imports scipy, not even one that fits:
+    the fit's solvers are numpy ports and scipy is a test-only
+    dependency."""
 
     PROBE = (
-        "import sys\n"
+        "import json, sys\n"
+        "forbidden = json.loads(sys.argv[1])\n"
         "from repro.cli import main\n"
-        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}\\n')\n"
+        "code = main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+        "loaded = [name for name in forbidden if name in sys.modules]\n"
+        "sys.stderr.write(f'loaded: {loaded}\\n')\n"
         "raise SystemExit(code)\n"
     )
-    FLEET_WORKLOAD = str(
-        Path(__file__).parent.parent / "examples" / "fleet_workload.json"
-    )
+
+    def probe(self, argv, forbidden):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                self.PROBE,
+                json.dumps(["scipy", *forbidden]),
+                *argv,
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=_subprocess_env(),
+            timeout=120,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "loaded: []"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, forbidden",
         [
-            [],
-            ["list"],
-            ["platform", "gtx-titan"],
-            ["audit"],
-            ["fleet", "--workload", FLEET_WORKLOAD],
-            ["campaign", "gtx-titan", "--quick", "--workers", "1"],
-            ["uncertainty", "gtx-titan", "--seeds", "2"],
-            ["fleet", "--workload", FLEET_WORKLOAD, "--theta", "fitted"],
+            ([], NOT_FOR_CAMPAIGN),
+            (["list"], NOT_FOR_CAMPAIGN),
+            (["platform", "gtx-titan"], ()),
+            (["audit"], ()),
+            (["fleet", "--workload", FLEET_WORKLOAD], NOT_FOR_FLEET),
+            (CAMPAIGN, ()),
+            (["uncertainty", "gtx-titan", "--seeds", "2"], ()),
+            (["fleet", "--workload", FLEET_WORKLOAD, "--theta", "fitted"], ()),
+            (
+                ["lint", str(Path(repro.__file__).parent / "units.py")],
+                NOT_FOR_LINT,
+            ),
         ],
         ids=[
             "import",
@@ -165,25 +223,67 @@ class TestNoScipy:
             "campaign",
             "uncertainty",
             "fleet-fitted",
+            "lint",
         ],
     )
-    def test_scipy_not_imported(self, argv):
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env.pop("ARCHLINE_CACHE", None)  # a warm store would skip the fit
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
+    def test_scipy_not_imported(self, argv, forbidden):
+        self.probe(argv, forbidden)
+
+    def test_campaign_and_its_replay_load_only_the_campaign(self, tmp_path):
+        argv = [*CAMPAIGN, "--cache", str(tmp_path / "store")]
+        self.probe(argv, NOT_FOR_CAMPAIGN)  # cold: fills the store.
+        self.probe(argv, NOT_FOR_CAMPAIGN)  # replay: every shard hits.
+
+
+class TestIntegerFlags:
+    """Integer flags are checked where they are parsed: a bad value is
+    a usage error (exit 2) naming the flag, not a traceback, a failed
+    shard or a server that starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "--quick", "--seed", "-1"],
+            ["bench", "gtx-titan", "--seed", "-1"],
+            ["campaign", "gtx-titan", "--quick", "--seed", "-1"],
+            ["campaign", "gtx-titan", "--quick", "--max-retries", "-1"],
+            [
+                "fleet", "--workload", FLEET_WORKLOAD,
+                "--theta", "fitted", "--seed", "-1",
+            ],
+            ["serve", "--port", "0", "--seed", "-1"],
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "0", "--linger-us", "-5"],
+            ["uncertainty", "gtx-titan", "--seeds", "1"],
+        ],
+        ids=[
+            "run-seed",
+            "bench-seed",
+            "campaign-seed",
+            "campaign-max-retries",
+            "fleet-seed",
+            "serve-seed",
+            "serve-port-negative",
+            "serve-port-too-large",
+            "serve-linger-us",
+            "uncertainty-seeds",
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, argv):
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *argv],
-            stdout=subprocess.DEVNULL,
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
-            timeout=120,
+            env=_subprocess_env(),
+            timeout=60,
             text=True,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "scipy loaded: False"
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"argument {flag}" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestServeParser:
