@@ -82,7 +82,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Sequence
@@ -90,81 +89,10 @@ from typing import Sequence
 # Only the modules ``build_parser`` needs load here; each command
 # imports its own, so a process pays for the command it runs.
 from .experiments.registry import EXPERIMENTS, run_all, run_experiment
+from .flags import nonnegative_int, positive_float, positive_int, seed_count
 from .machine.platforms import PLATFORM_IDS, all_platforms, platform
 
-__all__ = [
-    "main",
-    "build_parser",
-    "nonnegative_float",
-    "nonnegative_int",
-    "port_number",
-    "positive_float",
-    "positive_int",
-]
-
-
-def _bounded_int(text: str, low: int, high: int | None = None) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {text!r}"
-        ) from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    return _bounded_int(text, 1)
-
-
-def nonnegative_int(text: str) -> int:
-    return _bounded_int(text, 0)
-
-
-def port_number(text: str) -> int:
-    return _bounded_int(text, 0, 65535)
-
-
-def _seed_count(text: str) -> int:
-    # One seed has no dispersion to report.
-    return _bounded_int(text, 2)
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number, got {text!r}"
-        ) from None
-    # A bare ``type=float`` happily accepts "nan" and "inf", which then
-    # poison downstream comparisons (a NaN timeout never fires, a NaN
-    # budget is "within" every check).  All float CLI flags go
-    # through these validators instead, and integer flags through
-    # ``_bounded_int``.
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number, got {text!r}"
-        )
-    return value
-
-
-def positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "uncertainty", help="seed-bootstrap uncertainty of one platform's fit"
     )
     uq_p.add_argument("platform_id", choices=list(PLATFORM_IDS))
-    uq_p.add_argument("--seeds", type=_seed_count, default=5)
+    uq_p.add_argument("--seeds", type=seed_count, default=5)
 
     alg_p = sub.add_parser(
         "algorithms", help="abstract-algorithm intensities and best platforms"

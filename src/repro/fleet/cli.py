@@ -31,7 +31,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from ..cli import nonnegative_int, positive_float, positive_int
+from ..flags import nonnegative_int, positive_float, positive_int
 from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
 

@@ -27,7 +27,6 @@ from typing import Sequence
 from .findings import Finding
 
 BASELINE_VERSION = 1
-DEFAULT_BASELINE_NAME = "archlint.baseline.json"
 
 
 def assign_fingerprints(

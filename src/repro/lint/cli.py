@@ -27,8 +27,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import DEFAULT_BASELINE_NAME
-from .output import FORMATS
+from .options import DEFAULT_BASELINE_NAME, FORMATS
 
 #: The relaxed subset ``--include-tests`` runs over tests/ and
 #: benchmarks/: hygiene rules that catch real bugs in test code

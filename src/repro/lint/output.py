@@ -26,10 +26,9 @@ from typing import Sequence
 
 from .baseline import assign_fingerprints
 from .findings import Finding, Severity
+from .options import FORMATS
 
 JSON_VERSION = 1
-
-FORMATS = ("text", "json", "github")
 
 
 def render_text(findings: Sequence[Finding]) -> str:

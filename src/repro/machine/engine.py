@@ -26,13 +26,17 @@ the cap check) are pure elementwise arithmetic, so they are evaluated
 as NumPy array operations over the full batch; runs whose dynamic
 power exceeds the cap have their governor control loops advanced in
 lockstep by :func:`~repro.machine.governor.run_governor_batch` (masked
-array updates, bit-identical to the per-kernel scalar loop), and
-enabling noise falls back to per-kernel :meth:`Engine.run` so the
-generator consumes draws in exactly the sequential order.  The scalar
-path routes through the *same* vectorised helpers (on length-1
-batches), so with noise disabled ``run_batch`` agrees with ``run``
-bit-for-bit per kernel -- the property ``tests/machine/test_batch.py``
-asserts and ``benchmarks/bench_campaign.py`` measures the speedup of.
+array updates, bit-identical to the per-kernel scalar loop).  Noise
+does not fall back to :meth:`Engine.run`: no run's draws depend on
+another run's outcome, so each run takes its stall, time and power
+draws in batch order through the one per-run noise helper ``run``
+uses too, and the noisy traces are kept in one flat
+:class:`~repro.machine.power.RaggedTraces` layout.  The scalar path
+routes through the *same* vectorised helpers (on length-1 batches), so
+``run_batch`` agrees with ``run`` bit-for-bit per kernel, with noise
+off and with noise on from the same generator state -- the property
+``tests/machine/test_batch.py`` asserts and
+``benchmarks/bench_campaign.py`` measures the speedup of.
 """
 
 from __future__ import annotations
@@ -48,8 +52,14 @@ from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .config import PlatformConfig, smooth_max
 from .governor import GovernorBatchResult, run_governor, run_governor_batch
 from .kernel import DRAM, KernelSpec
-from .noise import apply_trace_noise, insert_stalls, lognormal_factor, sample_stalls
-from .power import PowerTrace
+from .noise import (
+    apply_trace_noise,
+    insert_stalls,
+    lognormal_factor,
+    power_noise,
+    sample_stalls,
+)
+from .power import PowerTrace, RaggedTraces
 
 __all__ = [
     "ENGINE_FINGERPRINT_VERSION",
@@ -108,9 +118,11 @@ class BatchResult:
 
     The per-run quantities live in aligned arrays so downstream sweeps
     can stay vectorised; ``result(i)``/``results()`` materialise the
-    equivalent :class:`RunResult` records (building the single-segment
-    power trace of unthrottled noise-free runs lazily -- throttled and
-    noisy runs keep the trace their governor/noise path produced).
+    equivalent :class:`RunResult` records.  Noise-free runs build their
+    power trace on demand (unthrottled runs from ``segment_powers``,
+    throttled ones from their governor schedule); a noisy batch keeps
+    every trace in one flat :class:`~repro.machine.power.RaggedTraces`
+    layout, which is ``traces`` itself.
     """
 
     kernels: tuple[KernelSpec, ...]
@@ -159,21 +171,12 @@ class BatchResult:
     def __iter__(self) -> Iterator[RunResult]:
         return iter(self.results())
 
-    @classmethod
-    def from_results(
-        cls, kernels: tuple[KernelSpec, ...], results: Sequence[RunResult]
-    ) -> "BatchResult":
-        """Wrap per-kernel scalar results (the noise fallback path)."""
-        return cls(
-            kernels=kernels,
-            wall_times=np.array([r.wall_time for r in results]),
-            energies=np.array([r.true_energy for r in results]),
-            avg_powers=np.array([r.true_avg_power for r in results]),
-            ideal_times=np.array([r.ideal_time for r in results]),
-            throttled=np.array([r.throttled for r in results], dtype=bool),
-            segment_powers=np.zeros(len(results)),
-            traces={i: r.trace for i, r in enumerate(results)},
-        )
+    def flat_traces(self) -> RaggedTraces:
+        """Every run's trace in one flat layout, in batch order (a
+        noisy batch already stores them so)."""
+        if isinstance(self.traces, RaggedTraces):
+            return self.traces
+        return RaggedTraces.from_traces([self.trace(i) for i in range(len(self))])
 
 
 class _LazyThrottledTraces(Mapping):
@@ -488,24 +491,8 @@ class Engine:
             throttled = False
 
         trace = PowerTrace.from_durations(durations, powers)
-
         if self.rng is not None:
-            noise = effects.noise
-            # OS interference: zero-progress stalls at constant power.
-            stalls = sample_stalls(
-                self.rng,
-                trace.duration,
-                noise.interference_rate,
-                noise.interference_duration,
-            )
-            trace = insert_stalls(trace, stalls, truth.pi1)
-            # Run-to-run throughput variation stretches the timeline.
-            factor = lognormal_factor(self.rng, noise.time_sigma)
-            # Exact sentinel: lognormal_factor returns exactly 1.0 when
-            # time noise is off.  # archlint: disable=ARCH004
-            if factor != 1.0:
-                trace = PowerTrace(trace.edges * factor, trace.values)
-            trace = apply_trace_noise(self.rng, trace, noise.power_sigma)
+            trace = PowerTrace(*self._noisy(trace.edges, trace.values))
 
         return RunResult(
             kernel=kernel,
@@ -515,77 +502,126 @@ class Engine:
             ideal_time=float(physics.ideal_time[0]),
         )
 
+    def _noisy(
+        self, edges: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One run's stochastic effects on its trace ``(edges, values)``.
+
+        The one noise helper of :meth:`run` and :meth:`run_batch`, so a
+        run takes its draws in the same order on both paths: stalls,
+        then the time factor, then per-segment power noise.
+        """
+        rng = self.rng
+        noise = self.config.effects.noise
+        # OS interference: zero-progress stalls at constant power.
+        stalls = sample_stalls(
+            rng,
+            float(edges[-1] - edges[0]),
+            noise.interference_rate,
+            noise.interference_duration,
+        )
+        if stalls:
+            trace = insert_stalls(
+                PowerTrace(edges, values), stalls, self.config.truth.pi1
+            )
+            edges, values = trace.edges, trace.values
+        # Run-to-run throughput variation stretches the timeline.
+        factor = lognormal_factor(rng, noise.time_sigma)
+        # Exact sentinel: lognormal_factor returns exactly 1.0 when
+        # time noise is off.  # archlint: disable=ARCH004
+        if factor != 1.0:
+            edges = edges * factor
+        return edges, power_noise(rng, values, noise.power_sigma)
+
     def run_batch(self, kernels: Sequence[KernelSpec]) -> BatchResult:
         """Execute a whole sweep and return aligned result arrays.
 
-        With noise disabled (``rng=None``) the deterministic physics of
-        every kernel are evaluated as NumPy array operations over the
-        batch, and the capped kernels' sawtooth control loops advance
-        in lockstep through the vectorised batch governor under a
-        ``governor_batch`` telemetry span.  With noise enabled every
-        kernel goes through
-        :meth:`run` so the generator consumes draws in exactly the
-        order a sequential campaign would -- either way the results are
-        identical to calling :meth:`run` per kernel, which is what
+        The deterministic physics of every kernel are evaluated as
+        NumPy array operations over the batch, and the capped kernels'
+        sawtooth control loops advance in lockstep through the
+        vectorised batch governor.  With a generator, each run then
+        takes its stall, time and power draws in batch order through
+        the noise helper :meth:`run` uses, and the noisy traces are
+        stored in one flat :class:`~repro.machine.power.RaggedTraces`
+        layout that :meth:`BatchResult.trace` materialises on demand.
+        Noise does not fall back to :meth:`run`.  Either way the
+        results are identical to calling :meth:`run` per kernel on an
+        engine whose generator starts in the same state, which is what
         keeps the scalar path usable as the reference oracle.
+
+        A noisy batch executes runs a campaign measures, so it records
+        one ``engine`` span, governor included, as :meth:`run` does for
+        one run.  A noise-free batch (a calibration dry pass, a served
+        query) records ``engine_batch``, with ``governor_batch`` nested
+        when a kernel is throttled.
         """
         kernels = tuple(kernels)
-        with self.recorder.span("engine_batch", n=len(kernels)):
-            return self._run_batch(kernels)
+        truth = self.config.truth
+        noisy = self.rng is not None
+        span = "engine" if noisy else "engine_batch"
+        with self.recorder.span(span, n=len(kernels)):
+            physics = self._batch_physics(self._gather(kernels))
+            if (physics.base_time <= 0.0).any():
+                offender = kernels[int(np.argmin(physics.base_time))]
+                raise ValueError(
+                    f"kernel {offender.name!r} has zero execution time on "
+                    f"platform {truth.name!r}"
+                )
+            if noisy:
+                # The governor's time is this span's, as in ``run``.
+                idx, schedules = self._govern(physics)
+                return self._noisy_batch(kernels, physics, idx, schedules)
+            idx, schedules = self._govern(physics, self.recorder)
+            return self._noise_free_batch(kernels, physics, idx, schedules)
 
-    def _run_batch(self, kernels: tuple[KernelSpec, ...]) -> BatchResult:
-        if self.rng is not None:
-            return BatchResult.from_results(
-                kernels, [self.run(kernel) for kernel in kernels]
+    def _govern(
+        self, physics: _BatchPhysics, recorder: TraceRecorder = NULL_RECORDER
+    ) -> tuple[np.ndarray, GovernorBatchResult | None]:
+        """The runs whose demand exceeds the guarded cap, and their
+        lockstep governor schedules (a ``governor_batch`` span on
+        ``recorder``)."""
+        truth = self.config.truth
+        effects = self.config.effects
+        if not truth.is_capped:
+            return np.empty(0, dtype=np.intp), None
+        cap = truth.delta_pi * (1.0 - effects.cap_guard_band)
+        idx = np.flatnonzero(physics.demand > cap)
+        if not idx.size:
+            return idx, None
+        # All capped kernels' sawtooth control loops advance in lockstep
+        # as whole-array updates -- bit-identical to the per-kernel
+        # scalar governor.
+        with recorder.span("governor_batch", n=int(idx.size)):
+            schedules = run_governor_batch(
+                physics.base_time[idx], physics.demand[idx], cap, effects.governor
             )
+        return idx, schedules
 
-        config = self.config
-        truth = config.truth
-        effects = config.effects
-        physics = self._batch_physics(self._gather(kernels))
-
-        if np.any(physics.base_time <= 0.0):
-            offender = kernels[int(np.argmin(physics.base_time))]
-            raise ValueError(
-                f"kernel {offender.name!r} has zero execution time on "
-                f"platform {truth.name!r}"
-            )
-
+    def _noise_free_batch(
+        self,
+        kernels: tuple[KernelSpec, ...],
+        physics: _BatchPhysics,
+        idx: np.ndarray,
+        schedules: GovernorBatchResult | None,
+    ) -> BatchResult:
+        pi1 = self.config.truth.pi1
         wall_times = physics.base_time.copy()
-        segment_powers = truth.pi1 + physics.demand
+        segment_powers = pi1 + physics.demand
         energies = wall_times * segment_powers
         throttled = np.zeros(len(kernels), dtype=bool)
         traces: Mapping = {}
-
-        if truth.is_capped:
-            cap = truth.delta_pi * (1.0 - effects.cap_guard_band)
-            idx = np.flatnonzero(physics.demand > cap)
-            if idx.size:
-                # All capped kernels' sawtooth control loops advance in
-                # lockstep as whole-array updates -- bit-identical to
-                # the per-kernel scalar governor the noise path uses.
-                with self.recorder.span("governor_batch", n=int(idx.size)):
-                    schedules = run_governor_batch(
-                        physics.base_time[idx],
-                        physics.demand[idx],
-                        cap,
-                        effects.governor,
-                    )
-                demands = physics.demand[idx]
-                wall_times[idx] = schedules.trace_wall_times
-                throttled[idx] = schedules.throttled
-                # Same integral the eager trace would report:
-                # dot(trace segment durations, pi1 + f * demand).
-                for j, i in enumerate(idx):
-                    energies[i] = np.dot(
-                        schedules.trace_segment_durations[j],
-                        truth.pi1
-                        + schedules.frequencies[j] * float(demands[j]),
-                    )
-                traces = _LazyThrottledTraces(
-                    idx, schedules, truth.pi1, demands
+        if schedules is not None:
+            demands = physics.demand[idx]
+            wall_times[idx] = schedules.trace_wall_times
+            throttled[idx] = schedules.throttled
+            # Same integral the eager trace would report:
+            # dot(trace segment durations, pi1 + f * demand).
+            for j, i in enumerate(idx):
+                energies[i] = np.dot(
+                    schedules.trace_segment_durations[j],
+                    pi1 + schedules.frequencies[j] * float(demands[j]),
                 )
-
+            traces = _LazyThrottledTraces(idx, schedules, pi1, demands)
         return BatchResult(
             kernels=kernels,
             wall_times=wall_times,
@@ -594,6 +630,59 @@ class Engine:
             ideal_times=physics.ideal_time,
             throttled=throttled,
             segment_powers=segment_powers,
+            traces=traces,
+        )
+
+    def _noisy_batch(
+        self,
+        kernels: tuple[KernelSpec, ...],
+        physics: _BatchPhysics,
+        idx: np.ndarray,
+        schedules: GovernorBatchResult | None,
+    ) -> BatchResult:
+        """Each run's noise in batch order, drawn as :meth:`run` draws
+        it, over the trace :meth:`run` builds before its noise."""
+        pi1 = self.config.truth.pi1
+        lanes = dict(zip(idx.tolist(), range(idx.size)))
+        n = len(kernels)
+        wall_times = np.empty(n)
+        energies = np.empty(n)
+        throttled = np.zeros(n, dtype=bool)
+        all_edges: list[np.ndarray] = []
+        all_values: list[np.ndarray] = []
+        for i in range(n):
+            j = lanes.get(i)
+            if j is None:
+                edges = np.array([0.0, physics.base_time[i]])
+                values = np.array([pi1 + physics.demand[i]])
+            else:
+                # PowerTrace.from_durations of the governor's schedule.
+                durations = schedules.durations[j]
+                edges = np.empty(len(durations) + 1)
+                edges[0] = 0.0
+                np.cumsum(durations, out=edges[1:])
+                values = pi1 + schedules.frequencies[j] * float(physics.demand[i])
+                throttled[i] = schedules.throttled[j]
+            edges, values = self._noisy(edges, values)
+            # PowerTrace.duration and PowerTrace.energy, bit for bit.
+            wall_times[i] = edges[-1] - edges[0]
+            energies[i] = np.dot(edges[1:] - edges[:-1], values)
+            all_edges.append(edges)
+            all_values.append(values)
+        counts = [len(values) for values in all_values]
+        traces = RaggedTraces(
+            np.concatenate(all_edges),
+            np.concatenate(all_values),
+            np.concatenate(([0], np.cumsum(counts))),
+        )
+        return BatchResult(
+            kernels=kernels,
+            wall_times=wall_times,
+            energies=energies,
+            avg_powers=energies / wall_times,
+            ideal_times=physics.ideal_time,
+            throttled=throttled,
+            segment_powers=pi1 + physics.demand,
             traces=traces,
         )
 

@@ -288,22 +288,22 @@ def run_governor_batch(
         lane_walls = np.where(kept, wall_with_tail, elapsed)
         last_seg = lane_walls - elapsed  # trace's diff() of the tail edge
         walls[idx] = lane_walls
+        rows = len(F)
         for j, i in enumerate(idx):
             k = int(full_segs[j])
+            n_seg = k + 1 if kept[j] else k
+            d = np.full(n_seg, step)
+            fr = np.empty(n_seg)
+            sd = np.empty(n_seg)
+            head = min(k, rows)
+            fr[:head] = F[:head, j]
+            # Past its fixed point a lane runs at its last frequency.
+            fr[head:k] = F[rows - 1, j]
+            sd[:k] = dE[:k]
             if kept[j]:
-                d = np.empty(k + 1)
-                d[:k] = step
                 d[k] = tails[j]
-                fr = np.empty(k + 1)
-                fr[:k] = F[:k, j]
                 fr[k] = tail_freqs[j]
-                sd = np.empty(k + 1)
-                sd[:k] = dE[:k]
                 sd[k] = last_seg[j]
-            else:
-                d = np.full(k, step)
-                fr = F[:k, j].copy()
-                sd = dE[:k].copy()
             durations[i] = d
             frequencies[i] = fr
             seg_durs[i] = sd
@@ -326,16 +326,17 @@ def _lockstep(
     """All throttled lanes' control loops, advanced in lockstep.
 
     Returns ``(F, full_segs, tails, tail_freqs)``: ``F`` is an
-    ``(iterations, lanes)`` matrix whose row ``t`` holds every lane's
-    frequency at the start of control interval ``t`` (rows past a
-    lane's finish are unused), ``full_segs[j]`` is the number of
-    full-period segments lane ``j`` ran before finishing (equal to
+    ``(rows, lanes)`` matrix whose row ``t`` holds every lane's
+    frequency at the start of control interval ``t``; a lane that ran
+    past ``rows`` intervals kept the frequency of the last row (rows
+    past a lane's finish are unused).  ``full_segs[j]`` is the number
+    of full-period segments lane ``j`` ran before finishing (equal to
     ``max_segments`` when its budget ran out), and ``tails``/
     ``tail_freqs`` describe its trailing partial segment.
 
-    Bit-identity with the scalar loop rests on two facts.  First, each
-    per-lane operation here is the same floating-point operation the
-    scalar loop performs, in the same order, just evaluated across
+    Bit-identity with the scalar loop rests on three facts.  First,
+    each per-lane operation here is the same floating-point operation
+    the scalar loop performs, in the same order, just evaluated across
     lanes at once.  Second, the scalar chain ``remaining -= progress``
     is tracked as its negation ``c += progress`` (one in-place add per
     interval): IEEE-754 rounding is sign-symmetric, so
@@ -343,7 +344,11 @@ def _lockstep(
     ``progress >= -c`` reproduces the scalar comparison bit-for-bit.
     Frequency updates never depend on remaining work, so lanes that
     already finished can keep updating harmlessly -- no masked
-    arithmetic is needed anywhere in the loop body.
+    arithmetic is needed anywhere in the loop body.  Third, a lane's
+    next frequency depends only on its current one, so once no
+    unfinished lane's frequency changed in an interval, none ever
+    changes again: the loop stops there and :func:`_finish_chains`
+    completes the remaining-work chains at constant progress.
     """
     m = len(work)
     step = settings.period
@@ -364,11 +369,13 @@ def _lockstep(
     progress = np.empty(m)
     remaining = np.empty(m)
     fin = np.empty(m, dtype=bool)
-    notdone = np.empty(m, dtype=bool)
+    notdone = np.ones(m, dtype=bool)
     power = np.empty(m)
     throttle = np.empty(m, dtype=bool)
     boost = np.empty(m, dtype=bool)
     scratch = np.empty(m)
+    previous = np.empty(m)
+    changed = np.empty(m, dtype=bool)
 
     for t in range(settings.max_segments):
         if t == len(F):
@@ -377,7 +384,6 @@ def _lockstep(
         np.multiply(f, step, out=progress)
         np.negative(c, out=remaining)
         np.greater_equal(progress, remaining, out=fin)
-        np.logical_not(done, out=notdone)
         np.logical_and(fin, notdone, out=fin)
         if fin.any():
             full_segs[fin] = t
@@ -385,11 +391,13 @@ def _lockstep(
             tail_freqs[fin] = f[fin]
             np.logical_or(done, fin, out=done)
             if done.all():
-                break
+                return F[: t + 1], full_segs, tails, tail_freqs
+            np.logical_not(done, out=notdone)
         np.add(c, progress, out=c)
         np.multiply(f, demand, out=power)
         np.greater(power, cap, out=throttle)
         np.less(power, boost_below, out=boost)
+        np.copyto(previous, f)
         # throttle and boost are disjoint (power cannot be both above
         # the cap and below the boost band), so updating f in two
         # masked copies reads each lane's pre-update frequency.
@@ -399,14 +407,72 @@ def _lockstep(
         np.multiply(f, up, out=scratch)
         np.minimum(scratch, 1.0, out=scratch)
         np.copyto(f, scratch, where=boost)
-    else:
-        np.logical_not(done, out=notdone)
-        if notdone.any():
-            # Segment budget exhausted: finish each unfinished lane at
-            # its steady-state target frequency in one segment.
-            np.negative(c, out=remaining)
-            target = np.maximum(cap / demand, f_min)
-            tails[notdone] = remaining[notdone] / target[notdone]
-            tail_freqs[notdone] = target[notdone]
+        np.not_equal(f, previous, out=changed)
+        np.logical_and(changed, notdone, out=changed)
+        if not changed.any():
+            lanes = np.flatnonzero(notdone)
+            exhausted = _finish_chains(
+                lanes, f, c, t + 1, settings, full_segs, tails, tail_freqs
+            )
+            notdone[:] = False
+            notdone[exhausted] = True
+            break
+    if notdone.any():
+        # Segment budget exhausted: finish each unfinished lane at
+        # its steady-state target frequency in one segment.
+        np.negative(c, out=remaining)
+        target = np.maximum(cap / demand, f_min)
+        tails[notdone] = remaining[notdone] / target[notdone]
+        tail_freqs[notdone] = target[notdone]
+    return F[: t + 1], full_segs, tails, tail_freqs
 
-    return F, full_segs, tails, tail_freqs
+
+def _finish_chains(
+    lanes: np.ndarray,
+    f: np.ndarray,
+    c: np.ndarray,
+    start: int,
+    settings: GovernorSettings,
+    full_segs: np.ndarray,
+    tails: np.ndarray,
+    tail_freqs: np.ndarray,
+) -> np.ndarray:
+    """Finish ``lanes`` at constant frequency from interval ``start``.
+
+    Each lane now adds the same progress ``f * period`` every interval,
+    so its remaining-work chain is one ``np.add.accumulate`` row: the
+    same sequential additions the loop makes, in the same order.  The
+    first interval whose progress covers the remaining work finishes
+    the lane, exactly as in the loop.  Fills ``full_segs``, ``tails``
+    and ``tail_freqs`` for the lanes that finish within the budget,
+    leaves each other lane's final chain value in ``c`` and returns
+    those lanes.
+    """
+    progress = f[lanes] * settings.period
+    chain_end = c[lanes]
+    while lanes.size:
+        left = settings.max_segments - start
+        if left == 0:
+            break
+        # The finish interval is about remaining / progress away; two
+        # more cover rounding, and a short horizon just goes round again.
+        horizon = int(min(left, np.max(-chain_end / progress) + 2))
+        chain = np.empty((lanes.size, horizon + 1))
+        chain[:, 0] = chain_end
+        chain[:, 1:] = progress[:, None]
+        np.add.accumulate(chain, axis=1, out=chain)
+        remaining = np.negative(chain[:, :horizon])
+        hit = progress[:, None] >= remaining
+        found = hit.any(axis=1)
+        first = hit.argmax(axis=1)
+        done = lanes[found]
+        full_segs[done] = start + first[found]
+        rem = remaining[found, first[found]]
+        tails[done] = rem / f[done]
+        tail_freqs[done] = f[done]
+        lanes = lanes[~found]
+        progress = progress[~found]
+        chain_end = chain[~found, horizon]
+        start += horizon
+    c[lanes] = chain_end
+    return lanes

@@ -26,6 +26,7 @@ from .power import PowerTrace
 __all__ = [
     "NoiseSpec",
     "lognormal_factor",
+    "power_noise",
     "apply_trace_noise",
     "sample_stalls",
     "insert_stalls",
@@ -72,16 +73,25 @@ def lognormal_factor(rng: np.random.Generator, sigma: float) -> float:
     return float(np.exp(rng.normal(0.0, sigma)))
 
 
+def power_noise(
+    rng: np.random.Generator, values: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Segment powers each multiplied by independent lognormal noise."""
+    # Exact sentinel: sigma=0.0 means "noise disabled" and must consume
+    # no random draws.  # archlint: disable=ARCH004
+    if sigma == 0.0:
+        return values
+    return values * np.exp(rng.normal(0.0, sigma, size=len(values)))
+
+
 def apply_trace_noise(
     rng: np.random.Generator, trace: PowerTrace, sigma: float
 ) -> PowerTrace:
     """Multiply each segment's power by independent lognormal noise."""
-    # Exact sentinel: sigma=0.0 means "noise disabled" and must consume
-    # no random draws.  # archlint: disable=ARCH004
-    if sigma == 0.0:
+    values = power_noise(rng, trace.values, sigma)
+    if values is trace.values:
         return trace
-    factors = np.exp(rng.normal(0.0, sigma, size=len(trace.values)))
-    return PowerTrace(trace.edges.copy(), trace.values * factors)
+    return PowerTrace(trace.edges.copy(), values)
 
 
 def sample_stalls(

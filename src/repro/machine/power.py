@@ -10,11 +10,13 @@ probes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["PowerTrace"]
+__all__ = ["PowerTrace", "RaggedTraces"]
 
 
 @dataclass(frozen=True)
@@ -171,3 +173,71 @@ class PowerTrace:
                 keep.append(k)
         edges = np.concatenate([self.edges[keep], [self.edges[-1]]])
         return PowerTrace(edges, self.values[keep])
+
+
+class RaggedTraces(Mapping):
+    """Many power traces in one flat layout, indexed like a list.
+
+    Trace ``i``'s segment powers are ``values[offsets[i]:offsets[i+1]]``
+    and its edges are ``edges[offsets[i] + i:offsets[i+1] + i + 1]`` (a
+    trace has one more edge than segments).  A whole sweep's traces
+    then go through array code at once; ``traces[i]`` materialises one
+    as a :class:`PowerTrace`.  Construction makes the checks
+    :class:`PowerTrace` makes, on every trace at once.
+    """
+
+    def __init__(
+        self, edges: np.ndarray, values: np.ndarray, offsets: np.ndarray
+    ) -> None:
+        self.edges = np.asarray(edges, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        n = len(self.offsets) - 1
+        if n < 0 or self.offsets[0] != 0 or self.offsets[-1] != len(self.values):
+            raise ValueError("offsets must run from 0 to len(values)")
+        if len(self.edges) != len(self.values) + n:
+            raise ValueError("need one more edge than segments per trace")
+        if np.any(np.diff(self.offsets) < 1):
+            raise ValueError("trace must contain at least one segment")
+        #: Positions of each trace's first and last edge.
+        self.first = self.offsets[:-1] + np.arange(n)
+        self.last = self.offsets[1:] + np.arange(n)
+        steps = np.diff(self.edges)
+        steps[self.last[:-1]] = 1.0  # from one trace's end to the next start
+        if np.any(steps <= 0):
+            raise ValueError("edges must be strictly increasing")
+        if np.any(self.values < 0):
+            raise ValueError("power values must be non-negative")
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[PowerTrace]) -> "RaggedTraces":
+        """The flat layout of ``traces``, in order."""
+        counts = [len(trace.values) for trace in traces]
+        return cls(
+            np.concatenate([trace.edges for trace in traces]),
+            np.concatenate([trace.values for trace in traces]),
+            np.concatenate([[0], np.cumsum(counts)]),
+        )
+
+    @property
+    def durations(self) -> np.ndarray:
+        """Each trace's :attr:`PowerTrace.duration`, seconds."""
+        return self.edges[self.last] - self.edges[self.first]
+
+    @property
+    def segment_counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __getitem__(self, i: int) -> PowerTrace:
+        if not 0 <= i < len(self):
+            raise KeyError(i)
+        return PowerTrace(
+            self.edges[self.first[i]:self.last[i] + 1].copy(),
+            self.values[self.offsets[i]:self.offsets[i + 1]].copy(),
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1

@@ -16,12 +16,13 @@ import numpy as np
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..machine.config import PlatformConfig
-from ..machine.power import PowerTrace
+from ..machine.power import PowerTrace, RaggedTraces
 from .powermon import Measurement, PowerMon
 from .rails import RailTopology, topology_for
 
 __all__ = [
     "MeasuredRun",
+    "MeasuredBatch",
     "mean_power_energy",
     "trapezoid_energy",
     "MeasurementRig",
@@ -66,6 +67,15 @@ class MeasuredRun:
             raise ValueError("wall_time must be positive")
 
 
+@dataclass(frozen=True)
+class MeasuredBatch:
+    """What the experimenter records for a whole sweep, per run."""
+
+    wall_times: np.ndarray  #: seconds (host-clock timing, exact).
+    energies: np.ndarray  #: Joules, from the mean-power estimator.
+    avg_powers: np.ndarray  #: Watts.
+
+
 class MeasurementRig:
     """PowerMon + interposer wiring for one platform (Fig. 3).
 
@@ -105,4 +115,23 @@ class MeasurementRig:
             energy=mean_power_energy(measurement),
             avg_power=measurement.average_power,
             measurement=measurement,
+        )
+
+    def measure_batch(self, traces: RaggedTraces) -> MeasuredBatch:
+        """Measure a whole sweep's total-power traces, one per run.
+
+        Every segment of the sweep is split over the rails in one pass
+        and PowerMon samples the runs in groups (see
+        :meth:`PowerMon.average_powers`), so each run's wall time,
+        energy and average power are bit-identical to :meth:`measure`
+        of its trace.  The instrument must be fault-free.
+        """
+        durations = traces.durations
+        avg_powers = self.powermon.average_powers(
+            traces, self.topology.shares(traces.values)
+        )
+        return MeasuredBatch(
+            wall_times=durations,
+            energies=avg_powers * durations,
+            avg_powers=avg_powers,
         )

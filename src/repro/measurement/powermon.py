@@ -23,7 +23,7 @@ import numpy as np
 from ..faults.errors import EmptyChannelError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..machine.power import PowerTrace
+from ..machine.power import PowerTrace, RaggedTraces
 
 __all__ = ["ChannelReading", "Measurement", "PowerMon"]
 
@@ -184,3 +184,65 @@ class PowerMon:
                 raise EmptyChannelError(name)
             channels.append(ChannelReading(rail=name, times=times, power=power))
         return Measurement(channels=tuple(channels), duration=duration)
+
+    def average_powers(
+        self, traces: RaggedTraces, rails: np.ndarray
+    ) -> np.ndarray:
+        """Every trace's total average power, as :meth:`measure` reads it.
+
+        ``rails`` holds each segment's rail powers, ``(segments x
+        rails)`` over the traces' own edges (see
+        :meth:`~repro.measurement.rails.RailTopology.shares`).  The
+        runs' samples are laid end to end, runs sorted by sample count,
+        so the runs that share a count form one ``(runs x samples)``
+        block per channel, and each channel's mean is a row reduction
+        of it: per row the same pairwise sum ``np.mean`` makes of one
+        channel, so every value is bit-identical to measuring the run
+        alone.  Only a fault-free instrument measures a batch; an
+        active fault plan corrupts one capture at a time.
+        """
+        if self.injector is not None and self.injector.active:
+            raise ValueError("an active fault plan measures one run at a time")
+        columns = np.asarray(rails).T.copy()  # one contiguous row per rail
+        rate = self.effective_rate(len(columns))
+        durations = traces.durations
+        counts = np.maximum(1, np.floor(durations * rate).astype(np.int64))
+        # Runs shorter than one sampling period still yield one reading,
+        # taken mid-run (the device latches at least one sample).
+        periods = np.where(durations * rate < 1.0, durations / counts, 1.0 / rate)
+        order = np.argsort(counts, kind="stable")
+        sizes = counts[order]
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        run = np.repeat(order, sizes)  # the run each sample belongs to
+        k = np.arange(ends[-1]) - np.repeat(begins, sizes)
+        offset = traces.edges[traces.first][run]
+        times = offset + (k + 0.5) * periods[run]
+        if (times < offset).any() or (times > traces.edges[traces.last][run]).any():
+            raise ValueError("sample times must lie within the trace")
+        # Each sample's segment: a one-segment trace's only one, else
+        # the segment its time falls in.
+        index = traces.offsets[run]
+        segments = traces.segment_counts
+        for j in np.flatnonzero(segments[order] > 1):
+            r, a, b = order[j], begins[j], ends[j]
+            edges = traces.edges[traces.first[r]:traces.last[r] + 1]
+            found = np.searchsorted(edges, times[a:b], side="right") - 1
+            index[a:b] += np.clip(found, 0, segments[r] - 1)
+        # (rails, samples), C-contiguous: in each block below one run's
+        # samples are the contiguous last axis, so the reduction over
+        # it is np.mean's pairwise row sum (over a strided axis, as
+        # ``columns[:, index]`` lays it out, it would sum sequentially).
+        samples = self._quantise(np.take(columns, index, axis=1))
+        totals = np.zeros(len(traces))
+        cuts = np.flatnonzero(np.diff(sizes)) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
+            n = int(sizes[lo])
+            block = samples[:, begins[lo]:ends[hi - 1]]
+            # np.mean's own steps: the row sum, then / n.
+            means = np.add.reduce(block.reshape(len(columns), hi - lo, n), axis=2) / n
+            total = np.zeros(hi - lo)
+            for mean in means:  # summed over rails in order, from 0
+                total += mean
+            totals[order[lo:hi]] = total
+        return totals

@@ -61,24 +61,34 @@ class RailTopology:
         Per segment: each rail takes its fraction of total power,
         clipped at its limit; clipped overflow is redistributed over
         rails with headroom (pro rata by fraction).  The rail powers
-        always sum exactly to the total.
+        always sum exactly to the total.  :meth:`shares` does the work.
+        """
+        alloc = self.shares(trace.values).T.copy()
+        return {
+            rail: PowerTrace(trace.edges.copy(), alloc[k])
+            for k, rail in enumerate(self.rails)
+        }
 
-        The work is whole-array over a (segments x rails) matrix: one
-        pass computes every segment's fractional shares, clips them at
-        the limits and sums each segment's spill.  At most one masked
-        pass per rail then redistributes spill, and each pass touches
-        only the segments still spilling -- usually a small minority.
-        A pass tops up the rails with headroom pro rata by fraction
-        (by count when those fractions are all zero); a segment with
-        no headroom left browns out, taking the spill pro rata on
-        every rail.  Every sum over a segment's rails is a row
-        reduction, the same reduction ``np.sum`` applies to one
-        segment, so each rail power is bit-identical to a per-segment
-        loop.
+    def shares(self, values: np.ndarray) -> np.ndarray:
+        """The ``(segments x rails)`` rail powers of segment powers
+        ``values``; each row depends on its own segment alone, so one
+        call can split every segment of a whole sweep.
+
+        The work is whole-array over that matrix: one pass computes
+        every segment's fractional shares, clips them at the limits and
+        sums each segment's spill.  At most one masked pass per rail
+        then redistributes spill, and each pass touches only the
+        segments still spilling -- usually a small minority.  A pass
+        tops up the rails with headroom pro rata by fraction (by count
+        when those fractions are all zero); a segment with no headroom
+        left browns out, taking the spill pro rata on every rail.
+        Every sum over a segment's rails is a row reduction, the same
+        reduction ``np.sum`` applies to one segment, so each rail power
+        is bit-identical to a per-segment loop.
         """
         fractions = np.asarray(self.fractions)
         limits = np.asarray(self.limits)
-        share = trace.values[:, None] * fractions
+        share = np.asarray(values)[:, None] * fractions
         spill = np.add.reduce(np.maximum(share - limits, 0.0), axis=1)
         share = np.minimum(share, limits)
         # ``~(x <= tol)`` rather than ``x > tol`` keeps NaN spill (infinite
@@ -108,11 +118,7 @@ class RailTopology:
             still = ~(left <= 1e-12)
             live = live[still]
             spill[live] = left[still]
-        alloc = share.T.copy()
-        return {
-            rail: PowerTrace(trace.edges.copy(), alloc[k])
-            for k, rail in enumerate(self.rails)
-        }
+        return share
 
 
 def topology_for(config: PlatformConfig) -> RailTopology:

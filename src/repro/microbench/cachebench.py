@@ -39,12 +39,13 @@ def cache_sweep(
     wanted = levels if levels is not None else tuple(
         c.name for c in config.truth.caches if c.capacity is not None
     )
-    results: dict[str, list[Observation]] = {}
-    for level in wanted:
-        kernel = cache_kernel(config, level)
-        results[level] = runner.execute_replicates(
-            kernel, f"cache:{level}", replicates
-        )
+    labels = {f"cache:{level}": level for level in wanted}
+    results: dict[str, list[Observation]] = {level: [] for level in wanted}
+    for obs in runner.execute_sweep(
+        [(cache_kernel(config, level), label) for label, level in labels.items()],
+        replicates,
+    ):
+        results[labels[obs.benchmark]].append(obs)
     return results
 
 

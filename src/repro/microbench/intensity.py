@@ -80,11 +80,8 @@ def intensity_sweep(
         for intensity in grid
     ]
     # One vectorised dry run calibrates the whole grid up front; the
-    # per-kernel executions below then hit the runner's cache.
+    # sweep below then hits the runner's cache.
     runner.prime_calibration(kernels)
-    observations: list[Observation] = []
-    for kernel in kernels:
-        observations.extend(
-            runner.execute_replicates(kernel, "intensity", replicates)
-        )
-    return observations
+    return runner.execute_sweep(
+        [(kernel, "intensity") for kernel in kernels], replicates
+    )

@@ -7,6 +7,17 @@ each kernel to a target wall time (long enough for the 1024 Hz sampler
 to see many samples, short enough to keep campaigns fast) using a
 noise-free dry run, then executes the scaled kernel for real.
 
+Which path runs when: a sweep (:meth:`BenchmarkRunner.execute_sweep`,
+and :meth:`~BenchmarkRunner.execute_replicates` for one kernel) runs as
+one batch when no fault plan is active -- calibrate once per kernel,
+one :meth:`~repro.machine.engine.Engine.run_batch` over every run in
+kernel-major, replicate-minor order and one
+:meth:`~repro.measurement.energy.MeasurementRig.measure_batch` -- and
+yields the Observations and counters the per-run path would.  Under an
+active plan each run goes through :meth:`~BenchmarkRunner.execute_resilient`
+one at a time, because a retry takes its draws between two runs; that
+per-run path is also the batch path's oracle.
+
 Under an active :class:`~repro.faults.plan.FaultPlan` the runner also
 carries the *resilient execution path* a real rig operator needs:
 per-run validation (:func:`validate_measured_run` rejects non-finite or
@@ -187,7 +198,10 @@ class BenchmarkRunner:
     recorder:
         Optional :class:`~repro.telemetry.recorder.TraceRecorder`.
         Every execution records nested spans (``run`` containing
-        ``calibrate`` -> ``engine`` -> ``measure`` -> ``validate``);
+        ``calibrate`` -> ``engine`` -> ``measure`` -> ``validate``; a
+        batched sweep records one ``run`` with its run count, holding
+        ``calibrate``, ``engine`` -- ``engine_batch`` on a noise-free
+        runner -- and ``measure``);
         both engines share the recorder, so calibration dry-runs show
         up under ``calibrate``.
         The default no-op recorder leaves execution bit-for-bit
@@ -390,17 +404,75 @@ class BenchmarkRunner:
     ) -> list[Observation]:
         """Run the same kernel several times (distinct noise draws).
 
-        Every replicate goes through :meth:`execute_resilient`.  With
-        faults enabled, lost replicates are simply absent from the
-        returned list (possibly leaving it empty) and accounted for in
-        the runner's counters -- graceful degradation rather than a
-        dead sweep; without them no attempt can fail.
+        The one-kernel :meth:`execute_sweep`.
+        """
+        return self.execute_sweep([(kernel, benchmark)], replicates)
+
+    def execute_sweep(
+        self, cells: Sequence[tuple[KernelSpec, str]], replicates: int
+    ) -> list[Observation]:
+        """Run each ``(kernel, benchmark)`` cell ``replicates`` times.
+
+        Runs go kernel-major, replicate-minor.  Without an active fault
+        plan the sweep is one batch (see the module docstring); with
+        one, every run goes through :meth:`execute_resilient`, lost
+        replicates are simply absent from the returned list (possibly
+        leaving it empty) and accounted for in the runner's counters --
+        graceful degradation rather than a dead sweep.
         """
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not cells:
+            return []
+        if self.injector is None or not self.injector.active:
+            return self._execute_batch(cells, replicates)
         out = []
-        for r in range(replicates):
-            obs = self.execute_resilient(kernel, benchmark, replicate=r)
-            if obs is not None:
-                out.append(obs)
+        for kernel, benchmark in cells:
+            for r in range(replicates):
+                obs = self.execute_resilient(kernel, benchmark, replicate=r)
+                if obs is not None:
+                    out.append(obs)
         return out
+
+    def _execute_batch(
+        self, cells: Sequence[tuple[KernelSpec, str]], replicates: int
+    ) -> list[Observation]:
+        """A fault-free sweep as one batch, bit-identical to running
+        :meth:`execute` per run: the engine's generator takes every
+        run's draws in the same order, and nothing else draws."""
+        n = len(cells) * replicates
+        self.runs_attempted += n
+        recorder = self.recorder
+        benchmarks = ",".join(dict.fromkeys(benchmark for _, benchmark in cells))
+        with recorder.span("run", benchmark=benchmarks, runs=n):
+            with recorder.span("calibrate"):
+                calibrated = [self.calibrate(kernel) for kernel, _ in cells]
+            # Every replicate after a kernel's first hits the cache.
+            self.calibration_hits += len(cells) * (replicates - 1)
+            batch = self.engine.run_batch(
+                [kernel for kernel in calibrated for _ in range(replicates)]
+            )
+            with recorder.span("measure", runs=n):
+                measured = self.rig.measure_batch(batch.flat_traces())
+            runs = zip(
+                measured.wall_times.tolist(),
+                measured.energies.tolist(),
+                measured.avg_powers.tolist(),
+                batch.throttled.tolist(),
+            )
+            return [
+                Observation(
+                    platform=self.config.name,
+                    benchmark=benchmark,
+                    kernel=kernel,
+                    wall_time=wall_time,
+                    energy=energy,
+                    avg_power=avg_power,
+                    throttled=throttled,
+                    replicate=r,
+                )
+                for kernel, (_, benchmark) in zip(calibrated, cells)
+                for r, (wall_time, energy, avg_power, throttled) in zip(
+                    range(replicates), runs
+                )
+            ]

@@ -23,7 +23,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from ..cli import nonnegative_int, port_number, positive_int
+from ..flags import nonnegative_int, port_number, positive_int
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
 
 if TYPE_CHECKING:

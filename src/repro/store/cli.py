@@ -17,6 +17,8 @@ import argparse
 import os
 import sys
 
+from ..flags import nonnegative_float
+
 #: Environment variable naming the default store directory.
 CACHE_DIR_ENV = "ARCHLINE_CACHE"
 
@@ -49,8 +51,6 @@ def build_cache_parser(
         help="reclaim entries from other engine versions (and, with "
         "--max-age-days, old entries)",
     )
-    from ..cli import nonnegative_float
-
     gc_p.add_argument(
         "--max-age-days",
         type=nonnegative_float,

@@ -14,13 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    build_parser,
-    main,
-    nonnegative_float,
-    positive_float,
-    positive_int,
-)
+from repro.cli import build_parser, main
+from repro.flags import nonnegative_float, positive_float, positive_int
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_fleet.json"
 

@@ -1,8 +1,10 @@
 """run_batch vs run: the batch path must agree with the scalar oracle.
 
-The vectorised batch engine is only trustworthy if, with noise off,
-``Engine.run_batch`` reproduces ``Engine.run`` *bit-for-bit* per
-kernel -- not approximately, exactly.  The property tests below sweep
+The vectorised batch engine is only trustworthy if ``Engine.run_batch``
+reproduces ``Engine.run`` *bit-for-bit* per kernel -- not
+approximately, exactly: with noise off, and with noise on from the
+same generator state (``TestNoiseFallback``: each run takes its stall,
+time and power draws in batch order).  The property tests below sweep
 intensity grids wide enough to cross each platform's throttled region
 on several Table I platforms (capped and uncapped, with and without
 utilisation scaling), so both the pure vectorised path and the
@@ -12,7 +14,7 @@ governor fallback are exercised.
 import numpy as np
 import pytest
 
-from repro.machine.engine import BatchResult, Engine
+from repro.machine.engine import Engine
 from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
 
@@ -132,6 +134,38 @@ class TestNoiseFallback:
         batch = Engine(config, rng=np.random.default_rng(0)).run_batch(kernels)
         assert set(batch.traces) == set(range(len(kernels)))
 
+    @staticmethod
+    def assert_equals_sequential(platform_id, seed, kernels):
+        config = platform(platform_id)
+        batch = Engine(config, rng=np.random.default_rng(seed)).run_batch(kernels)
+        reference = Engine(config, rng=np.random.default_rng(seed))
+        scalar = [reference.run(kernel) for kernel in kernels]
+        assert batch.wall_times.tolist() == [r.wall_time for r in scalar]
+        assert batch.energies.tolist() == [r.true_energy for r in scalar]
+        assert batch.avg_powers.tolist() == [r.true_avg_power for r in scalar]
+        assert batch.throttled.tolist() == [r.throttled for r in scalar]
+        for i, result in enumerate(scalar):
+            trace = batch.trace(i)
+            assert trace.edges.tolist() == result.trace.edges.tolist()
+            assert trace.values.tolist() == result.trace.values.tolist()
+        return batch
+
+    def test_interference_stalls(self):
+        # nuc-gpu's OS interference inserts stall segments: each run
+        # draws a Poisson count, stall times and lengths before its time
+        # and power noise.
+        config = platform("nuc-gpu")
+        kernels = sweep_kernels(config, n_points=12)
+        batch = self.assert_equals_sequential("nuc-gpu", 5, kernels)
+        assert batch.n_throttled == 0
+        assert batch.flat_traces().segment_counts.max() > 1
+
+    def test_capped_platform_with_throttled_runs(self):
+        config = platform("arndale-cpu")
+        kernels = sweep_kernels(config, n_points=16)
+        batch = self.assert_equals_sequential("arndale-cpu", 9, kernels)
+        assert 0 < batch.n_throttled < len(batch)
+
 
 class TestBatchResultApi:
     def test_empty_batch_raises(self):
@@ -159,17 +193,6 @@ class TestBatchResultApi:
         assert batch.avg_powers.tolist() == (
             batch.energies / batch.wall_times
         ).tolist()
-
-    def test_from_results_wraps_scalar_runs(self):
-        config = platform("gtx-titan")
-        engine = Engine(config)
-        kernels = tuple(sweep_kernels(config, n_points=3))
-        scalar = [engine.run(kernel) for kernel in kernels]
-        wrapped = BatchResult.from_results(kernels, scalar)
-        assert wrapped.wall_times.tolist() == [r.wall_time for r in scalar]
-        assert wrapped.trace(0).values.tolist() == (
-            scalar[0].trace.values.tolist()
-        )
 
     def test_validation_names_offending_kernel(self):
         config = platform("nuc-gpu")  # no random-access parameters

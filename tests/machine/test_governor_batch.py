@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.machine.governor import (
     GovernorSettings,
+    _lockstep,
     run_governor,
     run_governor_batch,
 )
@@ -93,6 +94,92 @@ class TestDifferential:
         work = np.array([0.01, 0.02])
         demand = np.array([1000.0, 500.0])
         assert_batch_matches_scalar(work, demand, 1.0, gov)
+
+
+def fixed_point(frequencies):
+    """First interval from which a schedule's full segments keep one
+    frequency (the index of the last full segment if it never settles)."""
+    k = len(frequencies) - 1
+    while k > 0 and frequencies[k - 1] == frequencies[k]:
+        k -= 1
+    return k
+
+
+def lockstep_rows(work, demand, cap, gov):
+    """How many intervals the lockstep loop itself iterated."""
+    n = len(work)
+    F, *_ = _lockstep(
+        np.asarray(work, dtype=float),
+        np.asarray(demand, dtype=float),
+        np.full(n, cap),
+        gov,
+    )
+    return len(F)
+
+
+class TestFixedPoint:
+    """The lockstep stops once no unfinished lane's frequency changed in
+    an interval and finishes those lanes' remaining-work chains at
+    constant progress; every case still matches the scalar loop."""
+
+    def test_lanes_reach_the_fixed_point_at_different_intervals(self):
+        gov = GovernorSettings()
+        work = np.full(3, 0.05)
+        demand = np.array([12.0, 20.0, 50.0])
+        settle = [
+            fixed_point(run_governor(0.05, d, 10.0, gov).frequencies[:-1])
+            for d in demand
+        ]
+        assert len(set(settle)) == 3  # 2, 7 and 21 intervals
+        assert_batch_matches_scalar(work, demand, 10.0, gov)
+        # The loop stopped at the last lane's fixed point, long before
+        # the last lane finished (225 intervals).
+        assert lockstep_rows(work, demand, 10.0, gov) == max(settle) + 1
+
+    def test_lane_that_never_settles(self):
+        # With no dead band the frequency changes every interval, so the
+        # loop runs to the finish.
+        gov = GovernorSettings(hysteresis=0.0)
+        work = np.array([0.05, 0.05])
+        demand = np.array([12.0, 20.0])
+        for d in demand:
+            frequencies = run_governor(0.05, d, 10.0, gov).frequencies[:-1]
+            assert np.all(np.diff(frequencies) != 0.0)
+        assert_batch_matches_scalar(work, demand, 10.0, gov)
+        finish = len(run_governor(0.05, 20.0, 10.0, gov).durations) - 1
+        assert lockstep_rows(work, demand, 10.0, gov) == finish + 1
+
+    def test_settled_and_unsettled_lanes_together(self):
+        # One lane never settles, so the loop cannot stop early; the
+        # settled lane just keeps its frequency.
+        gov = GovernorSettings(hysteresis=0.0)
+        work = np.array([0.05, 0.05])
+        demand = np.array([10.0 / 0.9, 20.0])  # lane 0 lands exactly on the cap
+        settled = run_governor(0.05, demand[0], 10.0, gov).frequencies[:-1]
+        assert fixed_point(settled) == 1
+        assert_batch_matches_scalar(work, demand, 10.0, gov)
+
+    def test_budget_exhausted_before_the_fixed_point(self):
+        gov = GovernorSettings(max_segments=5)
+        work = np.array([1.0, 0.5])
+        demand = np.array([50.0, 90.0])  # settle at 21 intervals
+        assert fixed_point(run_governor(1.0, 50.0, 10.0).frequencies) > 5
+        assert_batch_matches_scalar(work, demand, 10.0, gov)
+
+    def test_budget_exhausted_after_the_fixed_point(self):
+        gov = GovernorSettings(max_segments=60)
+        work = np.array([1.0, 2.0, 0.01])
+        demand = np.array([12.0, 20.0, 12.0])
+        scalar = run_governor(1.0, 12.0, 10.0, gov)
+        assert len(scalar.durations) == 61  # budget plus the fallback tail
+        assert fixed_point(scalar.frequencies[:-1]) < 60
+        assert_batch_matches_scalar(work, demand, 10.0, gov)
+        assert lockstep_rows(work, demand, 10.0, gov) < 60
+
+    def test_budget_runs_out_exactly_at_the_fixed_point(self):
+        for budget in range(1, 12):
+            gov = GovernorSettings(max_segments=budget)
+            assert_batch_matches_scalar([0.2, 0.3], [20.0, 14.0], 10.0, gov)
 
 
 class TestValidation:

@@ -150,6 +150,9 @@ NOT_FOR_CAMPAIGN = (
     "repro.serve.server",
     "repro.fleet.solver",
     "repro.lint.engine",
+    "repro.lint.baseline",
+    "repro.lint.output",
+    "repro.lint.findings",
     "repro.experiments.fig1",
 )
 #: A truth-theta fleet solve fits nothing and reads no store.
@@ -159,6 +162,9 @@ NOT_FOR_FLEET = (
     "repro.core.fitting",
     "repro.store.store",
     "repro.lint.engine",
+    "repro.lint.baseline",
+    "repro.lint.output",
+    "repro.lint.findings",
 )
 NOT_FOR_LINT = ("asyncio", "repro.microbench.campaign")
 CAMPAIGN = ["campaign", "gtx-titan", "--quick", "--workers", "1"]
@@ -233,6 +239,29 @@ class TestNoScipy:
         argv = [*CAMPAIGN, "--cache", str(tmp_path / "store")]
         self.probe(argv, NOT_FOR_CAMPAIGN)  # cold: fills the store.
         self.probe(argv, NOT_FOR_CAMPAIGN)  # replay: every shard hits.
+
+
+class TestModuleMain:
+    """``python -m repro.cli`` runs the CLI module once, as ``__main__``:
+    no subcommand parser imports it again as ``repro.cli``."""
+
+    def test_cli_module_is_not_imported_twice(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro.cli", *CAMPAIGN],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=_subprocess_env(),
+            timeout=120,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "repro.microbench.campaign" in imported
+        assert "repro.cli" not in imported
 
 
 class TestIntegerFlags:
