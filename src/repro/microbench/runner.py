@@ -424,7 +424,12 @@ class BenchmarkRunner:
             raise ValueError("replicates must be >= 1")
         if not cells:
             return []
-        if self.injector is None or not self.injector.active:
+        # A fault plan may also come in on a custom PowerMon.
+        faulted = any(
+            injector is not None and injector.active
+            for injector in (self.injector, self.rig.powermon.injector)
+        )
+        if not faulted:
             return self._execute_batch(cells, replicates)
         out = []
         for kernel, benchmark in cells:
