@@ -315,6 +315,17 @@ def _energy_columns(obs: FitObservations) -> list[np.ndarray]:
     return columns
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, bit for bit (the mean of the
+    two middle values is their sum halved), without its NaN check,
+    which imports ``numpy.ma`` into every fitting process."""
+    ordered = np.sort(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
+
+
 def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     """Linear seeds: (eps_f, eps_m, [eps_l...], [eps_rand], pi1), plus a
     delta_pi seed.
@@ -342,8 +353,8 @@ def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     for j, col in enumerate(op_columns):
         pure = active[:, j] & (active.sum(axis=1) == 1)
         rows = pure if np.any(pure) else (col > 0)
-        direct = float(np.median((obs.E[rows] - pi1 * obs.T[rows]) / col[rows]))
-        fallback = 0.05 * float(np.median(obs.E[rows] / col[rows]))
+        direct = _median((obs.E[rows] - pi1 * obs.T[rows]) / col[rows])
+        fallback = 0.05 * _median(obs.E[rows] / col[rows])
         seeds.append(direct if direct > 0 else max(fallback, 1e-300))
     seeds.append(pi1)
     coeffs = np.asarray(seeds)
@@ -359,6 +370,11 @@ class _Objective:
     the marginal energies in :func:`_energy_columns` order, ``pi1``,
     then ``delta_pi`` (capped model only).  The residuals are the
     log-ratios of predicted to measured time, then of energy.
+
+    :meth:`residuals` and :meth:`jacobian` take a ``(k, p)`` stack of
+    such rows, as :func:`~repro.stats.regression.fit_log_params` passes
+    them, and compute each row elementwise over the leading axis, in
+    the operation order :meth:`_Theta.predict` uses for one row.
     """
 
     def __init__(
@@ -368,9 +384,11 @@ class _Objective:
         self.capped = capped
         self.anchor_times = anchor_times
         self.anchors = _compute_anchors(obs)
-        self.energy_columns = np.column_stack(_energy_columns(obs))
+        self.columns = _energy_columns(obs)
+        self.energy_columns = np.column_stack(self.columns)
         first = 0 if anchor_times else 2
-        self.energies = slice(first, first + self.energy_columns.shape[1])
+        self.energies = slice(first, first + len(self.columns))
+        self.pi1 = self.energies.stop
         # With anchored per-op times the roofline floor of the time model
         # does not depend on theta: computed once per fit.
         self.floor = None
@@ -409,20 +427,47 @@ class _Objective:
             anchors=anchors,
         )
 
-    def residuals(self, theta: np.ndarray) -> np.ndarray:
+    def _dynamic_energy(self, theta: np.ndarray) -> np.ndarray:
+        """``(k, n)``: :meth:`_Theta.dynamic_energy` of every row."""
+        first = self.energies.start
+        w, q, *rest = self.columns
+        e_dyn = w * theta[:, first, None] + q * theta[:, first + 1, None]
+        for j, column in enumerate(rest, start=first + 2):
+            e_dyn = e_dyn + column * theta[:, j, None]
+        return e_dyn
+
+    def _roofline(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(floor, t_flop, t_mem)``, each ``(k, n)``, for free per-op
+        times (:meth:`_Anchors.roofline_time` of every row)."""
         obs = self.obs
-        model_theta = self.unpack(theta)
-        e_dyn = model_theta.dynamic_energy(obs)
-        t_hat = model_theta.time(obs, e_dyn, self.floor)
+        t_flop = obs.W * theta[:, 0, None]
+        t_mem = self.anchors.memory_time(obs, theta[:, 1, None])
+        return np.maximum(t_flop, t_mem), t_flop, t_mem
+
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        obs, n = self.obs, self.obs.n
+        e_dyn = self._dynamic_energy(theta)
+        floor = self.floor
+        if not self.anchor_times:
+            floor = self._roofline(theta)[0]
+        ratios = np.empty((len(theta), 2 * n))
+        if self.capped:
+            t_hat = np.maximum(floor, e_dyn / theta[:, -1, None])
+            np.divide(t_hat, obs.T, out=ratios[:, :n])
+        else:
+            np.divide(floor, obs.T, out=ratios[:, :n])
         # The constant-power term is charged over the run's *measured*
         # time: this decouples the energy decomposition from any bias
         # in the time anchors -- operationally it is what
         # ``E = W eps_flop + Q eps_mem + pi1 T`` means for a measured run.
-        e_hat = e_dyn + model_theta.pi1 * obs.T
-        return np.concatenate([np.log(t_hat / obs.T), np.log(e_hat / obs.E)])
+        e_hat = e_dyn + theta[:, self.pi1, None] * obs.T
+        np.divide(e_hat, obs.E, out=ratios[:, n:])
+        # One log over the C-contiguous block: a strided input may take
+        # another ufunc loop than a single row does, and round otherwise.
+        return np.log(ratios, out=ratios)
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """``d residuals / d theta`` on the natural scale.
+        """``d residuals / d theta`` on the natural scale, ``(k, 2n, p)``.
 
         Energy rows differentiate ``log(e_dyn + pi1 T)``.  A time row
         follows the branch of the ``max()`` that attains it: the cap
@@ -430,30 +475,32 @@ class _Objective:
         memory term; anchored roofline rows do not depend on theta.
         """
         obs, n = self.obs, self.obs.n
-        model_theta = self.unpack(theta)
-        e_dyn = model_theta.dynamic_energy(obs)
-        e_hat = e_dyn + model_theta.pi1 * obs.T
-        jac = np.zeros((2 * n, len(theta)))
-        jac[n:, self.energies] = self.energy_columns / e_hat[:, None]
-        jac[n:, self.energies.stop] = obs.T / e_hat
-        time_rows = jac[:n]
+        e_dyn = self._dynamic_energy(theta)
+        e_hat = e_dyn + theta[:, self.pi1, None] * obs.T
+        jac = np.zeros((len(theta), 2 * n, theta.shape[1]))
+        jac[:, n:, self.energies] = self.energy_columns / e_hat[:, :, None]
+        jac[:, n:, self.pi1] = obs.T / e_hat
+        time_rows = jac[:, :n]
         floor = self.floor
         if not self.anchor_times:
-            t_flop = obs.W * model_theta.tau_flop
-            t_mem = self.anchors.memory_time(obs, model_theta.tau_mem)
-            floor = np.maximum(t_flop, t_mem)
-        cap_bound = np.zeros(n, dtype=bool)
+            floor, t_flop, t_mem = self._roofline(theta)
+        # Each branch divides on every row; np.where keeps the rows
+        # whose max() that branch attains.
+        cap_bound = np.zeros(e_dyn.shape, dtype=bool)
         if self.capped:
-            cap_bound = e_dyn / model_theta.delta_pi > floor
-            time_rows[cap_bound, self.energies] = (
-                self.energy_columns[cap_bound] / e_dyn[cap_bound, None]
+            delta_pi = theta[:, -1, None]
+            cap_bound = e_dyn / delta_pi > floor
+            time_rows[..., self.energies] = np.where(
+                cap_bound[..., None], self.energy_columns / e_dyn[..., None], 0.0
             )
-            time_rows[cap_bound, -1] = -1.0 / model_theta.delta_pi
+            time_rows[..., -1] = np.where(cap_bound, -1.0 / delta_pi, 0.0)
         if not self.anchor_times:
             flop_bound = ~cap_bound & (t_flop >= t_mem)
             mem_bound = ~cap_bound & ~flop_bound
-            time_rows[flop_bound, 0] = obs.W[flop_bound] / t_flop[flop_bound]
-            time_rows[mem_bound, 1] = obs.Q[mem_bound] / t_mem[mem_bound]
+            # 0/0 on the rows without flops, or without memory traffic.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                time_rows[..., 0] = np.where(flop_bound, obs.W / t_flop, 0.0)
+                time_rows[..., 1] = np.where(mem_bound, obs.Q / t_mem, 0.0)
         return jac
 
 

@@ -131,43 +131,54 @@ def insert_stalls(
     seconds at ``stall_power`` Watts.  The run's useful work is
     unchanged but its wall time grows -- which is exactly how OS
     interference corrupts a throughput measurement.
+
+    Stalls go in latest first, so earlier original-timeline coordinates
+    stay valid for the remaining stalls.  Each splits the first segment
+    whose end, summing the timeline's segments in order, reaches its
+    time (a stall no segment reaches is appended).  The segments before
+    the leftmost split so far are the trace's own, so one
+    ``searchsorted`` on their running sums finds a stall's segment;
+    only the pieces from the leftmost split on are walked, as rounding
+    decides where a stall tied with an earlier one lands.
     """
     if not stalls:
         return trace
-    segments = list(zip(trace.segment_durations, trace.values))
+    start = float(trace.edges[0])
     total = trace.duration
-    # Process stalls latest-first: every insertion happens at or after
-    # the current stall's position, so earlier original-timeline
-    # coordinates stay valid for the remaining stalls.
-    for time, length in sorted(stalls, reverse=True):
+    stalls = sorted(stalls, reverse=True)
+    times = [min(max(time - start, 0.0), total) for time, _ in stalls]
+    durations = trace.segment_durations
+    ends = np.cumsum(durations)
+    segments = np.searchsorted(ends, times).tolist()
+    ends, durations, values = ends.tolist(), durations.tolist(), trace.values.tolist()
+    # The timeline: segments [0, first), then the pieces in ``tail``.
+    first = len(durations)
+    tail: list[tuple[float, float]] = []
+    for (_, length), t, j in zip(stalls, times, segments):
         if length <= 0.0:
             continue
-        t = min(max(time - float(trace.edges[0]), 0.0), total)
-        rebuilt: list[tuple[float, float]] = []
-        elapsed = 0.0
-        inserted = False
-        for duration, value in segments:
-            if not inserted and elapsed + duration >= t:
+        if j < first:
+            tail[:0] = zip(durations[j:first], values[j:first])
+            first = j
+        elapsed = ends[first - 1] if first else 0.0
+        for k, (duration, value) in enumerate(tail):
+            if elapsed + duration >= t:
                 left = t - elapsed
-                if left > 0.0:
-                    rebuilt.append((left, value))
-                rebuilt.append((length, stall_power))
-                right = duration - left
-                if right > 0.0:
-                    rebuilt.append((right, value))
-                inserted = True
-            else:
-                rebuilt.append((duration, value))
+                pieces = [(left, value)] if left > 0.0 else []
+                pieces.append((length, stall_power))
+                if duration - left > 0.0:
+                    pieces.append((duration - left, value))
+                tail[k : k + 1] = pieces
+                break
             elapsed += duration
-        if not inserted:  # numerically at/after the very end
-            rebuilt.append((length, stall_power))
-        segments = rebuilt
-    durations = np.array([d for d, _ in segments])
-    values = np.array([p for _, p in segments])
+        else:  # numerically at/after the very end
+            tail.append((length, stall_power))
+    durations = np.array(durations[:first] + [d for d, _ in tail])
+    values = np.array(values[:first] + [p for _, p in tail])
     # Splitting can leave degenerate slivers whose width underflows the
     # edge accumulation; drop them (their energy is below float noise).
     keep = durations > 1e-12 * max(float(np.sum(durations)), 1e-300)
     durations, values = durations[keep], values[keep]
-    out = PowerTrace.from_durations(durations, values)
     # Preserve the original start offset.
-    return PowerTrace(out.edges + float(trace.edges[0]), out.values)
+    edges = np.concatenate([[0.0], np.cumsum(durations)]) + start
+    return PowerTrace(edges, values)

@@ -9,8 +9,9 @@ noise-free dry run, then executes the scaled kernel for real.
 
 Which path runs when: a sweep (:meth:`BenchmarkRunner.execute_sweep`,
 and :meth:`~BenchmarkRunner.execute_replicates` for one kernel) runs as
-one batch when no fault plan is active -- calibrate once per kernel,
-one :meth:`~repro.machine.engine.Engine.run_batch` over every run in
+one batch when no fault plan is active -- the dry runs of its uncached
+kernel shapes as one noise-free batch, one
+:meth:`~repro.machine.engine.Engine.run_batch` over every run in
 kernel-major, replicate-minor order and one
 :meth:`~repro.measurement.energy.MeasurementRig.measure_batch` -- and
 yields the Observations and counters the per-run path would.  Under an
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -203,7 +204,8 @@ class BenchmarkRunner:
         ``calibrate``, ``engine`` -- ``engine_batch`` on a noise-free
         runner -- and ``measure``);
         both engines share the recorder, so calibration dry-runs show
-        up under ``calibrate``.
+        up under ``calibrate`` (a batched sweep's as one
+        ``engine_batch``).
         The default no-op recorder leaves execution bit-for-bit
         unchanged.
     """
@@ -286,7 +288,10 @@ class BenchmarkRunner:
         Dry-run results are memoised per kernel shape; replicates of
         the same kernel pay for one dry run, not one each.
         """
-        factor = self._calibration_factor(kernel)
+        return self._scaled(kernel, self._calibration_factor(kernel))
+
+    @staticmethod
+    def _scaled(kernel: KernelSpec, factor: float) -> KernelSpec:
         if math.isclose(factor, 1.0, rel_tol=1e-6):
             return kernel
         return kernel.scaled(factor)
@@ -300,19 +305,28 @@ class BenchmarkRunner:
         cached factors are bit-for-bit what :meth:`calibrate` would
         compute one kernel at a time.
         """
+        todo = self._uncached(kernels)
+        if todo:
+            with self.recorder.span("calibrate", primed=len(todo)):
+                self._dry_run(todo)
+        return len(todo)
+
+    def _uncached(self, kernels: Iterable[KernelSpec]) -> dict[tuple, KernelSpec]:
+        """The first kernel of each shape the calibration cache lacks."""
         todo: dict[tuple, KernelSpec] = {}
         for kernel in kernels:
             key = self._shape_key(kernel)
             if key not in self._calibration_cache and key not in todo:
                 todo[key] = kernel
-        if not todo:
-            return 0
-        with self.recorder.span("calibrate", primed=len(todo)):
-            batch = self._calibration_engine.run_batch(list(todo.values()))
+        return todo
+
+    def _dry_run(self, todo: dict[tuple, KernelSpec]) -> None:
+        """Cache the factors of ``todo``'s shapes from one noise-free
+        :meth:`Engine.run_batch`, one miss each."""
+        batch = self._calibration_engine.run_batch(list(todo.values()))
         for key, wall_time in zip(todo, batch.wall_times):
             self._calibration_cache[key] = self.target_duration / float(wall_time)
         self.calibration_misses += len(todo)
-        return len(todo)
 
     @staticmethod
     def _run_name(kernel: KernelSpec, benchmark: str, replicate: int) -> str:
@@ -451,9 +465,16 @@ class BenchmarkRunner:
         benchmarks = ",".join(dict.fromkeys(benchmark for _, benchmark in cells))
         with recorder.span("run", benchmark=benchmarks, runs=n):
             with recorder.span("calibrate"):
-                calibrated = [self.calibrate(kernel) for kernel, _ in cells]
-            # Every replicate after a kernel's first hits the cache.
-            self.calibration_hits += len(cells) * (replicates - 1)
+                todo = self._uncached(kernel for kernel, _ in cells)
+                if todo:
+                    self._dry_run(todo)
+                cache = self._calibration_cache
+                calibrated = [
+                    self._scaled(kernel, cache[self._shape_key(kernel)])
+                    for kernel, _ in cells
+                ]
+            # As run by run: a shape's first run misses, every other hits.
+            self.calibration_hits += n - len(todo)
             batch = self.engine.run_batch(
                 [kernel for kernel in calibrated for _ in range(replicates)]
             )

@@ -13,12 +13,28 @@ that matter for that fit:
 
 The solvers are numpy ports of scipy's ``least_squares(method="trf")``
 and ``nnls``; the test suite checks both against scipy.
+
+**Lockstep multistart.**  :func:`_trust_region` runs every start of a
+fit at once, one *lane* per start.  Each lane keeps the scalar state
+of scipy's ``trf`` and makes the calls ``trf`` makes (one
+``np.linalg.svd`` per accepted Jacobian, ``U.T.dot(f)``,
+``J.T.dot(f)``, ``np.dot``, norms as ``sqrt(x.dot(x))``), so every lane
+ends where ``trf`` ends on its start alone, bit for bit, once ``trf``'s
+``svd`` is numpy's.  What the lanes share is the model: the callbacks
+take a stack.  ``residuals`` maps a ``(k, p)`` stack of parameter rows
+to ``(k, m)`` residuals and ``jacobian`` maps it to ``(k, m, p)``
+Jacobians, row ``i`` computed from row ``i`` alone, elementwise, with
+C-contiguous ufunc inputs, so a lane's numbers do not depend on which
+lanes share a call.  Each round makes one residual call for every lane
+with a trial step and one Jacobian call for every lane that accepted
+its step: on the fit's 100-220-row arrays numpy's per-call overhead
+outweighs the arithmetic, so sharing the calls is the saving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -27,6 +43,8 @@ __all__ = ["LogFitResult", "fit_log_params", "nonnegative_lstsq"]
 _Map = Callable[[np.ndarray], np.ndarray]
 _EPS = np.finfo(float).eps
 _TOL = 1e-8  # trf's default ftol, xtol and gtol
+#: What a lane (:func:`_lane`) asks for at a point.
+_RESIDUALS, _JACOBIAN = "residuals", "jacobian"
 
 
 @dataclass(frozen=True)
@@ -35,7 +53,7 @@ class LogFitResult:
 
     params: np.ndarray  #: best parameters (natural scale).
     cost: float  #: 0.5 * sum of squared residuals at the optimum.
-    success: bool  #: whether any restart converged.
+    success: bool  #: whether the best start converged (not max_nfev).
     n_restarts: int
     rms_residual: float  #: root-mean-square residual at the optimum.
 
@@ -52,15 +70,16 @@ def fit_log_params(
 ) -> LogFitResult:
     """Minimise ``residuals(theta)`` over positive ``theta``.
 
-    ``residuals`` receives parameters on the natural (positive) scale;
-    optimisation happens in log space.  ``x0`` entries must be
-    strictly positive.  Restarts perturb ``log(x0)`` by centred normal
-    noise of scale ``perturbation``.
-
-    ``jacobian`` maps natural-scale ``theta`` to the
-    ``(n_residuals, n_params)`` matrix ``d residuals / d theta``; the
-    chain rule into log space (scaling column ``k`` by ``theta[k]``) is
-    applied here.
+    ``residuals`` maps a ``(k, p)`` stack of parameter rows on the
+    natural (positive) scale to the ``(k, m)`` residuals, and
+    ``jacobian`` maps it to the ``(k, m, p)`` matrices ``d residuals /
+    d theta``; both compute row ``i`` from row ``i`` alone (see the
+    module docstring).  Optimisation happens in log space: the chain
+    rule into it (scaling column ``j`` by ``theta[j]``) is applied
+    here.  ``x0`` entries must be strictly positive.  Restarts perturb
+    ``log(x0)`` by centred normal noise of scale ``perturbation``; all
+    ``n_restarts`` starts run in one lockstep solve and the lowest
+    cost wins (the first start on a tie).
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
@@ -75,77 +94,119 @@ def fit_log_params(
         with np.errstate(over="ignore", invalid="ignore"):
             theta = np.exp(np.clip(log_theta, -500.0, 500.0))
             res = residuals(theta)
+        if np.isfinite(res).all():
+            return res
         return np.nan_to_num(res, nan=1e6, posinf=1e6, neginf=-1e6)
 
     def log_jacobian(log_theta: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             theta = np.exp(np.clip(log_theta, -500.0, 500.0))
-            d_log = jacobian(theta) * theta
+            d_log = jacobian(theta) * theta[:, None, :]
+        if np.isfinite(d_log).all():
+            return d_log
         return np.nan_to_num(d_log, nan=0.0, posinf=1e6, neginf=-1e6)
 
-    best: tuple[float, np.ndarray, bool] | None = None
     log_x0 = np.log(x0)
     starts = [log_x0] + [
         log_x0 + rng.normal(0.0, perturbation, size=log_x0.shape)
         for _ in range(n_restarts - 1)
     ]
-    for start in starts:
-        try:
-            x, cost, success = _trust_region(
-                log_residuals, log_jacobian, start, max_nfev=max_nfev
-            )
-        except (ValueError, FloatingPointError):  # diverged restart
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        # The theta the cost was computed at: exp() of an unclipped
-        # far-negative x would round an energy to exactly 0.0.
-        candidate = (float(cost), np.exp(np.clip(x, -500.0, 500.0)), success)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
+    x, cost, success = _trust_region(
+        log_residuals, log_jacobian, np.array(starts), max_nfev=max_nfev
+    )
+    best = None
+    for lane in range(len(starts)):
+        # A dropped lane (see _trust_region) comes back NaN.
+        if np.isfinite(x[lane]).all() and (best is None or cost[lane] < cost[best]):
+            best = lane
     if best is None:
         raise RuntimeError("every least-squares restart failed")
-    cost, params, success = best
-    n_res = len(residuals(params))
-    rms = float(np.sqrt(2.0 * cost / max(n_res, 1)))
+    # The theta the cost was computed at: exp() of an unclipped
+    # far-negative x would round an energy to exactly 0.0.
+    params = np.exp(np.clip(x[best], -500.0, 500.0))
+    n_res = residuals(params[None]).shape[1]
     return LogFitResult(
         params=params,
-        cost=cost,
-        success=success,
+        cost=float(cost[best]),
+        success=bool(success[best]),
         n_restarts=len(starts),
-        rms_residual=rms,
+        rms_residual=float(np.sqrt(2.0 * cost[best] / max(n_res, 1))),
     )
 
 
 def _trust_region(
     fun: _Map, jac: _Map, x0: np.ndarray, *, max_nfev: int
-) -> tuple[np.ndarray, float, bool]:
-    """Minimise ``0.5 * ||fun(x)||**2``; return ``(x, cost, success)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimise ``0.5 * ||fun(x)||**2`` from every row of ``x0`` in
+    lockstep; return ``(x, cost, success)``, one entry per row.
 
-    A port of ``trf_no_bounds`` in ``scipy/optimize/_lsq/trf.py`` with
-    no bounds, unit ``x_scale``, linear loss, the "exact" subproblem,
-    ftol = xtol = gtol = 1e-8 and ``max_nfev`` counted as scipy counts
-    it.  ``success`` means a tolerance, not ``max_nfev``, stopped it.
+    Each row is a lane (:func:`_lane`).  A round makes one ``fun`` call
+    on the trial points of every lane that asks for residuals, then one
+    ``jac`` call on the new points of every lane that accepted its
+    step; ``fun`` and ``jac`` take a stack of rows (module docstring).
+    A dropped lane's ``x`` and cost are NaN.
     """
-    x = x0.copy()
-    f = fun(x)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("residuals are not finite at the initial point")
-    J = jac(x)
+    x0 = np.asarray(x0, dtype=float)
+    x = np.full(x0.shape, np.nan)
+    cost = np.full(len(x0), np.nan)
+    success = np.zeros(len(x0), dtype=bool)
+    lanes = [_lane(row, max_nfev) for row in x0]
+    # What each running lane waits for, in lane order: (kind, point).
+    pending = {i: next(lane) for i, lane in enumerate(lanes)}
+    while pending:
+        for kind, callback in ((_RESIDUALS, fun), (_JACOBIAN, jac)):
+            batch = [i for i, (wanted, _) in pending.items() if wanted == kind]
+            if not batch:
+                continue
+            rows = callback(np.array([pending[i][1] for i in batch]))
+            for i, row in zip(batch, rows):
+                try:
+                    pending[i] = lanes[i].send(row)
+                except StopIteration as stop:
+                    del pending[i]
+                    if stop.value is not None:
+                        x[i], cost[i], success[i] = stop.value
+    return x, cost, success
+
+
+def _lane(
+    x: np.ndarray, max_nfev: int
+) -> Generator[tuple[str, np.ndarray], np.ndarray, tuple | None]:
+    """One start's run of ``trf_no_bounds`` (``scipy/optimize/_lsq/trf.py``)
+    with no bounds, unit ``x_scale``, linear loss, the "exact"
+    subproblem, ftol = xtol = gtol = 1e-8 and ``max_nfev`` counted as
+    scipy counts it.
+
+    A coroutine: where trf calls ``fun(x)`` or ``jac(x)`` it yields
+    ``(_RESIDUALS, x)`` or ``(_JACOBIAN, x)`` and is sent that row.  It
+    returns ``(x, cost, success)``, where ``success`` means a tolerance,
+    not ``max_nfev``, stopped it; or ``None`` if the start is dropped,
+    where trf raises: residuals not finite at the start (``ValueError``)
+    or an SVD that does not converge (``LinAlgError``).  A lane that
+    stops on ftol or xtol skips the Jacobian trf computes at its last
+    step and never uses.
+    """
+    f = yield _RESIDUALS, x
+    if not np.isfinite(f).all():
+        return None
+    J = yield _JACOBIAN, x
     nfev = 1
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    radius = np.linalg.norm(x0)
+    radius = _norm(x)
     if radius == 0:
         radius = 1.0
     alpha = 0.0  # Levenberg parameter, carried between subproblems
     converged = False
     while True:
-        if np.linalg.norm(g, ord=np.inf) < _TOL:
+        if np.abs(g).max() < _TOL:  # norm(g, ord=np.inf)
             converged = True
         if converged or nfev >= max_nfev:
             break
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        try:
+            U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        except np.linalg.LinAlgError:
+            return None
         uf = U.T.dot(f)
         reduction = -1.0
         while reduction <= 0 and nfev < max_nfev:
@@ -153,10 +214,10 @@ def _trust_region(
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
-            f_new = fun(x_new)
+            f_new = yield _RESIDUALS, x_new
             nfev += 1
-            step_norm = np.linalg.norm(step)
-            if not np.all(np.isfinite(f_new)):
+            step_norm = _norm(step)
+            if not np.isfinite(f_new).all():
                 radius = 0.25 * step_norm
                 continue
             cost_new = 0.5 * np.dot(f_new, f_new)
@@ -170,7 +231,7 @@ def _trust_region(
             elif ratio > 0.75 and step_norm > 0.95 * radius:
                 new_radius = 2.0 * radius
             ftol_met = reduction < _TOL * cost and ratio > 0.25
-            xtol_met = step_norm < _TOL * (_TOL + np.linalg.norm(x))
+            xtol_met = step_norm < _TOL * (_TOL + _norm(x))
             if ftol_met or xtol_met:
                 converged = True
                 break
@@ -178,9 +239,16 @@ def _trust_region(
             radius = new_radius
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
+            if converged:
+                break
+            J = yield _JACOBIAN, x
             g = J.T.dot(f)
-    return x, float(cost), converged
+    return x, cost, converged
+
+
+def _norm(v: np.ndarray) -> np.float64:
+    """``np.linalg.norm(v)`` of a 1-D array: the same ``sqrt(v.dot(v))``."""
+    return np.sqrt(v.dot(v))
 
 
 def _trust_region_step(
@@ -192,18 +260,19 @@ def _trust_region_step(
     Gauss-Newton step if ``J`` has full rank and it fits, else at most
     10 Newton iterations (rtol 0.01) on ``||p(alpha)|| = radius``."""
     suf = s * uf
+    s2, suf2 = s**2, suf**2
 
     def secular(alpha: float) -> tuple[float, float]:
-        denom = s**2 + alpha
-        p_norm = np.linalg.norm(suf / denom)
-        return p_norm - radius, -np.sum(suf**2 / denom**3) / p_norm
+        denom = s2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - radius, -(suf2 / denom**3).sum() / p_norm
 
     full_rank = m >= V.shape[0] and s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if np.linalg.norm(p) <= radius:
+        if _norm(p) <= radius:
             return p, 0.0
-    upper = np.linalg.norm(suf) / radius
+    upper = _norm(suf) / radius
     lower = 0.0
     if full_rank:
         phi, phi_prime = secular(0.0)
@@ -221,8 +290,8 @@ def _trust_region_step(
         alpha -= (phi + radius) * ratio / radius
         if abs(phi) < 0.01 * radius:
             break
-    p = -V.dot(suf / (s**2 + alpha))
-    return p * (radius / np.linalg.norm(p)), alpha
+    p = -V.dot(suf / (s2 + alpha))
+    return p * (radius / _norm(p)), alpha
 
 
 def nonnegative_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
-"""Differential tests for the joint fit's analytic Jacobian.
+"""Differential tests for the joint fit's objective and analytic Jacobian.
 
-Two contracts:
+Three contracts:
 
+* the stacked objective's residuals and Jacobian of every row of a
+  ``(k, p)`` stack equal, bit for bit, what the one-row objective it
+  replaced computes for that row alone through ``_Theta``
+  (:func:`one_row_residuals`, :func:`one_row_jacobian`), for the capped
+  and uncapped model with anchored and free per-op times;
 * at random ``theta``, the Jacobian ``fit_machine`` hands the optimiser
   equals central finite differences of its residuals (rtol 1e-6), for
   the capped and uncapped model with anchored and free per-op times;
@@ -99,6 +104,69 @@ def central_differences(residuals, theta):
     return np.column_stack(columns)
 
 
+def one_row_residuals(objective, theta):
+    """The one-row objective's residuals at ``theta``, through ``_Theta``."""
+    obs = objective.obs
+    model_theta = objective.unpack(theta)
+    e_dyn = model_theta.dynamic_energy(obs)
+    t_hat = model_theta.time(obs, e_dyn, objective.floor)
+    e_hat = e_dyn + model_theta.pi1 * obs.T
+    return np.concatenate([np.log(t_hat / obs.T), np.log(e_hat / obs.E)])
+
+
+def one_row_jacobian(objective, theta):
+    """The one-row objective's Jacobian at ``theta``: each branch of the
+    time model's ``max()`` fills only the rows it attains."""
+    obs, n = objective.obs, objective.obs.n
+    model_theta = objective.unpack(theta)
+    e_dyn = model_theta.dynamic_energy(obs)
+    e_hat = e_dyn + model_theta.pi1 * obs.T
+    energies = objective.energies
+    jac = np.zeros((2 * n, len(theta)))
+    jac[n:, energies] = objective.energy_columns / e_hat[:, None]
+    jac[n:, energies.stop] = obs.T / e_hat
+    time_rows = jac[:n]
+    floor = objective.floor
+    if not objective.anchor_times:
+        t_flop = obs.W * model_theta.tau_flop
+        t_mem = objective.anchors.memory_time(obs, model_theta.tau_mem)
+        floor = np.maximum(t_flop, t_mem)
+    cap_bound = np.zeros(n, dtype=bool)
+    if objective.capped:
+        cap_bound = e_dyn / model_theta.delta_pi > floor
+        time_rows[cap_bound, energies] = (
+            objective.energy_columns[cap_bound] / e_dyn[cap_bound, None]
+        )
+        time_rows[cap_bound, -1] = -1.0 / model_theta.delta_pi
+    if not objective.anchor_times:
+        flop_bound = ~cap_bound & (t_flop >= t_mem)
+        mem_bound = ~cap_bound & ~flop_bound
+        time_rows[flop_bound, 0] = obs.W[flop_bound] / t_flop[flop_bound]
+        time_rows[mem_bound, 1] = obs.Q[mem_bound] / t_mem[mem_bound]
+    return jac
+
+
+@pytest.mark.parametrize("platform_id", ["gtx-titan", "nuc-gpu", "arndale-gpu"])
+@pytest.mark.parametrize("anchor_times", [True, False], ids=["anchored", "free"])
+@pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
+def test_stacked_objective_equals_one_row_objective(
+    fitted_platforms, platform_id, capped, anchor_times
+):
+    obs = fitted_platforms[platform_id].fit_observations
+    objective = fitting._Objective(obs, capped=capped, anchor_times=anchor_times)
+    fit = fitting.fit_machine(obs, capped=capped, anchor_times=anchor_times)
+    center = pack(fit.theta, objective)
+    # Six rows, as many as a fit's starts, spread across the kinks.
+    rng = np.random.default_rng(11)
+    stack = center * np.exp(rng.normal(0.0, 1.0, size=(6, len(center))))
+    residuals = objective.residuals(stack)
+    jacobian = objective.jacobian(stack)
+    for row, theta in enumerate(stack):
+        want_residuals = one_row_residuals(objective, theta)
+        np.testing.assert_array_equal(residuals[row], want_residuals)
+        np.testing.assert_array_equal(jacobian[row], one_row_jacobian(objective, theta))
+
+
 @pytest.mark.parametrize("platform_id", ["gtx-titan", "nuc-gpu", "arndale-gpu"])
 @pytest.mark.parametrize("anchor_times", [True, False], ids=["anchored", "free"])
 @pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
@@ -113,9 +181,12 @@ def test_jacobian_matches_central_differences(
     rng = np.random.default_rng(7)
     for _ in range(5):
         theta = draw_theta(objective, center, rng)
-        # Chain rule into log space, as fit_log_params applies it.
-        analytic = objective.jacobian(theta) * theta
-        numeric = central_differences(objective.residuals, theta)
+        # The stacked objective at k = 1; the chain rule into log
+        # space, as fit_log_params applies it.
+        analytic = objective.jacobian(theta[None])[0] * theta
+        numeric = central_differences(
+            lambda row: objective.residuals(row[None])[0], theta
+        )
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 

@@ -232,7 +232,7 @@ class TestJointHierarchyFit:
         fit = fit_machine(obs, capped=True)
         ((residuals, result),) = results
         assert np.all(np.isfinite(result.params)) and np.all(result.params > 0)
-        r = residuals(result.params)
+        r = residuals(result.params[None])[0]
         assert 0.5 * np.dot(r, r) == result.cost
         assert fit.params.caches[0].eps_byte > 0
 

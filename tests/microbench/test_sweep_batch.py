@@ -8,7 +8,10 @@ power (compared by ``float.hex``), kernel, throttle flag and replicate,
 and the runner's counters, must equal what the per-run
 ``execute_resilient`` path -- the batch path's oracle -- produces from
 the same seed.  One draw taken in another order (say, replicates
-before kernels) changes every later run.
+before kernels) changes every later run.  The calibration cache must
+hold the same factors (compared by ``float.hex``): a batched sweep
+dry-runs its uncached kernel shapes in one noise-free batch, the
+per-run path each through ``Engine.run``.
 """
 
 import pytest
@@ -56,7 +59,9 @@ def campaign_record(runner_cls, pid, settings, seed):
         runner.calibration_hits,
         runner.calibration_misses,
     )
-    return observations, counters
+    cache = runner._calibration_cache
+    factors = {key: factor.hex() for key, factor in cache.items()}
+    return observations, counters, factors
 
 
 SETTINGS = [
@@ -76,6 +81,7 @@ def test_batched_campaign_equals_per_run_path(settings, pid):
     per_run = campaign_record(PerRunRunner, pid, settings, settings.seed)
     assert batched[0] == per_run[0]
     assert batched[1] == per_run[1]
+    assert batched[2] == per_run[2]
 
 
 @pytest.mark.parametrize("pid", ["arndale-cpu", "gtx-titan"])

@@ -4,7 +4,9 @@
 with scipy's ``least_squares(method="trf")`` in place of the numpy
 port: the same starts from the same rng draws, the same clip and
 ``nan_to_num`` wrappers, the same skipped diverged starts and the
-same best-of-starts choice.  With
+same best-of-starts choice.  ``residuals`` and ``jacobian`` take a
+``(k, p)`` stack, as ``fit_log_params``'s do; scipy runs one start at
+a time on their one-row slices.  With
 ``two_point=True`` scipy builds 2-point finite-difference Jacobians
 instead of calling the analytic one.
 """
@@ -32,13 +34,13 @@ def scipy_fit_log_params(
     def log_residuals(log_theta):
         with np.errstate(over="ignore", invalid="ignore"):
             theta = np.exp(np.clip(log_theta, -500.0, 500.0))
-            res = residuals(theta)
+            res = residuals(theta[None])[0]
         return np.nan_to_num(res, nan=1e6, posinf=1e6, neginf=-1e6)
 
     def log_jacobian(log_theta):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             theta = np.exp(np.clip(log_theta, -500.0, 500.0))
-            d_log = jacobian(theta) * theta
+            d_log = jacobian(theta[None])[0] * theta
         return np.nan_to_num(d_log, nan=0.0, posinf=1e6, neginf=-1e6)
 
     best = None
@@ -65,7 +67,7 @@ def scipy_fit_log_params(
         if best is None or candidate[0] < best[0]:
             best = candidate
     cost, params, success = best
-    rms = float(np.sqrt(2.0 * cost / max(len(residuals(params)), 1)))
+    rms = float(np.sqrt(2.0 * cost / max(residuals(params[None]).shape[1], 1)))
     return LogFitResult(
         params=params,
         cost=cost,

@@ -204,10 +204,11 @@ class TestRegression:
         y = true[0] * x ** true[1]
 
         def residuals(theta):
-            return np.log(theta[0] * x ** theta[1]) - np.log(y)
+            return np.log(theta[:, :1] * x ** theta[:, 1:]) - np.log(y)
 
         def jacobian(theta):
-            return np.column_stack([np.full(len(x), 1.0 / theta[0]), np.log(x)])
+            columns = np.broadcast_arrays(1.0 / theta[:, :1], np.log(x))
+            return np.stack(columns, axis=-1)
 
         result = fit_log_params(residuals, [1.0, 1.0], jacobian=jacobian, rng=rng)
         assert np.allclose(result.params, true, rtol=1e-6)
@@ -224,12 +225,11 @@ class TestRegression:
 
         def residuals(theta):
             calls.append(1)
-            return np.log(theta[0] * x ** theta[1]) - np.log(y)
+            return np.log(theta[:, :1] * x ** theta[:, 1:]) - np.log(y)
 
         def jacobian(theta):
-            return np.column_stack(
-                [np.full(len(x), 1.0 / theta[0]), np.log(x)]
-            )
+            columns = np.broadcast_arrays(1.0 / theta[:, :1], np.log(x))
+            return np.stack(columns, axis=-1)
 
         numeric = scipy_fit_log_params(
             residuals,
@@ -250,7 +250,10 @@ class TestRegression:
     def test_fit_log_params_rejects_nonpositive_start(self, rng):
         with pytest.raises(ValueError):
             fit_log_params(
-                lambda t: t, [0.0, 1.0], jacobian=lambda t: np.eye(2), rng=rng
+                lambda t: t,
+                [0.0, 1.0],
+                jacobian=lambda t: np.broadcast_to(np.eye(2), (len(t), 2, 2)),
+                rng=rng,
             )
 
     def test_fit_log_params_multistart_beats_bad_seed(self, rng):
@@ -260,10 +263,10 @@ class TestRegression:
         y = 4.0 * x
 
         def residuals(theta):
-            return np.log(theta[0] * x) - np.log(y)
+            return np.log(theta[:, :1] * x) - np.log(y)
 
         def jacobian(theta):
-            return np.full((len(x), 1), 1.0 / theta[0])
+            return np.broadcast_to(1.0 / theta[:, None, :], (len(theta), len(x), 1))
 
         result = fit_log_params(
             residuals,

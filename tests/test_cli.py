@@ -141,10 +141,12 @@ class TestClosedPipe:
 
 
 #: What a campaign, a replay of one, ``list`` and a bare import must not
-#: load: the other commands' engines, every experiment, and the
-#: process pool that ``--workers 1`` never starts.
+#: load: the other commands' engines, every experiment, the process
+#: pool that ``--workers 1`` never starts, and ``numpy.ma``, which
+#: ``np.median`` imports (the fit seeds its energies with its own).
 NOT_FOR_CAMPAIGN = (
     "asyncio",
+    "numpy.ma",
     "multiprocessing",
     "concurrent.futures.process",
     "repro.serve.server",
@@ -214,7 +216,10 @@ class TestNoScipy:
             (["fleet", "--workload", FLEET_WORKLOAD], NOT_FOR_FLEET),
             (CAMPAIGN, ()),
             (["uncertainty", "gtx-titan", "--seeds", "2"], ()),
-            (["fleet", "--workload", FLEET_WORKLOAD, "--theta", "fitted"], ()),
+            (
+                ["fleet", "--workload", FLEET_WORKLOAD, "--theta", "fitted"],
+                ("numpy.ma",),
+            ),
             (
                 ["lint", str(Path(repro.__file__).parent / "units.py")],
                 NOT_FOR_LINT,
