@@ -2,7 +2,7 @@
 
 The paper's numbers all flow through a physical rig (PowerMon 2 plus a
 PCIe interposer), and real rigs drop samples, desync channels, saturate
-ADCs and stall mid-session.  This package defines composable, seeded
+ADCs and lose whole runs.  This package defines composable, seeded
 fault models (:class:`FaultPlan` + :class:`FaultInjector`) applied at
 the measurement boundary -- ground truth stays exact -- and the named
 errors (:mod:`repro.faults.errors`) the resilient campaign execution
@@ -19,9 +19,6 @@ __getattr__, __dir__, __all__ = attach(
             "EmptyChannelError",
             "InjectedRunFailureError",
             "RigFaultError",
-            "ShardFailureError",
-            "ShardTimeoutError",
-            "TruncatedSessionError",
         ),
         ".injector": ("FaultCounters", "FaultInjector"),
         ".plan": ("FaultPlan",),

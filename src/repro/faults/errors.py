@@ -20,9 +20,6 @@ __all__ = [
     "InjectedRunFailureError",
     "EmptyChannelError",
     "CorruptObservationError",
-    "TruncatedSessionError",
-    "ShardFailureError",
-    "ShardTimeoutError",
 ]
 
 
@@ -74,41 +71,3 @@ class CorruptObservationError(RigFaultError):
         self.run = run
         self.reason = reason
         super().__init__(f"run {run!r} produced a corrupt measurement: {reason}")
-
-
-class TruncatedSessionError(RigFaultError, ValueError):
-    """A session recording ends (or begins) inside an activity window.
-
-    Window detection on a truncated recording would otherwise return a
-    bogus partial window whose duration/energy understate the run; the
-    named error lets callers distinguish "rig stalled mid-session" from
-    "no runs found".
-    """
-
-    def __init__(self, edge: str = "end") -> None:
-        self.edge = edge
-        super().__init__(
-            f"session recording is truncated: signal is still active at its "
-            f"{edge}; the bounding window would be bogus "
-            f"(pass allow_truncated=True to drop it instead)"
-        )
-
-
-class ShardFailureError(RigFaultError):
-    """A campaign shard failed permanently (after any retries)."""
-
-    def __init__(self, platform_id: str, cause: str) -> None:
-        self.platform_id = platform_id
-        self.cause = cause
-        super().__init__(f"shard {platform_id!r} failed: {cause}")
-
-
-class ShardTimeoutError(RigFaultError):
-    """A campaign shard missed its deadline."""
-
-    def __init__(self, platform_id: str, timeout: float) -> None:
-        self.platform_id = platform_id
-        self.timeout = timeout
-        super().__init__(
-            f"shard {platform_id!r} exceeded its {timeout:.1f}s deadline"
-        )

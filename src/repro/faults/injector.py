@@ -8,7 +8,6 @@ applies the plan's fault models at the measurement boundary:
   timestamp jitter, dropout, NaN readings, ADC saturation), operating
   on the raw ``(times, power)`` arrays *before* they become a
   :class:`~repro.measurement.powermon.ChannelReading`;
-* :meth:`truncate_trace` -- session/run recordings cut short;
 * :meth:`fail_run` -- whole-run losses.
 
 Two properties the differential test harness relies on:
@@ -21,9 +20,8 @@ Two properties the differential test harness relies on:
   identical, so any corrupted campaign reproduces from its seed.
 
 The injector deliberately knows nothing about the measurement layer
-(it consumes plain arrays and :class:`~repro.machine.power.PowerTrace`
-objects), keeping the dependency one-way: measurement imports faults,
-never the reverse.
+(it consumes plain arrays and run names), keeping the dependency
+one-way: measurement imports faults, never the reverse.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine.power import PowerTrace
 from .plan import FaultPlan
 
 __all__ = ["FaultCounters", "FaultInjector"]
@@ -47,7 +44,6 @@ class FaultCounters:
     samples_saturated: int = 0
     channels_desynced: int = 0
     channels_emptied: int = 0
-    sessions_truncated: int = 0
     runs_failed: int = 0
 
     @property
@@ -62,7 +58,6 @@ class FaultCounters:
             "samples_saturated": self.samples_saturated,
             "channels_desynced": self.channels_desynced,
             "channels_emptied": self.channels_emptied,
-            "sessions_truncated": self.sessions_truncated,
             "runs_failed": self.runs_failed,
         }
 
@@ -89,7 +84,7 @@ class FaultInjector:
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
         self.counters = FaultCounters()
         # A desynced channel stays desynced: clock skew is a property of
-        # the channel, drawn once per rail and reused for the session.
+        # the channel, drawn once per rail and reused for every run.
         self._rail_skew: dict[str, float] = {}
 
     @property
@@ -163,22 +158,8 @@ class FaultInjector:
         return times, power
 
     # ------------------------------------------------------------------
-    # Recording- and run-level faults.
+    # Run-level faults.
     # ------------------------------------------------------------------
-
-    def truncate_trace(self, trace: PowerTrace) -> tuple[PowerTrace, bool]:
-        """Maybe cut a recording short (buffer overrun / rig stall).
-
-        Returns ``(trace, truncated?)``; the surviving prefix keeps
-        ``plan.truncation_fraction`` of the original duration.
-        """
-        if self.plan.truncation_rate == 0.0:
-            return trace, False
-        if self._rng.random() >= self.plan.truncation_rate:
-            return trace, False
-        self.counters.sessions_truncated += 1
-        keep = trace.duration * self.plan.truncation_fraction
-        return trace.truncated(keep), True
 
     def fail_run(self, run: str) -> bool:
         """Whether this whole run is lost (rig hang, host crash)."""

@@ -2,9 +2,9 @@
 
 A plan is pure configuration -- rates and magnitudes for each fault
 model plus one seed.  It never touches ground truth: faults are applied
-at the *measurement boundary* (sampled channels, recorded sessions,
-run bookkeeping), so the simulated platform's physics stay exact and
-every corrupted campaign can be reproduced from ``(plan, seed)`` alone.
+at the *measurement boundary* (sampled channels, run bookkeeping), so
+the simulated platform's physics stay exact and every corrupted
+campaign can be reproduced from ``(plan, seed)`` alone.
 
 The fault taxonomy mirrors what the paper's physical rig (PowerMon 2 at
 1024 Hz plus a PCIe interposer) actually does in the field -- see
@@ -18,7 +18,6 @@ field                  real-rig failure mode
 ``channel_desync``     per-channel clock skew (channels share no clock)
 ``saturation_power``   ADC full-scale clipping on over-range draws
 ``nan_rate``           ADC glitch words decoded as invalid readings
-``truncation_rate``    recording stalls mid-session (buffer overrun)
 ``run_failure_rate``   whole run lost (rig hang, host crash, bad sync)
 =====================  ==================================================
 """
@@ -37,7 +36,6 @@ _PARSE_ALIASES = {
     "desync_prob": "desync_probability",
     "saturation": "saturation_power",
     "nan": "nan_rate",
-    "truncation": "truncation_rate",
     "run_failure": "run_failure_rate",
 }
 
@@ -45,7 +43,6 @@ _RATE_FIELDS = (
     "sample_dropout",
     "desync_probability",
     "nan_rate",
-    "truncation_rate",
     "run_failure_rate",
 )
 
@@ -61,8 +58,6 @@ class FaultPlan:
     desync_probability: float = 0.0  #: probability a channel is skewed.
     saturation_power: float | None = None  #: ADC full scale, W (None = off).
     nan_rate: float = 0.0  #: per-sample invalid-reading probability.
-    truncation_rate: float = 0.0  #: per-session truncation probability.
-    truncation_fraction: float = 0.5  #: surviving prefix when truncated.
     run_failure_rate: float = 0.0  #: per-run whole-run-loss probability.
 
     def __post_init__(self) -> None:
@@ -76,8 +71,6 @@ class FaultPlan:
             raise ValueError("channel_desync must be non-negative")
         if self.saturation_power is not None and not self.saturation_power > 0:
             raise ValueError("saturation_power must be positive (or None)")
-        if not 0.0 < self.truncation_fraction < 1.0:
-            raise ValueError("truncation_fraction must be in (0, 1)")
 
     @classmethod
     def zero(cls, seed: int = 0) -> "FaultPlan":
@@ -137,8 +130,6 @@ class FaultPlan:
         parts = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "truncation_fraction" and self.truncation_rate == 0.0:
-                continue
             if value != f.default:
                 parts.append(f"{f.name}={value}")
         return ", ".join(parts) if parts else "no faults"

@@ -27,17 +27,15 @@ from .base import Rule, register
 
 _BROAD = frozenset({"Exception", "BaseException"})
 
-#: The RigFaultError hierarchy (kept in sync with repro.faults.errors;
-#: matching is by class name so the rule stays dependency-free).
+#: The RigFaultError hierarchy of repro.faults.errors (matching is by
+#: class name so the rule stays dependency-free;
+#: tests/faults/test_faults.py holds the two equal).
 _FAULT_CLASSES = frozenset(
     {
         "RigFaultError",
         "InjectedRunFailureError",
         "EmptyChannelError",
         "CorruptObservationError",
-        "TruncatedSessionError",
-        "ShardFailureError",
-        "ShardTimeoutError",
     }
 )
 

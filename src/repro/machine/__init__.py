@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = attach(
             "hierarchy_from_level_params",
         ),
         ".config": ("PlatformConfig", "PlatformEffects", "VendorPeaks", "smooth_max"),
-        ".engine": ("BatchResult", "Engine", "RunResult", "SessionResult"),
+        ".engine": ("BatchResult", "Engine", "RunResult"),
         ".governor": ("GovernorResult", "GovernorSettings", "run_governor"),
         ".kernel": ("DRAM", "KernelSpec"),
         ".memory": (

@@ -53,7 +53,6 @@ from .config import PlatformConfig, smooth_max
 from .governor import GovernorBatchResult, run_governor, run_governor_batch
 from .kernel import DRAM, KernelSpec
 from .noise import (
-    apply_trace_noise,
     insert_stalls,
     lognormal_factor,
     power_noise,
@@ -65,7 +64,6 @@ __all__ = [
     "ENGINE_FINGERPRINT_VERSION",
     "RunResult",
     "BatchResult",
-    "SessionResult",
     "Engine",
 ]
 
@@ -220,24 +218,6 @@ class _LazyThrottledTraces(Mapping):
 
     def __len__(self) -> int:
         return len(self._lane)
-
-
-@dataclass(frozen=True)
-class SessionResult:
-    """A whole recorded campaign session: runs separated by idle.
-
-    ``windows`` holds the ground-truth ``(start, end)`` of each run on
-    the session timeline; the measurement layer's window detection
-    (:mod:`repro.measurement.session`) is checked against them.
-    """
-
-    trace: PowerTrace
-    windows: tuple[tuple[float, float], ...]
-    results: tuple[RunResult, ...]
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.results)
 
 
 @dataclass(frozen=True)
@@ -685,44 +665,3 @@ class Engine:
             segment_powers=pi1 + physics.demand,
             traces=traces,
         )
-
-    def run_session(
-        self,
-        kernels: list[KernelSpec],
-        *,
-        idle_gap: float = 0.05,
-    ) -> "SessionResult":
-        """Execute kernels back to back with idle gaps, as a campaign
-        records them: idle, run, idle, run, ..., idle.
-
-        Returns the concatenated session trace plus the ground-truth
-        activity windows -- the reference the measurement layer's
-        window detection is validated against.
-        """
-        if not kernels:
-            raise ValueError("a session needs at least one kernel")
-        if not idle_gap > 0:
-            raise ValueError("idle_gap must be positive")
-        trace = self.idle_trace(idle_gap)
-        windows: list[tuple[float, float]] = []
-        results: list[RunResult] = []
-        for kernel in kernels:
-            result = self.run(kernel)
-            results.append(result)
-            start = trace.duration
-            trace = trace.concatenated(result.trace)
-            windows.append((start, trace.duration))
-            trace = trace.concatenated(self.idle_trace(idle_gap))
-        return SessionResult(
-            trace=trace, windows=tuple(windows), results=tuple(results)
-        )
-
-    def idle_trace(self, duration: float) -> PowerTrace:
-        """What the rig sees with no load: the platform's idle power
-        (which on several platforms differs from the fitted ``pi1``)."""
-        trace = PowerTrace.constant(self.config.idle_power, duration)
-        if self.rng is not None:
-            trace = apply_trace_noise(
-                self.rng, trace, self.config.effects.noise.power_sigma
-            )
-        return trace

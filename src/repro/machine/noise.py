@@ -27,7 +27,6 @@ __all__ = [
     "NoiseSpec",
     "lognormal_factor",
     "power_noise",
-    "apply_trace_noise",
     "sample_stalls",
     "insert_stalls",
 ]
@@ -82,16 +81,6 @@ def power_noise(
     if sigma == 0.0:
         return values
     return values * np.exp(rng.normal(0.0, sigma, size=len(values)))
-
-
-def apply_trace_noise(
-    rng: np.random.Generator, trace: PowerTrace, sigma: float
-) -> PowerTrace:
-    """Multiply each segment's power by independent lognormal noise."""
-    values = power_noise(rng, trace.values, sigma)
-    if values is trace.values:
-        return trace
-    return PowerTrace(trace.edges.copy(), values)
 
 
 def sample_stalls(

@@ -133,36 +133,6 @@ class PowerTrace:
             raise ValueError("offset would make power negative")
         return PowerTrace(self.edges.copy(), values)
 
-    def truncated(self, duration: float) -> "PowerTrace":
-        """The prefix of this trace covering ``duration`` seconds.
-
-        The hook the fault layer uses for recordings cut short
-        (rig stall, buffer overrun): everything after
-        ``edges[0] + duration`` is discarded and the final segment is
-        clipped at the cut.  ``duration`` must lie strictly inside the
-        trace (a full-length "truncation" is not one).
-        """
-        if not 0.0 < duration < self.duration:
-            raise ValueError(
-                f"truncation duration must be in (0, {self.duration!r}), "
-                f"got {duration!r}"
-            )
-        cut = float(self.edges[0]) + duration
-        # Last segment wholly before the cut; the cut lands inside the
-        # following segment (or exactly on its start edge).
-        last = int(np.searchsorted(self.edges, cut, side="left")) - 1
-        last = max(last, 0)
-        edges = np.concatenate([self.edges[: last + 1], [cut]])
-        return PowerTrace(edges, self.values[: last + 1].copy())
-
-    def concatenated(self, other: "PowerTrace") -> "PowerTrace":
-        """This trace followed immediately by ``other``."""
-        other_edges = other.edges - other.edges[0] + self.edges[-1]
-        return PowerTrace(
-            np.concatenate([self.edges, other_edges[1:]]),
-            np.concatenate([self.values, other.values]),
-        )
-
     def coalesced(self, rel_tol: float = 0.0) -> "PowerTrace":
         """Merge adjacent segments whose powers agree within ``rel_tol``."""
         keep = [0]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
 from ..machine.config import PlatformConfig
 from ..machine.power import PowerTrace, RaggedTraces
 from .powermon import Measurement, PowerMon
@@ -77,13 +75,10 @@ class MeasuredBatch:
 
 
 class MeasurementRig:
-    """PowerMon + interposer wiring for one platform (Fig. 3).
+    """PowerMon wired to one platform's power rails (Fig. 3).
 
-    ``faults`` threads a seeded rig-fault model into the instrument:
-    when given, the PowerMon used for sampling corrupts its captured
-    channels per the plan.  A custom ``powermon`` is re-instrumented
-    (same rate/resolution knobs) rather than mutated, so callers keep
-    their instance pristine.
+    A seeded rig-fault model reaches the rig on its ``powermon`` (see
+    :class:`~repro.measurement.powermon.PowerMon`'s ``faults``).
     """
 
     def __init__(
@@ -91,19 +86,9 @@ class MeasurementRig:
         config: PlatformConfig,
         powermon: PowerMon | None = None,
         topology: RailTopology | None = None,
-        faults: FaultPlan | FaultInjector | None = None,
     ) -> None:
         self.config = config
-        mon = powermon or PowerMon()
-        if faults is not None and mon.injector is None:
-            mon = PowerMon(
-                sample_rate=mon.sample_rate,
-                max_channels=mon.max_channels,
-                aggregate_limit=mon.aggregate_limit,
-                resolution=mon.resolution,
-                faults=faults,
-            )
-        self.powermon = mon
+        self.powermon = powermon or PowerMon()
         self.topology = topology or topology_for(config)
 
     def measure(self, trace: PowerTrace) -> MeasuredRun:

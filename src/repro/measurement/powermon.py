@@ -108,9 +108,10 @@ class PowerMon:
     faults:
         Optional seeded rig-fault model applied to every captured
         channel (a :class:`~repro.faults.plan.FaultPlan`, or a shared
-        :class:`~repro.faults.injector.FaultInjector` when several
-        instruments must draw from one stream).  ``None`` -- and any
-        all-zero plan -- leaves the capture path bit-for-bit unchanged.
+        :class:`~repro.faults.injector.FaultInjector`: the benchmark
+        runner passes its own, so lost runs and channel corruption draw
+        from one stream).  ``None`` -- and any all-zero plan -- leaves
+        the capture path bit-for-bit unchanged.
     """
 
     def __init__(

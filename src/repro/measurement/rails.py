@@ -15,7 +15,7 @@ The simulator knows only the platform's *total* power trace; a rail
 topology splits it into per-rail traces for the instrument, respecting
 the PCIe slot's 75 W budget for GPUs.  Only the sum is analytically
 meaningful -- exactly as in the paper -- but the split exercises the
-multi-channel measurement path and the interposer.
+multi-channel measurement path.
 """
 
 from __future__ import annotations

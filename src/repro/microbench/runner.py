@@ -185,8 +185,6 @@ class BenchmarkRunner:
         Seed for all stochastic effects; ``None`` runs noise-free.
     target_duration:
         Wall time each kernel is calibrated to (seconds).
-    powermon:
-        Custom instrument (ablations swap in different sampling rates).
     faults:
         Optional seeded rig-fault plan.  ``None`` (and any all-zero
         plan) leaves every execution path bit-for-bit unchanged; an
@@ -216,7 +214,6 @@ class BenchmarkRunner:
         *,
         seed: int | None = 0,
         target_duration: float = 0.25,
-        powermon: PowerMon | None = None,
         faults: FaultPlan | None = None,
         max_retries: int = 2,
         recorder: TraceRecorder | None = NULL_RECORDER,
@@ -236,7 +233,7 @@ class BenchmarkRunner:
         self.injector = (
             None if faults is None else FaultInjector(faults, key=seed)
         )
-        self.rig = MeasurementRig(config, powermon, faults=self.injector)
+        self.rig = MeasurementRig(config, PowerMon(faults=self.injector))
         self.max_retries = max_retries
         # Calibration dry-runs are deterministic per kernel *shape*, so
         # replicated runs (and repeated sweeps over the same grid) can
@@ -438,12 +435,7 @@ class BenchmarkRunner:
             raise ValueError("replicates must be >= 1")
         if not cells:
             return []
-        # A fault plan may also come in on a custom PowerMon.
-        faulted = any(
-            injector is not None and injector.active
-            for injector in (self.injector, self.rig.powermon.injector)
-        )
-        if not faulted:
+        if self.injector is None or not self.injector.active:
             return self._execute_batch(cells, replicates)
         out = []
         for kernel, benchmark in cells:

@@ -64,13 +64,6 @@ class CampaignSettings:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.faults is not None and self.faults.truncation_rate > 0:
-            # Only measurement sessions truncate; no campaign run goes
-            # through one, so the plan would be accepted and ignored.
-            raise ValueError(
-                "truncation_rate applies to measurement sessions only; "
-                "a campaign never truncates a run"
-            )
 
     def scaled_down(self) -> "CampaignSettings":
         """Cheaper settings for smoke tests and benchmark harnesses."""

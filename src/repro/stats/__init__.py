@@ -5,13 +5,12 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        ".bootstrap": ("BootstrapCI", "bootstrap_ci", "bootstrap_paired_ci"),
+        ".bootstrap": ("BootstrapCI", "bootstrap_paired_ci"),
         ".descriptive": (
             "BoxplotStats",
             "boxplot_stats",
             "pearson",
             "quantile",
-            "spearman",
         ),
         ".ks": ("KSResult", "kolmogorov_sf", "ks_2sample", "ks_statistic"),
         ".regression": ("LogFitResult", "fit_log_params", "nonnegative_lstsq"),

@@ -1,8 +1,8 @@
 """Bootstrap confidence intervals.
 
-Used to put uncertainty bands on medians of error distributions and on
-the Section V-C correlation coefficient, where closed-form intervals
-would need distributional assumptions the paper explicitly avoids.
+Used to put an uncertainty band on the Section V-C correlation
+coefficient, where a closed-form interval would need distributional
+assumptions the paper explicitly avoids.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["BootstrapCI", "bootstrap_ci", "bootstrap_paired_ci"]
+__all__ = ["BootstrapCI", "bootstrap_paired_ci"]
 
 
 @dataclass(frozen=True)
@@ -24,44 +24,6 @@ class BootstrapCI:
     high: float
     confidence: float
     n_resamples: int
-
-    def contains(self, value: float) -> bool:
-        """Whether the interval covers ``value``."""
-        return self.low <= value <= self.high
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.median,
-    *,
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> BootstrapCI:
-    """Percentile bootstrap CI for a one-sample statistic."""
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if n_resamples < 10:
-        raise ValueError("n_resamples must be >= 10")
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two observations")
-    rng = rng or np.random.default_rng(0)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    stats = np.array([statistic(arr[row]) for row in idx])
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(stats, [alpha, 1.0 - alpha])
-    return BootstrapCI(
-        estimate=float(statistic(arr)),
-        low=float(low),
-        high=float(high),
-        confidence=confidence,
-        n_resamples=n_resamples,
-    )
 
 
 def bootstrap_paired_ci(

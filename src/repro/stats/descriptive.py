@@ -17,7 +17,6 @@ __all__ = [
     "BoxplotStats",
     "boxplot_stats",
     "pearson",
-    "spearman",
     "quantile",
 ]
 
@@ -95,31 +94,3 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if denom == 0.0:
         raise ValueError("zero variance input")
     return float(np.sum(xc * yc) / denom)
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean of their rank range)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    ranks[order] = np.arange(1, len(values) + 1, dtype=float)
-    # Average ties.
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            mean_rank = 0.5 * (i + j) + 1.0
-            ranks[order[i : j + 1]] = mean_rank
-        i = j + 1
-    return ranks
-
-
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank correlation (Pearson on average ranks)."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValueError("x and y must have the same length")
-    return pearson(_ranks(xa), _ranks(ya))

@@ -4,7 +4,7 @@ Two properties anchor the whole fault subsystem:
 
 * **identity** -- an all-zero :class:`FaultPlan` must leave every
   execution path (single runs, primed batch sweeps, full parallel
-  campaigns, session measurement) bit-for-bit identical to running with
+  campaigns, the measurement rig) bit-for-bit identical to running with
   no plan at all, for any worker count;
 * **determinism** -- an active plan's corruption is a pure function of
   ``(plan, key)``: re-applying it reproduces the same corrupted arrays,
@@ -21,7 +21,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.machine.engine import Engine
 from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
-from repro.measurement.session import measure_session
+from repro.measurement.energy import MeasurementRig
+from repro.measurement.powermon import PowerMon
 from repro.microbench.campaign import CampaignRunner, CampaignSettings
 from repro.microbench.intensity import intensity_sweep
 from repro.microbench.runner import BenchmarkRunner
@@ -104,16 +105,29 @@ class TestCampaignIdentity:
         assert report.quarantined_cells == ()
         assert report.n_runs == reference[1].n_runs
 
-    def test_session_measurement_identity(self):
+    def test_rig_measurement_identity(self):
         cfg = platform("gtx-titan")
         engine = Engine(cfg, rng=np.random.default_rng(3))
-        kernels = [
-            KernelSpec(name="k", flops=2e9, traffic={DRAM: 1e9}).scaled(50)
-        ]
-        trace = engine.run_session(kernels, idle_gap=0.08).trace
-        clean = measure_session(trace)
-        zeroed = measure_session(trace, faults=FaultPlan.zero(seed=5))
-        assert clean == zeroed
+        # Compute-bound enough to throttle: a multi-segment noisy trace.
+        kernel = KernelSpec(name="k", flops=2e10, traffic={DRAM: 1e9})
+        trace = engine.run(kernel.scaled(50)).trace
+        assert len(trace.values) > 1
+        clean = MeasurementRig(cfg).measure(trace)
+        zeroed = MeasurementRig(
+            cfg, PowerMon(faults=FaultPlan.zero(seed=5))
+        ).measure(trace)
+        assert (clean.wall_time, clean.energy, clean.avg_power) == (
+            zeroed.wall_time,
+            zeroed.energy,
+            zeroed.avg_power,
+        )
+        pairs = zip(
+            clean.measurement.channels, zeroed.measurement.channels, strict=True
+        )
+        for a, b in pairs:
+            assert a.rail == b.rail
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.power.tobytes() == b.power.tobytes()
 
 
 class TestSeededDeterminism:

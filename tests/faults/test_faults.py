@@ -7,7 +7,9 @@ from repro.faults import (
     EmptyChannelError,
     FaultInjector,
     FaultPlan,
+    errors,
 )
+from repro.lint.rules.exceptions import _FAULT_CLASSES
 from repro.machine.power import PowerTrace
 from repro.measurement.energy import MeasuredRun
 from repro.measurement.powermon import ChannelReading, Measurement, PowerMon
@@ -46,13 +48,10 @@ class TestFaultPlan:
             dict(sample_dropout=1.5),
             dict(sample_dropout=-0.1),
             dict(nan_rate=2.0),
-            dict(truncation_rate=-1.0),
             dict(run_failure_rate=1.01),
             dict(timestamp_jitter=-1e-6),
             dict(channel_desync=-1e-6),
             dict(saturation_power=0.0),
-            dict(truncation_fraction=0.0),
-            dict(truncation_fraction=1.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -102,12 +101,8 @@ class TestInjectorZeroIsFree:
         assert out_t is times
         assert out_p is power
 
-    def test_zero_plan_trace_and_run_untouched(self):
-        trace = PowerTrace(edges=np.array([0.0, 1.0]), values=np.array([50.0]))
+    def test_zero_plan_run_untouched(self):
         injector = FaultInjector(FaultPlan.zero())
-        out, truncated = injector.truncate_trace(trace)
-        assert out is trace
-        assert not truncated
         assert not injector.fail_run("any")
         assert injector.counters.samples_corrupted == 0
 
@@ -201,42 +196,10 @@ class TestFaultModels:
         assert skew != 0.0 and abs(skew) <= 1e-3
         assert injector.counters.channels_desynced == 1
 
-    def test_truncation(self):
-        trace = PowerTrace(
-            edges=np.array([0.0, 1.0, 2.0]), values=np.array([10.0, 20.0])
-        )
-        injector = FaultInjector(
-            FaultPlan(seed=6, truncation_rate=1.0, truncation_fraction=0.25)
-        )
-        out, truncated = injector.truncate_trace(trace)
-        assert truncated
-        assert out.duration == pytest.approx(0.5)
-        assert injector.counters.sessions_truncated == 1
-
     def test_fail_run(self):
         injector = FaultInjector(FaultPlan(seed=7, run_failure_rate=1.0))
         assert injector.fail_run("intensity/k#r0")
         assert injector.counters.runs_failed == 1
-
-
-class TestTraceTruncation:
-    def test_prefix_clip(self):
-        trace = PowerTrace(
-            edges=np.array([0.0, 1.0, 2.0, 3.0]),
-            values=np.array([1.0, 2.0, 3.0]),
-        )
-        cut = trace.truncated(1.5)
-        np.testing.assert_allclose(cut.edges, [0.0, 1.0, 1.5])
-        np.testing.assert_allclose(cut.values, [1.0, 2.0])
-
-    @pytest.mark.parametrize("duration", [0.0, -1.0, 3.0, 4.0])
-    def test_validation(self, duration):
-        trace = PowerTrace(
-            edges=np.array([0.0, 1.0, 2.0, 3.0]),
-            values=np.array([1.0, 2.0, 3.0]),
-        )
-        with pytest.raises(ValueError):
-            trace.truncated(duration)
 
 
 class TestEmptyChannel:
@@ -276,3 +239,16 @@ class TestValidateMeasuredRun:
             validate_measured_run(self.measured(energy=energy), "bench/k#r0")
         assert err.value.run == "bench/k#r0"
         assert "energy" in err.value.reason
+
+
+def test_arch003_knows_every_fault_class():
+    """ARCH003 matches handlers by class name, so its list must be the
+    whole RigFaultError hierarchy that ``repro.faults.errors`` defines."""
+    defined = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.RigFaultError)
+        and obj.__module__ == errors.__name__
+    }
+    assert _FAULT_CLASSES == defined

@@ -105,7 +105,7 @@ def test_flags_noop_fault_subclass_in_tuple():
         def run(step):
             try:
                 step()
-            except (ValueError, ShardTimeoutError):
+            except (ValueError, EmptyChannelError):
                 ...
         """
     )

@@ -297,11 +297,6 @@ class TestSecondOrderEffects:
 
 
 class TestIdleAndMissingParams:
-    def test_idle_trace_uses_idle_power(self, clean_config):
-        trace = Engine(clean_config).idle_trace(2.0)
-        assert trace.average_power() == pytest.approx(4.0)
-        assert trace.duration == pytest.approx(2.0)
-
     def test_random_access_without_params_raises(self):
         cfg = platform("nuc-gpu")  # no random-access parameters
         engine = Engine(cfg)

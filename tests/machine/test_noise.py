@@ -5,9 +5,9 @@ import pytest
 
 from repro.machine.noise import (
     NoiseSpec,
-    apply_trace_noise,
     insert_stalls,
     lognormal_factor,
+    power_noise,
     sample_stalls,
 )
 from repro.machine.power import PowerTrace
@@ -44,22 +44,26 @@ class TestLognormalFactor:
 
 
 class TestTraceNoise:
-    def test_zero_sigma_returns_same_object(self, rng):
-        trace = PowerTrace.constant(10.0, 1.0)
-        assert apply_trace_noise(rng, trace, 0.0) is trace
+    """``power_noise``: the per-segment power noise of ``Engine._noisy``."""
 
-    def test_noise_preserves_timeline(self, rng):
-        trace = PowerTrace(np.array([0.0, 1.0, 2.0]), np.array([10.0, 20.0]))
-        noisy = apply_trace_noise(rng, trace, 0.05)
-        assert np.array_equal(noisy.edges, trace.edges)
-        assert not np.array_equal(noisy.values, trace.values)
+    def test_zero_sigma_returns_same_object(self, rng):
+        values = np.array([10.0, 20.0])
+        state = rng.bit_generator.state
+        assert power_noise(rng, values, 0.0) is values
+        # No random numbers consumed.
+        assert rng.bit_generator.state == state
+
+    def test_noise_perturbs_values(self, rng):
+        values = np.array([10.0, 20.0])
+        noisy = power_noise(rng, values, 0.05)
+        assert noisy.shape == values.shape
+        assert np.all(noisy > 0)
+        assert not np.array_equal(noisy, values)
+        assert np.array_equal(values, [10.0, 20.0])
 
     def test_noise_unbiased_in_median(self, rng):
-        trace = PowerTrace.from_durations(
-            np.ones(4000), np.full(4000, 10.0)
-        )
-        noisy = apply_trace_noise(rng, trace, 0.1)
-        assert np.median(noisy.values) == pytest.approx(10.0, rel=0.02)
+        noisy = power_noise(rng, np.full(4000, 10.0), 0.1)
+        assert np.median(noisy) == pytest.approx(10.0, rel=0.02)
 
 
 class TestSampleStalls:

@@ -98,11 +98,6 @@ class TestTransforms:
         with pytest.raises(ValueError, match="negative"):
             trace.shifted(-6.0)
 
-    def test_concatenated(self, trace):
-        double = trace.concatenated(trace)
-        assert double.duration == pytest.approx(2 * trace.duration)
-        assert double.energy() == pytest.approx(2 * trace.energy())
-
     def test_coalesced_merges_equal_segments(self):
         t = PowerTrace(
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([5.0, 5.0, 7.0])

@@ -53,14 +53,6 @@ def test_scaling_linearity(trace, factor):
     )
 
 
-@given(traces(), traces())
-@settings(max_examples=100)
-def test_concatenation_adds(t1, t2):
-    joined = t1.concatenated(t2)
-    assert joined.duration == pytest.approx(t1.duration + t2.duration)
-    assert joined.energy() == pytest.approx(t1.energy() + t2.energy(), rel=1e-9)
-
-
 @given(traces())
 @settings(max_examples=100)
 def test_coalesce_preserves_energy(trace):

@@ -121,7 +121,9 @@ def test_shared_sample_counts_form_one_group():
 
 
 def test_active_fault_plan_measures_per_run():
-    rig = MeasurementRig(CONFIG, faults=FaultPlan(seed=1, sample_dropout=0.1))
+    rig = MeasurementRig(
+        CONFIG, PowerMon(faults=FaultPlan(seed=1, sample_dropout=0.1))
+    )
     trace = PowerTrace.constant(100.0, 0.1)
     with pytest.raises(ValueError, match="one run at a time"):
         rig.measure_batch(RaggedTraces.from_traces([trace]))

@@ -1,5 +1,5 @@
-"""Unit tests for the measurement layer (PowerMon, rails, interposer,
-energy estimators)."""
+"""Unit tests for the measurement layer (PowerMon, rails, energy
+estimators)."""
 
 import math
 
@@ -13,7 +13,6 @@ from repro.measurement.energy import (
     mean_power_energy,
     trapezoid_energy,
 )
-from repro.measurement.interposer import PCIeInterposer
 from repro.measurement.powermon import PowerMon
 from repro.measurement.rails import PCIE_SLOT_LIMIT, RailTopology, topology_for
 
@@ -156,21 +155,6 @@ class TestRails:
             trace = PowerTrace.constant(cfg.max_model_power, 0.5)
             rails = topo.split(trace)
             assert rails["pcie_slot"].max_power() <= PCIE_SLOT_LIMIT + 1e-9
-
-
-class TestInterposer:
-    def test_within_budget(self):
-        reading = PCIeInterposer().read(PowerTrace.constant(60.0, 1.0))
-        assert reading.within_budget
-        assert reading.peak_power == 60.0
-
-    def test_over_budget_flagged(self):
-        reading = PCIeInterposer().read(PowerTrace.constant(90.0, 1.0))
-        assert not reading.within_budget
-
-    def test_strict_mode_raises(self):
-        with pytest.raises(ValueError, match="budget"):
-            PCIeInterposer().read(PowerTrace.constant(90.0, 1.0), strict=True)
 
 
 class TestEnergyEstimators:

@@ -16,10 +16,8 @@ per-run path each through ``Engine.run``.
 
 import pytest
 
-from repro.faults.plan import FaultPlan
 from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import PLATFORM_IDS, platform
-from repro.measurement.powermon import PowerMon
 from repro.microbench.runner import BenchmarkRunner
 from repro.microbench.suite import CampaignSettings, run_campaign
 
@@ -93,19 +91,6 @@ def test_noise_free_runner(pid):
     per_run = campaign_record(PerRunRunner, pid, settings, seed=None)
     assert batched == per_run
     assert any(row[5] for row in batched[0])  # some runs throttled
-
-
-def test_faulty_instrument_measures_run_by_run():
-    # A plan that arrives on the PowerMon rather than as ``faults``
-    # still corrupts one capture at a time.
-    kernel = KernelSpec(name="k", flops=1e9, traffic={DRAM: 1e8})
-
-    def sweep(runner_cls):
-        mon = PowerMon(faults=FaultPlan(seed=4, sample_dropout=0.3))
-        runner = runner_cls(platform("gtx-titan"), seed=5, powermon=mon)
-        return runner.execute_sweep([(kernel, "intensity")], 4)
-
-    assert sweep(BenchmarkRunner) == sweep(PerRunRunner)
 
 
 def test_sweep_runs_are_kernel_major():
