@@ -6,9 +6,7 @@ The batch engine exists to make large sweeps cheap: one
 *capped* intensity sweep -- heavy kernels on a power-capped platform,
 so the governor control loop (the last scalar hot path) dominates --
 asserts the batch path is at least 5x faster, and re-checks
-bit-for-bit agreement on the benchmarked grid.  A second bench times a
-small parallel campaign through ``CampaignRunner`` and records its
-counters.
+bit-for-bit agreement on the benchmarked grid.
 
 The speedup gate uses repeated *paired* measurements: each round times
 the scalar loop and the batch path back to back, so machine-load
@@ -26,7 +24,6 @@ import numpy as np
 
 from repro.machine.engine import Engine
 from repro.machine.platforms import platform
-from repro.microbench.campaign import CampaignRunner, CampaignSettings
 from repro.microbench.kernels import intensity_kernel
 
 N_POINTS = 1000
@@ -102,21 +99,3 @@ def test_batch_vs_scalar_speedup(benchmark):
         result.energies, np.array([r.true_energy for r in scalar])
     )
 
-
-def test_parallel_campaign(benchmark):
-    """A 4-platform quick campaign through the process pool."""
-    runner = CampaignRunner(
-        ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-        CampaignSettings(seed=2014).scaled_down(),
-        max_workers=4,
-    )
-    fits = benchmark.pedantic(runner.run, rounds=1, iterations=1)
-    assert set(fits) == set(runner.platform_ids)
-    report = runner.report
-    assert report is not None
-    benchmark.extra_info["runs"] = report.n_runs
-    benchmark.extra_info["parallel_efficiency"] = round(
-        report.parallel_efficiency, 2
-    )
-    for shard in report.shards:
-        assert shard.calibration_hits > 0

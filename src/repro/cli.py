@@ -19,25 +19,25 @@ Commands
     measurement against the committed baseline (exit 1 on a >10%
     wall-time regression), ``--update`` refreshes it.  Methodology:
     docs/BENCHMARKS.md.
-``archline campaign [platform-id ...] [--workers N] [--faults SPEC]``
-    Run the full per-platform campaigns through the parallel
-    ``CampaignRunner`` and print per-shard timing/calibration counters.
-    ``--faults`` injects seeded rig faults (e.g.
+``archline campaign [platform-id ...] [--faults SPEC]``
+    Run the full per-platform campaigns through ``CampaignRunner``,
+    one shard after another, and print per-shard timing/calibration
+    counters.  ``--faults`` injects seeded rig faults (e.g.
     ``--faults "dropout=0.05,run_failure=0.1,seed=7"``; see
     docs/FAULTS.md) and reports retries, rejected observations, and
-    quarantined cells; ``--max-retries`` and ``--shard-timeout``
-    bound the resilient execution.  ``--trace out.jsonl`` records
-    per-shard telemetry spans (calibrate/engine/measure/fit), writes
-    them as JSONL (schema in docs/TELEMETRY.md), and prints a
-    flame-style wall-time breakdown; ``--progress`` prints a live
-    per-shard line as each completes.  ``--cache DIR`` (or the
-    ``ARCHLINE_CACHE`` environment variable) makes the campaign
-    incremental through the content-addressed store (docs/CACHE.md):
+    quarantined cells; ``--max-retries`` bounds the resilient
+    execution.  ``--trace out.jsonl`` records per-shard telemetry
+    spans (calibrate/engine/measure/fit), writes them as JSONL (schema
+    in docs/TELEMETRY.md), and prints a flame-style wall-time
+    breakdown; ``--progress`` prints a live per-shard line as each
+    completes.  ``--cache DIR`` (or the ``ARCHLINE_CACHE`` environment
+    variable) makes the campaign incremental through the
+    content-addressed store (docs/CACHE.md):
     unchanged shards replay bit-identically from disk; ``--refresh``
     recomputes and republishes, ``--no-cache`` ignores the environment
     variable.  Example::
 
-        archline campaign gtx-titan nuc-gpu --quick --workers 2 \\
+        archline campaign gtx-titan nuc-gpu --quick \\
             --cache ~/.archline-cache --trace trace.jsonl --progress
 ``archline cache stats|gc|verify [--dir DIR]``
     Inspect and maintain the campaign store: entry counts and sizes,
@@ -61,9 +61,9 @@ Commands
     report.
 ``archline lint [PATH ...]``
     Run the repo's AST-based static-analysis rules (determinism,
-    pool picklability, fault-exception hygiene, float equality, unit
-    discipline, telemetry hygiene; docs/LINT.md) over ``src`` or the
-    given paths.  Exit code 0 = clean, 1 = findings, 2 = usage error.
+    shard-payload picklability, fault-exception hygiene, float
+    equality, unit discipline, telemetry hygiene; docs/LINT.md) over
+    ``src`` or the given paths.  Exit code 0 = clean, 1 = findings, 2 = usage error.
 ``archline audit``
     Check the paper's own numbers against each other (Table I vs the
     Fig. 5 annotations, etc.).
@@ -89,7 +89,7 @@ from typing import Sequence
 # Only the modules ``build_parser`` needs load here; each command
 # imports its own, so a process pays for the command it runs.
 from .experiments.registry import EXPERIMENTS, run_all, run_experiment
-from .flags import nonnegative_int, positive_float, positive_int, seed_count
+from .flags import nonnegative_int, seed_count
 from .machine.platforms import PLATFORM_IDS, all_platforms, platform
 
 __all__ = ["main", "build_parser"]
@@ -117,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=nonnegative_int, default=2014)
     run_p.add_argument(
         "--quick", action="store_true", help="smaller campaigns (smoke run)"
-    )
-    run_p.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="run campaigns through the parallel CampaignRunner with N "
-        "worker processes (default: 1, inline; the fits do not depend "
-        "on N)",
     )
 
     sub.add_parser("all", help="run every experiment")
@@ -176,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     camp_p = sub.add_parser(
         "campaign",
-        help="run per-platform campaigns in parallel and report counters",
+        help="run per-platform campaigns and report counters",
     )
     # No ``choices`` here: argparse validates the empty default of a
     # ``nargs="*"`` positional against them.  Checked in the handler.
@@ -188,13 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         f"one of: {', '.join(PLATFORM_IDS)}",
     )
     camp_p.add_argument("--seed", type=nonnegative_int, default=2014)
+    # Hidden and kept only so existing command lines still parse:
+    # campaigns used to run on a process pool this many wide, and
+    # scripts (e2ebench among them) pass ``--workers 1``.  Every
+    # campaign now runs in this process, so 1 is the only value.
     camp_p.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="process-pool width (default: one per platform, capped at "
-        "the CPU count)",
+        "--workers", type=int, choices=[1], help=argparse.SUPPRESS
     )
     camp_p.add_argument(
         "--quick", action="store_true", help="smaller campaigns (smoke run)"
@@ -215,14 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="per-run retry budget before a cell is quarantined "
         "(default 2; only used with --faults)",
-    )
-    camp_p.add_argument(
-        "--shard-timeout",
-        type=positive_float,
-        default=None,
-        metavar="S",
-        help="wall-clock deadline in seconds for the whole campaign; "
-        "shards still unfinished are reported as 'timeout'",
     )
     camp_p.add_argument(
         "--trace",
@@ -485,11 +467,9 @@ def _progress_printer(total: int):
 def _cmd_campaign(
     platform_ids: list[str],
     seed: int,
-    workers: int | None,
     quick: bool,
     faults_spec: str | None = None,
     max_retries: int = 2,
-    shard_timeout: float | None = None,
     trace_path: str | None = None,
     show_progress: bool = False,
     cache_dir: str | None = None,
@@ -534,8 +514,6 @@ def _cmd_campaign(
     runner = CampaignRunner(
         tuple(platform_ids) if platform_ids else None,
         settings,
-        max_workers=workers,
-        shard_timeout=shard_timeout,
         trace=trace_path is not None,
         cache_dir=cache,
         cache_refresh=cache_refresh,
@@ -552,9 +530,7 @@ def _cmd_campaign(
     if resilient:
         columns[1:1] = ["status", "failed", "retries", "quar"]
     title = (
-        f"Campaign: {len(fits)} platforms, {report.workers} workers, "
-        f"{report.wall_seconds:.2f}s wall "
-        f"(efficiency {fmt_pct(report.parallel_efficiency)})"
+        f"Campaign: {len(fits)} platforms, {report.wall_seconds:.2f}s wall"
     )
     if plan is not None:
         title += f"\nfaults: {plan.describe()}"
@@ -738,11 +714,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             _cmd_campaign(
                 args.platform_ids,
                 args.seed,
-                args.workers,
                 args.quick,
                 faults_spec=args.faults,
                 max_retries=args.max_retries,
-                shard_timeout=args.shard_timeout,
                 trace_path=args.trace,
                 show_progress=args.progress,
                 cache_dir=args.cache_dir,
@@ -815,7 +789,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if any(EXPERIMENTS[eid].needs_campaigns for eid in args.experiments):
             from .experiments.common import run_all_fits
 
-            fits = run_all_fits(settings, max_workers=args.workers)
+            fits = run_all_fits(settings)
         ok = True
         for eid in args.experiments:
             result = run_experiment(eid, fits=fits, settings=settings)

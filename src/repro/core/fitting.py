@@ -44,7 +44,6 @@ from typing import Mapping
 import numpy as np
 
 from ..stats.regression import fit_log_params, nonnegative_lstsq
-from . import model
 from .params import CacheLevelParams, MachineParams, RandomAccessParams
 
 __all__ = [
@@ -263,10 +262,10 @@ class ModelFit:
 
     ``params`` carries the headline Table I quantities (including
     per-level and random-access energies); prediction methods evaluate
-    the exact model that was fit.  Frozen because fits ride the shard
-    pool inside :class:`~repro.microbench.suite.FittedPlatform` -- a
-    mutable fit mutated on one side of a pickle boundary would
-    silently diverge from its twin (ARCH011).
+    the exact model that was fit.  Frozen because the campaign store
+    pickles fits inside :class:`~repro.microbench.suite.FittedPlatform`
+    -- a mutable fit mutated after publication would silently diverge
+    from its stored twin (ARCH011).
     """
 
     params: MachineParams
@@ -277,14 +276,6 @@ class ModelFit:
     def predict(self, obs: FitObservations) -> tuple[np.ndarray, np.ndarray]:
         """Model ``(time, energy)`` for a set of observations."""
         return self.theta.predict(obs)
-
-    def predict_time(self, W, Q):
-        """Model time for DRAM-only work (s)."""
-        return model.time(self.params, W, Q, capped=self.capped)
-
-    def predict_energy(self, W, Q):
-        """Model energy for DRAM-only work (J)."""
-        return model.energy(self.params, W, Q, capped=self.capped)
 
     def relative_errors(self, obs: FitObservations) -> dict[str, np.ndarray]:
         """Signed relative errors ``(model - measured)/measured`` for

@@ -10,8 +10,7 @@ reproduction.
 Every helper below fits a platform through
 :func:`repro.microbench.campaign.fit_platform` on ``settings.seed``, so
 a platform's fit depends only on the platform and the settings: one
-platform or twelve, inline or over any number of pool workers, in any
-platform order.
+platform or twelve, in any platform order.
 """
 
 from __future__ import annotations
@@ -64,17 +63,14 @@ def fitted_platform_config(
 def run_all_fits(
     settings: CampaignSettings | None = None,
     platform_ids: tuple[str, ...] | None = None,
-    *,
-    max_workers: int | None = None,
 ) -> dict[str, FittedPlatform]:
     """Run and fit campaigns for every (or the given) platform.
 
-    Runs through :class:`~repro.microbench.campaign.CampaignRunner`:
-    ``max_workers=None`` or ``1`` inline in this process, more over a
-    process pool, with the same fits either way.  Raises
-    ``RuntimeError`` naming every loss if any platform's shard failed.
+    Runs through :class:`~repro.microbench.campaign.CampaignRunner`.
+    Raises ``RuntimeError`` naming every loss if any platform's shard
+    failed.
     """
-    runner = CampaignRunner(platform_ids, settings, max_workers=max_workers or 1)
+    runner = CampaignRunner(platform_ids, settings)
     fits = runner.run()
     report = runner.report
     assert report is not None

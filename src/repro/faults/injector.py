@@ -51,16 +51,6 @@ class FaultCounters:
         """Total individually-corrupted samples (dropped + NaN + clipped)."""
         return self.samples_dropped + self.samples_nan + self.samples_saturated
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "samples_dropped": self.samples_dropped,
-            "samples_nan": self.samples_nan,
-            "samples_saturated": self.samples_saturated,
-            "channels_desynced": self.channels_desynced,
-            "channels_emptied": self.channels_emptied,
-            "runs_failed": self.runs_failed,
-        }
-
 
 class FaultInjector:
     """Applies one seeded :class:`FaultPlan` to measurement-layer data.

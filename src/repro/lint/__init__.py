@@ -2,7 +2,7 @@
 
 Generic linters cannot see this repo's load-bearing invariants --
 bit-identical replays from explicitly passed generators, frozen
-picklable dataclasses on the process-pool boundary, rig-fault
+picklable dataclasses in the stored shard payload, rig-fault
 exceptions that must never be silently swallowed, and the physical-unit
 bookkeeping mirroring the paper's theta = (tau, eps, pi1, delta_pi)
 vector.  This package enforces them with a dependency-free rule pack

@@ -18,7 +18,7 @@ once.  The pipeline is:
    propagated to a fixed point over the call graph.
 4. **Rules** (:mod:`~repro.lint.project.rules`) -- ARCH008 (RNG/clock
    taint), ARCH009 (unit dataflow), ARCH010 (fault exception flow) and
-   ARCH011 (pool-boundary escape) read the fixed points and emit
+   ARCH011 (shard-payload escape) read the fixed points and emit
    findings whose fingerprints are line-number-free cross-module
    anchors, so the baseline and inline-suppression layers work
    unchanged (a suppression on *either* endpoint wins).

@@ -19,7 +19,7 @@ reference produces no call edge (never a spurious finding).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .summaries import CallSite, ClassSummary, FunctionSummary, ModuleSummary
 
@@ -70,12 +70,6 @@ class ProjectGraph:
     def path_of(self, qname: str) -> str:
         """File path that defines a known qname ('' if unknown)."""
         return self._paths.get(qname, "")
-
-    def function(self, qname: str) -> FunctionSummary | None:
-        return self.functions.get(qname)
-
-    def class_of(self, qname: str) -> ClassSummary | None:
-        return self.classes.get(qname)
 
     # -- resolution ---------------------------------------------------
 
@@ -205,6 +199,3 @@ class ProjectGraph:
             or "__reduce__" in methods
             or "__reduce_ex__" in methods
         )
-
-    def iter_functions(self) -> Iterable[FunctionSummary]:
-        return self.functions.values()

@@ -33,7 +33,9 @@ __all__ = [
 Endpoints = tuple[tuple[str, int], ...]
 ProjectFinding = tuple[Finding, Endpoints]
 
-#: Pool-boundary entries for the RNG/wall-clock taint rule.
+#: Shard entries for the RNG/wall-clock taint rule: a shard's result
+#: must depend only on its inputs, so nothing below them may read a
+#: global RNG or the wall clock.
 TAINT_ENTRIES = (
     "repro.microbench.campaign.run_shard",
     "repro.microbench.suite.run_campaign",
@@ -44,7 +46,8 @@ TAINT_ENTRIES = (
 #: must unwind to :meth:`BenchmarkRunner.execute_resilient` unharmed.
 RETRY_LOOP_ENTRY = "repro.microbench.runner.BenchmarkRunner.execute"
 
-#: The shard pool payload: ``run_shard``'s argument and return types.
+#: The shard payload: ``run_shard``'s argument and return types (the
+#: store pickles the returned pair).
 POOL_ROOTS = (
     "repro.microbench.campaign.ShardSpec",
     "repro.microbench.campaign.ShardReport",
@@ -89,7 +92,7 @@ def check_taint(
                 col=col,
                 code="ARCH008",
                 message=(
-                    f"pool-boundary entry {qname} reaches {label} sink "
+                    f"shard entry {qname} reaches {label} sink "
                     f"{name!r} via {chain}: {remedy}"
                 ),
                 rule="rng-clock-taint",
@@ -314,7 +317,7 @@ def check_fault_flow(
 def check_pool_escape(
     graph: ProjectGraph, analysis: ProjectAnalysis
 ) -> list[ProjectFinding]:
-    """ARCH011: everything reachable from the pool payload pickles."""
+    """ARCH011: everything reachable from the shard payload pickles."""
     out: list[ProjectFinding] = []
     for root in POOL_ROOTS:
         resolved = graph.resolve(root)
@@ -359,7 +362,7 @@ def check_pool_escape(
                     emit(
                         cls.line,
                         class_qname,
-                        f"dataclass {cls.name!r} rides the shard pool "
+                        f"dataclass {cls.name!r} is in the shard payload "
                         f"(reachable from {root_cls.name} via {via}) "
                         f"and must be @dataclass(frozen=True)",
                     )
@@ -380,7 +383,7 @@ def check_pool_escape(
                 emit(
                     cls.line,
                     class_qname,
-                    f"plain class {cls.name!r} rides the shard pool "
+                    f"plain class {cls.name!r} is in the shard payload "
                     f"(reachable from {root_cls.name} via {via}): make "
                     f"it a frozen dataclass or define "
                     f"__getstate__/__setstate__",

@@ -1,13 +1,16 @@
-"""ARCH002: pool-boundary dataclasses must be frozen and picklable.
+"""ARCH002: shard-payload dataclasses must be frozen and picklable.
 
-``CampaignRunner`` ships :class:`~repro.microbench.campaign.ShardSpec`
-to worker processes and gets ``(FittedPlatform, ShardReport)`` back --
-everything in those payloads is pickled.  A mutable dataclass invites
-aliasing bugs across the fork boundary, and a field holding a callable,
-iterator or lock dies inside ``pickle`` with a message far from the
-declaration.  In the modules whose dataclasses ride the pool, this rule
-requires ``@dataclass(frozen=True)`` and flags field annotations that
-name known-unpicklable types.
+:func:`~repro.microbench.campaign.run_shard` takes a
+:class:`~repro.microbench.campaign.ShardSpec` and returns
+``(FittedPlatform, ShardReport)``, and the campaign store pickles that
+pair so a replay can hand it back bit-identically (docs/CACHE.md).  A
+mutable dataclass invites aliasing bugs between the computed and the
+replayed copy, and a field holding a callable, iterator or lock dies
+inside ``pickle`` with a message far from the declaration.  In the
+modules whose dataclasses make up that payload, this rule requires
+``@dataclass(frozen=True)`` and flags field annotations that name
+known-unpicklable types.  (The rule's name dates from when shards ran
+on a process pool, which pickled the same payload.)
 
 A type with a custom ``__getstate__``/``__setstate__`` pair (the
 ``KernelSpec`` trick for its ``MappingProxyType`` traffic view) is fine
@@ -24,8 +27,8 @@ from ..context import ModuleContext
 from ..findings import Finding
 from .base import Rule, register
 
-#: Modules whose dataclasses cross the process-pool boundary (the
-#: ShardSpec/ShardReport payloads and everything reachable from them).
+#: Modules whose dataclasses make up the shard payload (ShardSpec,
+#: ShardReport, FittedPlatform and everything reachable from them).
 POOL_MODULES = (
     "repro.microbench.campaign",
     "repro.microbench.runner",
@@ -33,8 +36,8 @@ POOL_MODULES = (
     "repro.telemetry.recorder",
     "repro.faults.plan",
     "repro.machine.kernel",
-    # Fleet instances/solutions are solver inputs/outputs that future
-    # parallel solvers may ship across a pool; hold them to the same
+    # Fleet instances/solutions are solver inputs/outputs that a
+    # parallel solver would pickle; hold them to the same
     # frozen-primitive discipline now.
     "repro.fleet.workload",
     "repro.fleet.evaluate",
@@ -103,7 +106,7 @@ class PicklabilityRule(Rule):
     code = "ARCH002"
     name = "pool-picklability"
     description = (
-        "dataclasses in pool-boundary modules must be frozen=True with "
+        "dataclasses in shard-payload modules must be frozen=True with "
         "picklable field annotations"
     )
     scope = POOL_MODULES
@@ -120,8 +123,9 @@ class PicklabilityRule(Rule):
             yield self.finding(
                 ctx,
                 node,
-                f"dataclass {node.name!r} rides the campaign process pool "
-                f"and must be declared @dataclass(frozen=True)",
+                f"dataclass {node.name!r} is part of the shard payload "
+                f"the campaign store pickles and must be declared "
+                f"@dataclass(frozen=True)",
             )
         for stmt in node.body:
             if not isinstance(stmt, ast.AnnAssign) or stmt.annotation is None:
@@ -140,6 +144,6 @@ class PicklabilityRule(Rule):
                     ctx,
                     stmt,
                     f"field {node.name}.{target} is annotated with "
-                    f"unpicklable type(s) {', '.join(bad)}: it cannot "
-                    f"cross the process-pool boundary",
+                    f"unpicklable type(s) {', '.join(bad)}: the campaign "
+                    f"store cannot pickle it",
                 )

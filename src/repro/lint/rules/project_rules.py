@@ -19,7 +19,7 @@ class RngClockTaintRule(Rule):
     code = "ARCH008"
     name = "rng-clock-taint"
     description = (
-        "no call path from a pool-boundary entry (run_shard, "
+        "no call path from a shard entry (run_shard, "
         "run_campaign, Engine.run_batch) to a global-state RNG or "
         "wall-clock sink [project]"
     )
@@ -55,7 +55,7 @@ class PoolEscapeRule(Rule):
     code = "ARCH011"
     name = "pool-boundary-escape"
     description = (
-        "types transitively reachable from the shard pool payload "
+        "types transitively reachable from the shard payload "
         "(ShardSpec/ShardReport/FittedPlatform) must be picklable "
         "frozen dataclasses [project]"
     )

@@ -6,7 +6,7 @@ value objects.  Two properties keep that trustworthy:
 
 * **Frozen.**  A mutable header/stats/result object invites in-place
   edits after publication -- the recorded facts must be immutable
-  snapshots, exactly like the pool-boundary payloads (ARCH002).
+  snapshots, exactly like the shard payloads (ARCH002).
 * **Hash-stable fields.**  A field annotated as an unordered
   collection (``set``, ``frozenset``, ``Set``...) has no stable
   iteration order, so any fingerprint or serialisation derived from it

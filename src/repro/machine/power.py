@@ -93,14 +93,6 @@ class PowerTrace:
         """Exact time-average power, in Watts."""
         return self.energy() / self.duration
 
-    def max_power(self) -> float:
-        """Largest segment power, in Watts."""
-        return float(np.max(self.values))
-
-    def min_power(self) -> float:
-        """Smallest segment power, in Watts."""
-        return float(np.min(self.values))
-
     # ------------------------------------------------------------------
     # Sampling and transformation.
     # ------------------------------------------------------------------
@@ -125,24 +117,6 @@ class PowerTrace:
         if factor < 0:
             raise ValueError("factor must be non-negative")
         return PowerTrace(self.edges.copy(), self.values * factor)
-
-    def shifted(self, offset: float) -> "PowerTrace":
-        """Trace with a constant power offset added to every segment."""
-        values = self.values + offset
-        if np.any(values < 0):
-            raise ValueError("offset would make power negative")
-        return PowerTrace(self.edges.copy(), values)
-
-    def coalesced(self, rel_tol: float = 0.0) -> "PowerTrace":
-        """Merge adjacent segments whose powers agree within ``rel_tol``."""
-        keep = [0]
-        for k in range(1, len(self.values)):
-            prev = self.values[keep[-1]]
-            scale = max(abs(prev), abs(self.values[k]), 1e-30)
-            if abs(self.values[k] - prev) > rel_tol * scale:
-                keep.append(k)
-        edges = np.concatenate([self.edges[keep], [self.edges[-1]]])
-        return PowerTrace(edges, self.values[keep])
 
 
 class RaggedTraces(Mapping):

@@ -52,10 +52,6 @@ class ChannelReading:
         """Mean of instantaneous samples (the paper's estimator), W."""
         return float(np.mean(self.power))
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -79,15 +75,6 @@ class Measurement:
     def energy(self) -> float:
         """The paper's energy estimator: average power x wall time, J."""
         return self.average_power * self.duration
-
-    def channel(self, rail: str) -> ChannelReading:
-        """Reading for one named rail."""
-        for ch in self.channels:
-            if ch.rail == rail:
-                return ch
-        raise KeyError(
-            f"no channel for rail {rail!r}; have {[c.rail for c in self.channels]}"
-        )
 
 
 class PowerMon:

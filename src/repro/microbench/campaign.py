@@ -1,19 +1,16 @@
-"""One platform's campaign and fit, and a process pool to shard them.
+"""One platform's campaign and fit, and a runner over many platforms.
 
 :func:`fit_platform` is the only campaign-and-fit body: it measures one
 platform's complete Section IV suite and fits its Section V-A model.
-A full reproduction campaign is embarrassingly parallel across
-platforms, so :class:`CampaignRunner` runs one :func:`run_shard` --
-``fit_platform`` plus the shard's cache and counters -- per platform,
-inline or over a ``concurrent.futures`` process pool, sharing nothing
-between shards.  The pool is imported on the first pooled run, so an
-inline campaign (``--workers 1``) never loads ``multiprocessing``:
+:class:`CampaignRunner` runs one :func:`run_shard` -- ``fit_platform``
+plus the shard's cache and counters -- per platform, one after another
+in this process, sharing nothing between shards:
 
 * **Seeding.**  Every shard runs on the campaign seed itself
   (``settings.seed``), as :func:`fit_platform` does for one platform.
   A platform's observations and fit therefore depend only on
-  ``(platform, settings)``: never on the worker count, the order of
-  the platform list, or which other platforms share the campaign.
+  ``(platform, settings)``: never on the order of the platform list or
+  which other platforms share the campaign.
 * **Calibration memoisation.**  Each shard's
   :class:`~repro.microbench.runner.BenchmarkRunner` memoises its
   noise-free calibration dry-runs keyed on kernel shape (the platform
@@ -22,14 +19,11 @@ inline campaign (``--workers 1``) never loads ``multiprocessing``:
   path.
 * **Counters.**  Every shard reports its run count, calibration
   hit/miss counters, wall time and fault/retry/quarantine totals; the
-  aggregate lands in
-  :attr:`CampaignRunner.report`, whose ``workers`` field records the
-  *actual* pool width so ``parallel_efficiency`` is normalised
-  honestly.
+  aggregate lands in :attr:`CampaignRunner.report`.
 * **Telemetry.**  With ``trace=True`` every shard records nested
   spans (shard -> campaign -> sweep -> run -> calibrate / engine /
   measure / validate, plus per-model fit spans) on a
-  :class:`~repro.telemetry.recorder.TraceRecorder`; the spans ship
+  :class:`~repro.telemetry.recorder.TraceRecorder`; the spans come
   back inside each :class:`ShardReport` and can be exported as JSONL
   (:mod:`repro.telemetry.jsonl`) or rendered as a flame-style
   wall-time breakdown (:mod:`repro.telemetry.summary`).  The default
@@ -39,14 +33,13 @@ inline campaign (``--workers 1``) never loads ``multiprocessing``:
   lookups before compute, publication after, hit/miss/stale counters
   in every :class:`ShardReport`.  Replayed shards are bit-identical to
   computed ones -- the cache changes *whether* a shard runs, never
-  what it produces.  Outside the pool only :func:`fit_platform`
+  what it produces.  Outside the runner only :func:`fit_platform`
   caches, as separate campaign and fit entries.
-* **Resilience.**  A shard that raises, crashes its worker process or
-  misses the ``shard_timeout`` deadline is quarantined -- recorded in
-  the report with a named status and excluded from the returned fits
-  -- instead of killing the campaign.  Per-run faults (from a seeded
-  :class:`~repro.faults.plan.FaultPlan`) are retried and quarantined
-  at cell granularity inside each shard by
+* **Resilience.**  A shard that raises is quarantined -- recorded in
+  the report with status ``"failed"`` and excluded from the returned
+  fits -- instead of killing the campaign.  Per-run faults (from a
+  seeded :class:`~repro.faults.plan.FaultPlan`) are retried and
+  quarantined at cell granularity inside each shard by
   :class:`~repro.microbench.runner.BenchmarkRunner`.
 """
 
@@ -63,12 +56,7 @@ from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.fingerprint import campaign_key, fit_key, shard_key
 from ..store.store import CampaignStore
 from ..telemetry.jsonl import trace_bytes as _trace_bytes
-from ..telemetry.recorder import (
-    NULL_RECORDER,
-    SpanRecord,
-    SpanTable,
-    TraceRecorder,
-)
+from ..telemetry.recorder import NULL_RECORDER, SpanRecord, TraceRecorder
 from .runner import BenchmarkRunner, QuarantinedCell
 from .suite import CampaignSettings, FittedPlatform, fit_campaign, run_campaign
 
@@ -165,8 +153,8 @@ def fit_platform(
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One unit of parallel campaign work: a platform and the campaign
-    settings every shard shares."""
+    """One unit of campaign work: a platform and the campaign settings
+    every shard shares."""
 
     platform_id: str
     settings: CampaignSettings
@@ -195,7 +183,7 @@ class ShardReport:
     calibration_hits: int
     calibration_misses: int
     wall_seconds: float
-    status: str = "ok"  #: "ok" | "failed" | "timeout".
+    status: str = "ok"  #: "ok" | "failed".
     error: str = ""  #: failure message when status != "ok".
     runs_attempted: int = 0  #: engine executions, including retries.
     runs_failed: int = 0  #: attempts lost to a rig fault.
@@ -213,12 +201,9 @@ class ShardReport:
     cache_misses: int = 0
     cache_stale: int = 0
     trace_bytes: int = 0  #: JSONL-encoded size of ``spans``, bytes.
-    #: Telemetry spans this shard recorded (empty unless the spec set
-    #: ``trace``).  Shipped across the pool boundary as a columnar
-    #: :class:`~repro.telemetry.recorder.SpanTable` (a fraction of the
-    #: pickle bytes of per-span records); iterating yields
-    #: :class:`~repro.telemetry.recorder.SpanRecord` rows either way.
-    spans: SpanTable | tuple[SpanRecord, ...] = ()
+    #: Telemetry spans this shard recorded, in timeline order (empty
+    #: unless the spec set ``trace``).
+    spans: tuple[SpanRecord, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -232,19 +217,14 @@ class ShardReport:
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Aggregate counters of one parallel campaign.
+    """Aggregate counters of one campaign.
 
     ``shards`` always holds one report per requested platform, in
-    platform order -- including shards that failed or timed out, so the
-    aggregate accounts for every attempted cell.
+    platform order -- including shards that failed, so the aggregate
+    accounts for every attempted cell.
     """
 
     shards: tuple[ShardReport, ...]
-    #: The *actual* pool width: ``min(max_workers, len(shards))`` for a
-    #: pool run, 1 inline -- not the requested ``max_workers``, which
-    #: would understate :attr:`parallel_efficiency` whenever fewer
-    #: shards than workers exist.
-    workers: int
     wall_seconds: float  #: end-to-end wall time of the whole campaign.
 
     @property
@@ -253,15 +233,8 @@ class CampaignReport:
 
     @property
     def shard_seconds(self) -> float:
-        """Summed per-shard wall time (the sequential-equivalent cost)."""
+        """Summed per-shard wall time."""
         return sum(shard.wall_seconds for shard in self.shards)
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """``shard_seconds / (workers * wall_seconds)``, 1.0 = ideal."""
-        if self.wall_seconds <= 0.0 or self.workers <= 0:
-            return 0.0
-        return self.shard_seconds / (self.workers * self.wall_seconds)
 
     # -- resilience aggregates ----------------------------------------
 
@@ -272,7 +245,7 @@ class CampaignReport:
 
     @property
     def failed_shards(self) -> tuple[ShardReport, ...]:
-        """Shards that failed or timed out (their platforms have no fit)."""
+        """Shards that failed (their platforms have no fit)."""
         return tuple(shard for shard in self.shards if not shard.ok)
 
     @property
@@ -338,7 +311,7 @@ class CampaignReport:
 
     @property
     def traced(self) -> bool:
-        """Whether any shard shipped telemetry spans."""
+        """Whether any shard recorded telemetry spans."""
         return any(shard.spans for shard in self.shards)
 
     def describe_losses(self) -> str:
@@ -354,19 +327,17 @@ class CampaignReport:
 
 
 def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
-    """Run one platform's full campaign and fit (pool worker body).
+    """Run one platform's full campaign and fit (the shard body).
 
-    Module-level so the process pool can pickle it; also callable
-    inline for ``max_workers=1``, which must produce bit-identical
-    results.  The shard computes through :func:`fit_platform` on the
-    campaign settings, so its fit is the one every other path gives
-    the same platform and settings.
+    The shard computes through :func:`fit_platform` on the campaign
+    settings, so its fit is the one every other path gives the same
+    platform and settings.
 
     With ``spec.trace`` set the whole shard runs under a
     :class:`~repro.telemetry.recorder.TraceRecorder` -- a ``shard``
     root span containing the ``campaign`` (per-sweep, per-run,
     calibrate/engine/measure/validate) and ``fit`` subtrees -- and the
-    resulting spans travel back inside the :class:`ShardReport`.  The
+    resulting spans come back inside the :class:`ShardReport`.  The
     recorder never touches the random streams, so traced and untraced
     shards produce bit-identical fits.
 
@@ -403,7 +374,7 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
                     cache_hits=1,
                     cache_stale=store.stale,
                     trace_bytes=_trace_bytes(spec.platform_id, spans),
-                    spans=SpanTable.from_records(spans) if spans else (),
+                    spans=spans,
                 )
                 return fitted, report
     runner = BenchmarkRunner(
@@ -447,22 +418,21 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
                 key, (fitted, base), kind="shard", platform=spec.platform_id
             )
     spans = recorder.records()
-    shipped = SpanTable.from_records(spans) if spans else ()
     report = replace(
         base,
         wall_seconds=time.perf_counter() - started,
         cache_misses=1 if store is not None else 0,
         cache_stale=store.stale if store is not None else 0,
         trace_bytes=_trace_bytes(spec.platform_id, spans),
-        spans=shipped,
+        spans=spans,
     )
     return fitted, report
 
 
 def _failed_report(
-    spec: ShardSpec, status: str, error: str, wall_seconds: float
+    spec: ShardSpec, error: str, wall_seconds: float
 ) -> ShardReport:
-    """The report of a shard that produced no fit."""
+    """The report of a shard that raised and produced no fit."""
     return ShardReport(
         platform_id=spec.platform_id,
         seed=spec.settings.seed,
@@ -470,13 +440,13 @@ def _failed_report(
         calibration_hits=0,
         calibration_misses=0,
         wall_seconds=wall_seconds,
-        status=status,
+        status="failed",
         error=error,
     )
 
 
 class CampaignRunner:
-    """Runs per-platform campaign shards, optionally in parallel.
+    """Runs per-platform campaign shards, one after another.
 
     Parameters
     ----------
@@ -487,22 +457,9 @@ class CampaignRunner:
         included (default: ``CampaignSettings()``).  A ``None`` or
         all-zero fault plan leaves results bit-for-bit identical to the
         clean path.
-    max_workers:
-        Process-pool width; ``1`` runs the shards inline in this
-        process, with results identical to any parallel run.  Default:
-        one worker per shard, capped at the machine's CPU count.
-    shard_timeout:
-        Deadline in seconds each shard must meet, measured from
-        campaign start.  Shards still unfinished at the deadline are
-        quarantined (status ``"timeout"``) and excluded from the
-        returned fits; under a pool the stragglers are abandoned
-        without waiting.  Inline (``max_workers=1``) a running shard
-        cannot be interrupted, so the deadline is enforced between
-        shards.  ``None`` disables it.
     shard_fn:
         The shard execution body (default :func:`run_shard`).  A seam
-        for tests and extensions; must be a picklable module-level
-        callable when a process pool is used.
+        for tests and extensions.
     trace:
         Record telemetry spans in every shard (see
         :func:`run_shard`); the spans come back inside each
@@ -526,8 +483,6 @@ class CampaignRunner:
         platform_ids: Sequence[str] | None = None,
         settings: CampaignSettings | None = None,
         *,
-        max_workers: int | None = None,
-        shard_timeout: float | None = None,
         shard_fn: Callable[[ShardSpec], tuple[FittedPlatform, ShardReport]] = run_shard,
         trace: bool = False,
         cache_dir: str | os.PathLike[str] | None = None,
@@ -545,25 +500,17 @@ class CampaignRunner:
             # Results are keyed by platform id: duplicates would
             # silently run twice and collapse into one entry.
             raise ValueError("duplicate platform ids")
-        if max_workers is None:
-            max_workers = min(len(self.platform_ids), os.cpu_count() or 1)
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if shard_timeout is not None and not shard_timeout > 0:
-            raise ValueError("shard_timeout must be positive (or None)")
         if cache_refresh and cache_dir is None:
             raise ValueError("cache_refresh requires cache_dir")
         self.settings = settings or CampaignSettings()
-        self.max_workers = max_workers
-        self.shard_timeout = shard_timeout
         self.shard_fn = shard_fn
         self.trace = trace
         self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
         self.cache_refresh = cache_refresh
         self.report: CampaignReport | None = None
         #: Errors raised by the user ``progress`` callback during the
-        #: last :meth:`run` (swallowed so they cannot abandon the
-        #: pool), as ``"platform: ExcType: message"`` strings.
+        #: last :meth:`run` (swallowed so they cannot stop the
+        #: campaign), as ``"platform: ExcType: message"`` strings.
         self.progress_errors: tuple[str, ...] = ()
 
     def shard_specs(self) -> list[ShardSpec]:
@@ -579,199 +526,53 @@ class CampaignRunner:
             for pid in self.platform_ids
         ]
 
-    def _run_inline(
-        self,
-        specs: list[ShardSpec],
-        started: float,
-        emit: Callable[[str, FittedPlatform | None, ShardReport], None],
-    ) -> None:
-        deadline = (
-            None if self.shard_timeout is None else started + self.shard_timeout
-        )
-        for spec in specs:
-            if deadline is not None and time.perf_counter() >= deadline:
-                emit(
-                    spec.platform_id,
-                    None,
-                    _failed_report(
-                        spec,
-                        "timeout",
-                        f"not started before the {self.shard_timeout:.1f}s "
-                        f"deadline",
-                        0.0,
-                    ),
-                )
-                continue
-            shard_started = time.perf_counter()
-            try:
-                fitted, shard_report = self.shard_fn(spec)
-            except Exception as err:  # shard isolation: one platform down
-                emit(
-                    spec.platform_id,
-                    None,
-                    _failed_report(
-                        spec,
-                        "failed",
-                        f"{type(err).__name__}: {err}",
-                        time.perf_counter() - shard_started,
-                    ),
-                )
-            else:
-                emit(spec.platform_id, fitted, shard_report)
-
-    def _run_pool(
-        self,
-        specs: list[ShardSpec],
-        emit: Callable[[str, FittedPlatform | None, ShardReport], None],
-        workers: int,
-    ) -> None:
-        # Imported on the first pooled run: the pool brings in
-        # ``multiprocessing``, which an inline campaign never needs.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures import TimeoutError as FuturesTimeoutError
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-        # Shards abandoned mid-run cannot report their own wall time,
-        # so they are accounted from submission: the time a shard
-        # burned before the campaign gave up on it.  Shards whose
-        # future cancels cleanly at the deadline never ran at all and
-        # are charged 0.0 -- charging them the queue time would
-        # inflate ``CampaignReport.shard_seconds`` (and with it
-        # ``parallel_efficiency``) with work nobody performed.
-        submitted = time.perf_counter()
-        futures = {pool.submit(self.shard_fn, spec): spec for spec in specs}
-        done: set[str] = set()
-        timed_out = False
-        try:
-            for future in as_completed(futures, timeout=self.shard_timeout):
-                spec = futures[future]
-                try:
-                    fitted, shard_report = future.result()
-                except Exception as err:  # worker crashed or shard raised
-                    fitted = None
-                    shard_report = _failed_report(
-                        spec,
-                        "failed",
-                        f"{type(err).__name__}: {err}",
-                        time.perf_counter() - submitted,
-                    )
-                done.add(spec.platform_id)
-                emit(spec.platform_id, fitted, shard_report)
-        # On 3.10, as_completed raises concurrent.futures.TimeoutError,
-        # which only became an alias of the builtin in 3.11.
-        except (TimeoutError, FuturesTimeoutError):
-            # Deadline hit: quarantine every unfinished shard.  Queued
-            # futures are cancelled; ones already running on a worker
-            # are abandoned (shutdown below does not wait for them).
-            # Each gets the elapsed-at-deadline time, not the nominal
-            # ``shard_timeout``: the deadline may fire late, and the
-            # report should account for time actually burned.
-            timed_out = True
-            elapsed = time.perf_counter() - submitted
-            for future, spec in futures.items():
-                if spec.platform_id in done:
-                    continue
-                # A successful cancel() means the shard was still
-                # queued: it never ran, so it burned no shard time and
-                # is charged 0.0.  Only shards already running on a
-                # worker (cancel() fails) are charged the elapsed time
-                # they actually consumed before being abandoned.
-                cancelled = future.cancel()
-                if cancelled:
-                    error = (
-                        f"not started before the {self.shard_timeout:.1f}s "
-                        f"deadline"
-                    )
-                else:
-                    error = (
-                        f"unfinished at the {self.shard_timeout:.1f}s "
-                        f"deadline"
-                    )
-                emit(
-                    spec.platform_id,
-                    None,
-                    _failed_report(
-                        spec,
-                        "timeout",
-                        error,
-                        0.0 if cancelled else elapsed,
-                    ),
-                )
-        finally:
-            # shutdown(wait=False) leaves workers mid-shard alive, and
-            # the executor's atexit hook would join them -- blocking
-            # interpreter exit long past the deadline.  Their futures
-            # are already quarantined above, so kill the stragglers
-            # outright.  Snapshot before shutdown(): it nulls
-            # ``_processes`` even with ``wait=False``.
-            stragglers = (
-                list((getattr(pool, "_processes", None) or {}).values())
-                if timed_out
-                else []
-            )
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-            for proc in stragglers:
-                proc.terminate()
-
     def run(
         self,
         progress: Callable[[ShardReport], None] | None = None,
     ) -> dict[str, FittedPlatform]:
-        """Run every shard and return fits keyed by platform id.
+        """Run every shard in platform order and return fits keyed by
+        platform id.
 
         ``progress`` (if given) is called with each shard's
-        :class:`ShardReport` as it completes -- out of order under a
-        pool; the returned dict is always in platform order.  The
-        aggregate :class:`CampaignReport` is stored on :attr:`report`.
+        :class:`ShardReport` as it completes.  The aggregate
+        :class:`CampaignReport` is stored on :attr:`report`.
 
-        The campaign *never* dies with a shard: a shard that raises,
-        crashes its worker, or misses the deadline is recorded in the
-        report with status ``"failed"``/``"timeout"`` and its platform
-        is simply absent from the returned fits -- graceful degradation
-        with every loss named in :meth:`CampaignReport.describe_losses`.
-        The same isolation covers the ``progress`` callback itself: an
-        exception it raises mid-campaign would otherwise abandon live
-        pool workers and leave :attr:`report` unset, so it is caught,
-        recorded on :attr:`progress_errors`, and the campaign carries
-        on.
+        The campaign *never* dies with a shard: a shard that raises is
+        recorded in the report with status ``"failed"`` and its
+        platform is simply absent from the returned fits -- graceful
+        degradation with every loss named in
+        :meth:`CampaignReport.describe_losses`.  The same isolation
+        covers the ``progress`` callback itself: an exception it raises
+        is caught and recorded on :attr:`progress_errors`, and the
+        campaign carries on.
         """
-        specs = self.shard_specs()
-        inline = self.max_workers == 1 or len(specs) == 1
-        # The *actual* pool width -- what parallel_efficiency must be
-        # normalised by.  A pool never grows wider than the shard list,
-        # and the inline path is one worker regardless of max_workers.
-        workers = 1 if inline else min(self.max_workers, len(specs))
         started = time.perf_counter()
-        outcomes: dict[str, tuple[FittedPlatform | None, ShardReport]] = {}
+        fits: dict[str, FittedPlatform] = {}
+        shards: list[ShardReport] = []
         progress_errors: list[str] = []
-        self.progress_errors = ()
-
-        def emit(
-            pid: str, fitted: FittedPlatform | None, shard_report: ShardReport
-        ) -> None:
-            outcomes[pid] = (fitted, shard_report)
+        for spec in self.shard_specs():
+            shard_started = time.perf_counter()
+            try:
+                fitted, shard_report = self.shard_fn(spec)
+            except Exception as err:  # shard isolation: one platform down
+                shard_report = _failed_report(
+                    spec,
+                    f"{type(err).__name__}: {err}",
+                    time.perf_counter() - shard_started,
+                )
+            else:
+                fits[spec.platform_id] = fitted
+            shards.append(shard_report)
             if progress is not None:
                 try:
                     progress(shard_report)
                 except Exception as err:
                     progress_errors.append(
-                        f"{pid}: {type(err).__name__}: {err}"
+                        f"{spec.platform_id}: {type(err).__name__}: {err}"
                     )
-
-        if inline:
-            self._run_inline(specs, started, emit)
-        else:
-            self._run_pool(specs, emit, workers)
         self.progress_errors = tuple(progress_errors)
         self.report = CampaignReport(
-            shards=tuple(
-                outcomes[pid][1] for pid in self.platform_ids
-            ),
-            workers=workers,
+            shards=tuple(shards),
             wall_seconds=time.perf_counter() - started,
         )
-        return {
-            pid: outcome[0]
-            for pid in self.platform_ids
-            if (outcome := outcomes[pid])[0] is not None
-        }
+        return fits

@@ -45,6 +45,8 @@ def bootstrap_paired_ci(
         raise ValueError("need at least two pairs")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
+    if n_resamples < 10:
+        raise ValueError("n_resamples must be >= 10")
     rng = rng or np.random.default_rng(0)
     idx = rng.integers(0, xa.size, size=(n_resamples, xa.size))
     stats = np.array([statistic(xa[row], ya[row]) for row in idx])

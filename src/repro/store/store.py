@@ -9,9 +9,10 @@ An entry file is::
 The header carries everything maintenance commands need (kind,
 platform, engine version, payload sha1/size, creation time) so
 ``stats``/``gc``/``verify`` never unpickle payloads; the payload holds
-the cached object itself -- the exact pickle bytes the campaign's
-process pool already ships, so replay fidelity is the pool boundary's
-own, already-tested fidelity.
+the cached object itself, pickled.  A shard entry is the
+``(FittedPlatform, ShardReport)`` pair that
+:func:`~repro.microbench.campaign.run_shard` returns, whose types
+archlint holds to frozen, picklable dataclasses (ARCH002, ARCH011).
 
 Guarantees
 ----------
@@ -117,7 +118,7 @@ class CampaignStore:
     One instance per process/shard is the intended usage -- instances
     share nothing but the directory, and every cross-process interaction
     happens through atomic whole-file publication, so any number of
-    concurrent pool shards may read and write one store safely.
+    concurrent processes may read and write one store safely.
 
     Counters (``hits``/``misses``/``stale``/``puts``) account for this
     instance's lookups only; campaign shards ship them back inside

@@ -4,8 +4,8 @@ The paper's evaluation rests on *instrumented* runs -- PowerMon 2
 sampling at 1024 Hz while the microbenchmark sweeps execute -- and the
 software twin needs the same property for itself: when a campaign is
 slow, the question "where did the wall time go?" (calibration?  the
-engine?  fitting?  pool overhead?) must be answerable from data, not
-guesswork.  This package provides that observability layer:
+engine?  fitting?) must be answerable from data, not guesswork.  This
+package provides that observability layer:
 
 * :mod:`repro.telemetry.recorder` -- the :class:`Span` /
   :class:`TraceRecorder` API: nested spans with monotonic timestamps.
@@ -19,14 +19,14 @@ guesswork.  This package provides that observability layer:
 * :mod:`repro.telemetry.summary` -- renders a flame-style text
   breakdown of a traced campaign: per-shard span trees with inclusive
   and self times, and the campaign-level accounting (shard time vs
-  wall time vs pool overhead).
+  wall time).
 
 Instrumented layers: :class:`~repro.machine.engine.Engine` (run /
 run_batch), :class:`~repro.microbench.runner.BenchmarkRunner`
 (calibrate -> engine -> measure -> validate),
 :func:`~repro.microbench.suite.fit_campaign` (per-fit spans) and
 :class:`~repro.microbench.campaign.CampaignRunner` (per-shard root
-spans, serialised across the process-pool boundary and merged into
+spans, collected into
 :class:`~repro.microbench.campaign.CampaignReport`).
 """
 

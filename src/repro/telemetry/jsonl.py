@@ -5,7 +5,8 @@ line, each tagged with a ``"type"``:
 
 ``campaign``
     Exactly one, first line: ``schema`` (format version), ``workers``
-    (actual pool width), ``wall_seconds``, ``shards``.
+    (always 1: shards run one after another), ``wall_seconds``,
+    ``shards``.
 ``shard``
     One per shard: ``shard`` (platform id), ``status``, ``seed``,
     ``wall_seconds``.
@@ -103,8 +104,8 @@ def trace_bytes(shard: str, spans: Sequence[SpanRecord]) -> int:
     """Size in bytes of a shard's spans as encoded JSONL lines.
 
     This is the ``trace_bytes`` counter a shard reports -- how much
-    trace it shipped across the pool boundary -- computed from the
-    canonical encoding so it is deterministic across processes.
+    trace it recorded -- computed from the canonical encoding so it is
+    deterministic across processes.
     """
     return sum(
         len(_dumps(span_to_obj(shard, record)).encode()) + 1
@@ -132,14 +133,14 @@ def campaign_records(report: Any) -> Iterator[dict[str, Any]]:
 
     ``report`` is duck-typed on
     :class:`~repro.microbench.campaign.CampaignReport`: it needs
-    ``workers``, ``wall_seconds`` and ``shards`` (each shard with
-    ``platform_id``, ``status``, ``seed``, ``wall_seconds``, the
-    counter fields, and ``spans``).
+    ``wall_seconds`` and ``shards`` (each shard with ``platform_id``,
+    ``status``, ``seed``, ``wall_seconds``, the counter fields, and
+    ``spans``).  Schema 1's ``workers`` field is always written as 1.
     """
     yield {
         "type": "campaign",
         "schema": SCHEMA_VERSION,
-        "workers": int(report.workers),
+        "workers": 1,
         "wall_seconds": float(report.wall_seconds),
         "shards": len(report.shards),
     }
@@ -198,7 +199,7 @@ def write_recorder_trace(
         wall_seconds=wall,
         spans=recorder.records(),
     )
-    report = SimpleNamespace(workers=1, wall_seconds=wall, shards=(one,))
+    report = SimpleNamespace(wall_seconds=wall, shards=(one,))
     return write_trace(path, report)
 
 

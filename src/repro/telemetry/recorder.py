@@ -1,8 +1,8 @@
 """Span tracing: nested monotonic-clock spans.
 
 Two recorders share one interface.  :class:`TraceRecorder` collects
-:class:`SpanRecord` entries (frozen, picklable -- they cross the
-campaign's process-pool boundary inside ``ShardReport``).
+:class:`SpanRecord` entries (frozen, picklable -- a shard hands them
+back inside ``ShardReport``).
 :class:`NullRecorder` -- the default everywhere -- is a no-op:
 ``span()`` hands back one shared reusable context manager, so
 instrumented code paths cost two attribute lookups and an empty
@@ -22,11 +22,10 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 __all__ = [
     "SpanRecord",
-    "SpanTable",
     "TraceRecorder",
     "NullRecorder",
     "NULL_RECORDER",
@@ -60,77 +59,12 @@ class SpanRecord:
         return dict(self.meta)
 
 
-@dataclass(frozen=True)
-class SpanTable:
-    """Columnar storage of many spans: one tuple of primitives per field.
-
-    A traced shard records thousands of spans, and shipping them across
-    the campaign's process-pool boundary as individual
-    :class:`SpanRecord` instances makes the pickle stream pay a class
-    reference and object header per span.  Stored as columns the same
-    spans pickle as seven flat tuples of interned strings, floats and
-    ints -- a fraction of the bytes -- while iteration and indexing
-    still hand out :class:`SpanRecord` rows, so every consumer of
-    ``ShardReport.spans`` (JSONL export, summaries, tests) is agnostic
-    to which representation it got.
-    """
-
-    names: tuple[str, ...]
-    starts: tuple[float, ...]
-    durations: tuple[float, ...]
-    indices: tuple[int, ...]
-    parents: tuple[int, ...]
-    depths: tuple[int, ...]
-    metas: tuple[tuple[tuple[str, str], ...], ...]
-
-    @classmethod
-    def from_records(cls, records: "Sequence[SpanRecord]") -> "SpanTable":
-        return cls(
-            names=tuple(r.name for r in records),
-            starts=tuple(r.start for r in records),
-            durations=tuple(r.duration for r in records),
-            indices=tuple(r.index for r in records),
-            parents=tuple(r.parent for r in records),
-            depths=tuple(r.depth for r in records),
-            metas=tuple(r.meta for r in records),
-        )
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __bool__(self) -> bool:
-        return bool(self.names)
-
-    def row(self, i: int) -> SpanRecord:
-        return SpanRecord(
-            name=self.names[i],
-            start=self.starts[i],
-            duration=self.durations[i],
-            index=self.indices[i],
-            parent=self.parents[i],
-            depth=self.depths[i],
-            meta=self.metas[i],
-        )
-
-    def __getitem__(self, i: int) -> SpanRecord:
-        if not isinstance(i, int):
-            raise TypeError("SpanTable indices must be integers")
-        return self.row(range(len(self))[i])
-
-    def __iter__(self) -> Iterator[SpanRecord]:
-        for i in range(len(self)):
-            yield self.row(i)
-
-    def records(self) -> tuple[SpanRecord, ...]:
-        return tuple(self)
-
-
 class TraceRecorder:
     """Collects nested spans for one traced scope.
 
     Use one recorder per shard (they are not thread-safe; the campaign
-    runner gives every pool worker its own).  ``clock`` is injectable
-    for deterministic tests.
+    runner gives every shard its own).  ``clock`` is injectable for
+    deterministic tests.
 
     Example
     -------

@@ -3,8 +3,8 @@
 Answers the question every slow campaign raises -- *where did the wall
 time go?* -- from the spans each shard recorded: calibration vs engine
 runs vs measurement vs fitting, plus the campaign-level accounting
-(summed shard time vs wall time vs pool overhead).  Pure rendering; no
-recording happens here.
+(summed shard time vs wall time).  Pure rendering; no recording
+happens here.
 
 The tree aggregates spans by *name path* (the chain of span names from
 the root), so the 600 ``engine`` spans of a sweep collapse into one
@@ -113,8 +113,8 @@ def render_shard_summary(shard: Any) -> str:
     if not spans:
         if shard.status == "ok":
             return head + "\n  (no spans recorded; run with tracing enabled)"
-        # A shard that raises or times out cannot ship its recorder
-        # back across the pool boundary, traced or not.
+        # A shard that raises hands back no report, so its recorder's
+        # spans are lost, traced or not.
         return head + f"\n  (no spans recorded; shard {shard.status})"
     aggregated = aggregate_spans(spans)
     lines = [head]
@@ -131,17 +131,12 @@ def render_shard_summary(shard: Any) -> str:
 
 def render_summary(report: Any) -> str:
     """The whole campaign's breakdown (duck-typed on
-    ``CampaignReport``): a header with the parallel accounting, then
-    one tree per shard."""
-    wall = float(report.wall_seconds)
-    shard_seconds = float(report.shard_seconds)
-    overhead = max(0.0, report.workers * wall - shard_seconds)
+    ``CampaignReport``): a header with the wall and summed shard time,
+    then one tree per shard."""
     header = (
-        f"campaign: {len(report.shards)} shards, {report.workers} workers, "
-        f"{wall:.3f}s wall\n"
-        f"shard time {shard_seconds:.3f}s, parallel efficiency "
-        f"{report.parallel_efficiency:.1%}, idle worker-time "
-        f"{overhead:.3f}s"
+        f"campaign: {len(report.shards)} shards, "
+        f"{float(report.wall_seconds):.3f}s wall, "
+        f"shard time {float(report.shard_seconds):.3f}s"
     )
     parts = [header]
     parts.extend(render_shard_summary(shard) for shard in report.shards)

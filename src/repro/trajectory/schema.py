@@ -14,7 +14,6 @@ report is a single JSON object::
                             "n_runs": ..., ...},
         "capped_sweep":    {... "n_throttled", "speedup_vs_scalar" ...},
         "faulted_campaign":{... shard counters ...},
-        "pool_campaign":   {... "parallel_efficiency", "workers" ...},
         "cached_campaign": {... "warm_speedup", "cache_hits",
                             "fits_identical" ...},
         "fleet_small":     {... "n_pairs", "states_explored",
@@ -60,7 +59,6 @@ SUITE_CAMPAIGNS = (
     "uncapped_sweep",
     "capped_sweep",
     "faulted_campaign",
-    "pool_campaign",
     "cached_campaign",
     "fleet_small",
 )

@@ -13,13 +13,8 @@ whose speed the repo has promised to keep:
     path.  Also times the per-kernel scalar loop once and reports the
     speedup -- the ratio the vectorised governor must defend.
 ``faulted_campaign``
-    A two-platform inline campaign under a seeded fault plan: the
-    resilient path (retries, rejections, quarantine) with its
-    counters.
-``pool_campaign``
-    A four-platform campaign through the process pool, reporting
-    ``parallel_efficiency`` and the shard counters that ride back over
-    the pickle boundary.
+    A two-platform campaign under a seeded fault plan: the resilient
+    path (retries, rejections, quarantine) with its counters.
 ``cached_campaign``
     The same four platforms run cold into a fresh content-addressed
     store and then warm from it (docs/CACHE.md).  ``wall_seconds`` is
@@ -66,7 +61,6 @@ __all__ = [
     "uncapped_sweep",
     "capped_sweep",
     "faulted_campaign",
-    "pool_campaign",
     "cached_campaign",
     "fleet_small",
 ]
@@ -147,8 +141,6 @@ def _campaign_metrics(runner: CampaignRunner) -> dict:
         "wall_seconds": wall,
         "n_runs": report.n_runs,
         "runs_per_second": report.n_runs / wall if wall > 0 else 0.0,
-        "workers": report.workers,
-        "parallel_efficiency": report.parallel_efficiency,
         "shard_seconds": report.shard_seconds,
         "runs_attempted": report.runs_attempted,
         "runs_failed": report.runs_failed,
@@ -170,7 +162,7 @@ def _settings(seed: int, quick: bool, **overrides: Any) -> CampaignSettings:
 
 
 def faulted_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
-    """Resilient inline campaign under a seeded fault plan."""
+    """Resilient campaign under a seeded fault plan."""
     plan = FaultPlan(
         sample_dropout=0.02,
         run_failure_rate=0.05,
@@ -179,20 +171,6 @@ def faulted_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     runner = CampaignRunner(
         ("gtx-titan", "nuc-gpu"),
         _settings(seed, quick, faults=plan),
-        max_workers=1,
-    )
-    fits = runner.run()
-    metrics = _campaign_metrics(runner)
-    metrics["fitted_platforms"] = len(fits)
-    return metrics
-
-
-def pool_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
-    """Four platforms sharded over a process pool."""
-    runner = CampaignRunner(
-        ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-        _settings(seed, quick),
-        max_workers=4,
     )
     fits = runner.run()
     metrics = _campaign_metrics(runner)
@@ -225,15 +203,13 @@ def cached_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     """Cold-then-warm campaign through the content-addressed store.
 
     ``wall_seconds`` (the gated metric) is the **warm** run: the cost
-    of an incremental re-run when nothing changed.  Runs inline --
-    process-pool startup would swamp a replay that does no compute.
+    of an incremental re-run when nothing changed.
     """
 
     def runner_for(cache_dir: str) -> CampaignRunner:
         return CampaignRunner(
             ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
             _settings(seed, quick),
-            max_workers=1,
             cache_dir=cache_dir,
         )
 
@@ -316,7 +292,6 @@ SUITE: dict[str, Callable[..., dict]] = {
     "uncapped_sweep": uncapped_sweep,
     "capped_sweep": capped_sweep,
     "faulted_campaign": faulted_campaign,
-    "pool_campaign": pool_campaign,
     "cached_campaign": cached_campaign,
     "fleet_small": fleet_small,
 }

@@ -101,11 +101,6 @@ def to_maccs(value: float) -> float:
     return value / MEGA
 
 
-def to_gflops_per_joule(value: float) -> float:
-    """Convert flop/J to Gflop/J (Fig. 5 panel annotations)."""
-    return value / GIGA
-
-
 # ---------------------------------------------------------------------------
 # Small numeric helpers shared across the package.
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestSharedValidators:
             ["fleet", "--workload", "w.json", "--cost-budget", "inf"],
             ["fleet", "--workload", "w.json", "--horizon", "0"],
             ["fleet", "--workload", "w.json", "--states", "0"],
-            ["campaign", "--shard-timeout", "nan"],
+            ["campaign", "--workers", "2"],
             ["serve", "--max-batch", "0"],
             ["serve", "--max-body-bytes", "-1"],
         ],

@@ -1,4 +1,4 @@
-"""ARCH011: transitive picklability of the shard pool payload."""
+"""ARCH011: transitive picklability of the shard payload."""
 
 from __future__ import annotations
 

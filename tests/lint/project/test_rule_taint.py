@@ -1,4 +1,4 @@
-"""ARCH008: call paths from pool-boundary entries to RNG/clock sinks."""
+"""ARCH008: call paths from shard entries to RNG/clock sinks."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""ARCH002: positive and negative fixtures for pool picklability."""
+"""ARCH002: positive and negative fixtures for shard-payload picklability."""
 
 from __future__ import annotations
 

@@ -48,10 +48,6 @@ class TestQuantities:
     def test_average_power(self, trace):
         assert trace.average_power() == pytest.approx(55.0 / 4.0)
 
-    def test_extremes(self, trace):
-        assert trace.max_power() == 20.0
-        assert trace.min_power() == 5.0
-
     def test_constant_constructor(self):
         t = PowerTrace.constant(7.0, 2.0)
         assert t.energy() == pytest.approx(14.0)
@@ -89,26 +85,3 @@ class TestTransforms:
     def test_scaled_rejects_negative(self, trace):
         with pytest.raises(ValueError):
             trace.scaled(-1.0)
-
-    def test_shifted(self, trace):
-        shifted = trace.shifted(1.0)
-        assert shifted.energy() == pytest.approx(trace.energy() + trace.duration)
-
-    def test_shifted_rejects_negative_result(self, trace):
-        with pytest.raises(ValueError, match="negative"):
-            trace.shifted(-6.0)
-
-    def test_coalesced_merges_equal_segments(self):
-        t = PowerTrace(
-            np.array([0.0, 1.0, 2.0, 3.0]), np.array([5.0, 5.0, 7.0])
-        )
-        merged = t.coalesced()
-        assert len(merged.values) == 2
-        assert merged.energy() == pytest.approx(t.energy())
-
-    def test_coalesced_tolerance(self):
-        t = PowerTrace(
-            np.array([0.0, 1.0, 2.0]), np.array([100.0, 100.5])
-        )
-        assert len(t.coalesced(rel_tol=0.01).values) == 1
-        assert len(t.coalesced(rel_tol=1e-4).values) == 2

@@ -39,9 +39,9 @@ def traces(draw):
 @settings(max_examples=100)
 def test_energy_bounded_by_extremes(trace):
     assert (
-        trace.min_power() * trace.duration - 1e-9
+        trace.values.min() * trace.duration - 1e-9
         <= trace.energy()
-        <= trace.max_power() * trace.duration + 1e-9
+        <= trace.values.max() * trace.duration + 1e-9
     )
 
 
@@ -51,14 +51,6 @@ def test_scaling_linearity(trace, factor):
     assert trace.scaled(factor).energy() == pytest.approx(
         factor * trace.energy(), abs=1e-9
     )
-
-
-@given(traces())
-@settings(max_examples=100)
-def test_coalesce_preserves_energy(trace):
-    merged = trace.coalesced()
-    assert merged.duration == pytest.approx(trace.duration)
-    assert merged.energy() == pytest.approx(trace.energy(), rel=1e-9)
 
 
 @given(
@@ -89,8 +81,8 @@ def test_sampling_within_range(trace, n):
         float(trace.edges[0]), float(trace.edges[-1]), n
     )
     values = trace.sample(times)
-    assert np.all(values >= trace.min_power() - 1e-12)
-    assert np.all(values <= trace.max_power() + 1e-12)
+    assert np.all(values >= trace.values.min() - 1e-12)
+    assert np.all(values <= trace.values.max() + 1e-12)
 
 
 # ---------------------------------------------------------------------------

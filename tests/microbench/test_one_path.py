@@ -3,8 +3,8 @@
 Every way to campaign and fit a platform -- ``fit_platform`` itself, a
 bare ``run_campaign`` on the same settings, the fitted-theta
 resolution serve and fleet use, a one-platform campaign runner and a
-pooled twelve-platform runner in reversed order -- must measure the
-same campaign and fit the same theta-hat, bit for bit.
+twelve-platform runner in reversed order -- must measure the same
+campaign and fit the same theta-hat, bit for bit.
 Campaigns compare by dataclass equality (exact floats); fitted
 parameters compare by pickle bytes.
 """
@@ -26,19 +26,19 @@ FAULTED = CampaignSettings(
 FAULTED_PLATFORMS = ("gtx-titan", "nuc-gpu")
 
 
-def runner_fits(platform_ids, settings, max_workers):
-    runner = CampaignRunner(platform_ids, settings, max_workers=max_workers)
+def runner_fits(platform_ids, settings):
+    runner = CampaignRunner(platform_ids, settings)
     fits = runner.run()
     assert runner.report.ok, runner.report.describe_losses()
     return fits
 
 
-def assert_one_fit(pid, settings, pooled_fit):
+def assert_one_fit(pid, settings, campaign_fit):
     reference = fit_platform(pid, settings)
     assert run_campaign(platform(pid), settings) == reference.campaign
     expected = pickle.dumps(reference.fitted_params)
-    (alone,) = runner_fits((pid,), settings, max_workers=1).values()
-    for fit in (alone, pooled_fit):
+    (alone,) = runner_fits((pid,), settings).values()
+    for fit in (alone, campaign_fit):
         assert fit.campaign == reference.campaign
         assert pickle.dumps(fit.fitted_params) == expected
     resolved = fitted_platform_config(pid, settings)
@@ -46,20 +46,20 @@ def assert_one_fit(pid, settings, pooled_fit):
 
 
 @pytest.fixture(scope="module", params=SEEDS)
-def pooled(request):
-    """All twelve platforms, reversed, over a two-worker pool."""
+def reversed_campaign(request):
+    """All twelve platforms in one campaign, in reversed order."""
     settings = CampaignSettings(seed=request.param).scaled_down()
-    fits = runner_fits(tuple(reversed(PLATFORM_IDS)), settings, max_workers=2)
+    fits = runner_fits(tuple(reversed(PLATFORM_IDS)), settings)
     return settings, fits
 
 
 @pytest.mark.parametrize("pid", PLATFORM_IDS)
-def test_every_path_fits_the_same_theta(pooled, pid):
-    settings, fits = pooled
+def test_every_path_fits_the_same_theta(reversed_campaign, pid):
+    settings, fits = reversed_campaign
     assert_one_fit(pid, settings, fits[pid])
 
 
 def test_faulted_paths_agree():
-    fits = runner_fits(FAULTED_PLATFORMS[::-1], FAULTED, max_workers=2)
+    fits = runner_fits(FAULTED_PLATFORMS[::-1], FAULTED)
     for pid in FAULTED_PLATFORMS:
         assert_one_fit(pid, FAULTED, fits[pid])

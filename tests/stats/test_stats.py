@@ -123,6 +123,14 @@ class TestBootstrap:
     def test_paired_validation(self, rng):
         with pytest.raises(ValueError):
             bootstrap_paired_ci([1.0, 2.0], [1.0], lambda a, b: 0.0, rng=rng)
+        x, y = [1.0, 2.0, 3.0], [1.0, 3.0, 2.0]
+        for n_resamples in (0, 1, 9):
+            # Too few resamples to place a percentile interval: 0 used
+            # to raise a bare IndexError, 1 to return a collapsed one.
+            with pytest.raises(ValueError, match="n_resamples must be >= 10"):
+                bootstrap_paired_ci(
+                    x, y, pearson, n_resamples=n_resamples, rng=rng
+                )
 
 
 class TestRegression:

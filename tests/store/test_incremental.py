@@ -104,7 +104,7 @@ class TestColdWarmDifferential:
 class TestRunnerInvalidation:
     def runner(self, cache_dir):
         return CampaignRunner(
-            ("pandaboard-es",), TINY, max_workers=1, cache_dir=cache_dir
+            ("pandaboard-es",), TINY, cache_dir=cache_dir
         )
 
     def test_engine_version_bump_misses_warm_cache(
@@ -179,27 +179,6 @@ class TestContention:
         assert store.verify() == []
         for key in keys:
             assert store.get(key) == payloads[key]
-
-    def test_pool_shards_publish_then_warm_inline_run_hits(self, tmp_path):
-        """Shards writing from separate pool processes leave a store a
-        later inline run can replay from."""
-        def runner(workers):
-            return CampaignRunner(
-                ("pandaboard-es", "nuc-cpu"),
-                TINY,
-                max_workers=workers,
-                cache_dir=tmp_path,
-            )
-
-        cold = runner(2)
-        cold_fits = cold.run()
-        assert cold.report.cache_misses == 2
-        assert CampaignStore(tmp_path).verify() == []
-        warm = runner(1)
-        warm_fits = warm.run()
-        assert warm.report.cache_hits == 2
-        for pid in cold_fits:
-            assert warm_fits[pid].campaign == cold_fits[pid].campaign
 
 
 class TestAcceptance:

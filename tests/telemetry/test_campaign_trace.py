@@ -1,11 +1,10 @@
-"""Integration: telemetry threaded through shards, pools and the CLI.
+"""Integration: telemetry threaded through shards, campaigns and the CLI.
 
 The two acceptance properties: (1) the default no-op recorder leaves
 campaign results bit-for-bit identical to a traced run -- tracing is
-pure observation; (2) a traced campaign's spans survive the
-process-pool boundary, serialise to valid JSONL, and account for the
-shard's wall time (root span duration never exceeds the reported
-``wall_seconds``).
+pure observation; (2) a traced campaign's spans merge into one report,
+serialise to valid JSONL, and account for the shard's wall time (root
+span duration never exceeds the reported ``wall_seconds``).
 """
 
 from dataclasses import replace
@@ -83,17 +82,17 @@ class TestTraceParity:
             assert span.end <= root.end + 1e-9
 
 
-class TestPoolMerge:
-    def test_spans_cross_the_pool_boundary(self, tmp_path):
+class TestCampaignMerge:
+    def test_shard_spans_merge_into_one_trace(self, tmp_path):
         ids = ("gtx-titan", "nuc-gpu")
-        runner = CampaignRunner(ids, QUICK, max_workers=2, trace=True)
+        runner = CampaignRunner(ids, QUICK, trace=True)
         fits = runner.run()
         report = runner.report
         assert set(fits) == set(ids)
         assert report.traced
         assert report.trace_bytes > 0
         for shard in report.shards:
-            assert shard.spans, f"{shard.platform_id} shipped no spans"
+            assert shard.spans, f"{shard.platform_id} recorded no spans"
             (root,) = [s for s in shard.spans if s.parent == -1]
             assert root.duration <= shard.wall_seconds
 
@@ -108,15 +107,13 @@ class TestPoolMerge:
             )
 
     def test_trace_off_by_default(self):
-        runner = CampaignRunner(("gtx-titan",), QUICK, max_workers=1)
+        runner = CampaignRunner(("gtx-titan",), QUICK)
         runner.run()
         assert not runner.report.traced
         assert runner.report.trace_bytes == 0
 
     def test_summary_renders_traced_campaign(self):
-        runner = CampaignRunner(
-            ("gtx-titan",), QUICK, max_workers=1, trace=True
-        )
+        runner = CampaignRunner(("gtx-titan",), QUICK, trace=True)
         runner.run()
         out = render_summary(runner.report)
         assert "shard gtx-titan" in out
@@ -132,13 +129,13 @@ class TestCampaignCli:
         code = main(
             [
                 "campaign", "gtx-titan", "nuc-gpu", "--quick",
-                "--workers", "2", "--trace", str(path), "--progress",
+                "--trace", str(path), "--progress",
             ]
         )
         assert code == 0
         captured = capsys.readouterr()
         assert "trace:" in captured.out
-        assert "parallel efficiency" in captured.out
+        assert "campaign: 2 shards" in captured.out
         # Progress lines go to stderr, one per shard, numbered.
         assert "[1/2]" in captured.err
         assert "[2/2]" in captured.err

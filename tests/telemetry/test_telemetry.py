@@ -157,10 +157,8 @@ def _sample_report():
         spans=spans,
     )
     return SimpleNamespace(
-        workers=2,
         wall_seconds=4.5,
         shard_seconds=4.1,
-        parallel_efficiency=0.456,
         shards=(shard,),
     )
 
@@ -180,7 +178,8 @@ class TestJsonl:
         assert len(records) == lines
         assert records[0]["type"] == "campaign"
         assert records[0]["schema"] == SCHEMA_VERSION
-        assert records[0]["workers"] == 2
+        # Schema 1 keeps the field; shards run one at a time.
+        assert records[0]["workers"] == 1
         counters = {
             r["name"]: r["value"] for r in records if r["type"] == "counter"
         }
@@ -412,8 +411,8 @@ class TestSummary:
         assert "no spans recorded; run with tracing enabled" in out
 
     def test_render_shard_summary_failed_shard(self):
-        # A failed shard cannot ship its recorder back, so the fallback
-        # must not suggest tracing was off.
+        # A failed shard hands back no spans, so the fallback must not
+        # suggest tracing was off.
         shard = SimpleNamespace(
             platform_id="nuc-gpu", status="failed", wall_seconds=1.0,
             n_runs=0, spans=(),
@@ -424,6 +423,6 @@ class TestSummary:
 
     def test_render_summary(self):
         out = render_summary(_sample_report())
-        assert "2 workers" in out
-        assert "parallel efficiency 45.6%" in out
+        assert "campaign: 1 shards, 4.500s wall, shard time 4.100s" in out
+        assert "efficiency" not in out
         assert "shard gtx-titan" in out

@@ -141,9 +141,9 @@ class TestClosedPipe:
 
 
 #: What a campaign, a replay of one, ``list`` and a bare import must not
-#: load: the other commands' engines, every experiment, the process
-#: pool that ``--workers 1`` never starts, and ``numpy.ma``, which
-#: ``np.median`` imports (the fit seeds its energies with its own).
+#: load: the other commands' engines, every experiment, process pools,
+#: which no campaign starts, and ``numpy.ma``, which ``np.median``
+#: imports (the fit seeds its energies with its own).
 NOT_FOR_CAMPAIGN = (
     "asyncio",
     "numpy.ma",
@@ -272,7 +272,25 @@ class TestModuleMain:
 class TestIntegerFlags:
     """Integer flags are checked where they are parsed: a bad value is
     a usage error (exit 2) naming the flag, not a traceback, a failed
-    shard or a server that starts."""
+    shard or a server that starts.  So is a flag that no longer
+    exists."""
+
+    @staticmethod
+    def usage_error(argv):
+        """Run ``archline ARGV``, check that it is a usage error and
+        return its stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_subprocess_env(),
+            timeout=60,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        return proc.stderr
 
     @pytest.mark.parametrize(
         "argv",
@@ -281,6 +299,7 @@ class TestIntegerFlags:
             ["bench", "gtx-titan", "--seed", "-1"],
             ["campaign", "gtx-titan", "--quick", "--seed", "-1"],
             ["campaign", "gtx-titan", "--quick", "--max-retries", "-1"],
+            ["campaign", "gtx-titan", "--quick", "--workers", "2"],
             [
                 "fleet", "--workload", FLEET_WORKLOAD,
                 "--theta", "fitted", "--seed", "-1",
@@ -296,6 +315,7 @@ class TestIntegerFlags:
             "bench-seed",
             "campaign-seed",
             "campaign-max-retries",
+            "campaign-workers",
             "fleet-seed",
             "serve-seed",
             "serve-port-negative",
@@ -306,18 +326,21 @@ class TestIntegerFlags:
     )
     def test_bad_value_is_a_usage_error(self, argv):
         flag = next(a for a in reversed(argv) if a.startswith("--"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=_subprocess_env(),
-            timeout=60,
-            text=True,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert f"argument {flag}" in proc.stderr
-        assert proc.stdout == ""
+        assert f"argument {flag}" in self.usage_error(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "gtx-titan", "--quick", "--shard-timeout", "5"],
+            ["run", "table1", "--quick", "--workers", "2"],
+        ],
+        ids=["campaign-shard-timeout", "run-workers"],
+    )
+    def test_removed_flag_is_a_usage_error(self, argv):
+        """Campaigns run shard by shard in one process, so the process
+        pool's flags are gone (``campaign --workers 1`` still parses)."""
+        stderr = self.usage_error(argv)
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in stderr
 
 
 class TestServeParser:

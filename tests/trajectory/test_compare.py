@@ -73,8 +73,8 @@ class TestGate:
 
     def test_slack_does_not_hide_large_absolute_regressions(self):
         result = compare_reports(
-            report_with({"pool_campaign": 2.0}),
-            report_with({"pool_campaign": 1.0}),
+            report_with({"cached_campaign": 2.0}),
+            report_with({"cached_campaign": 1.0}),
         )
         assert not result.ok
 
@@ -82,8 +82,8 @@ class TestGate:
         """A 60 ms slowdown on a 10 s campaign clears min_delta but not
         the relative threshold: still a pass."""
         result = compare_reports(
-            report_with({"pool_campaign": 10.06}),
-            report_with({"pool_campaign": 10.0}),
+            report_with({"cached_campaign": 10.06}),
+            report_with({"cached_campaign": 10.0}),
         )
         assert result.ok
 

@@ -74,7 +74,7 @@ class TestValidate:
 
     def test_rejects_missing_wall_seconds(self):
         report = minimal_report()
-        del report["campaigns"]["pool_campaign"]["wall_seconds"]
+        del report["campaigns"]["cached_campaign"]["wall_seconds"]
         with pytest.raises(ValueError, match="wall_seconds"):
             validate_report(report)
 
