@@ -6,10 +6,20 @@ drained by a single dispatcher coroutine under a two-knob policy:
 ``max_batch``
     Hard ceiling on how many requests one assembly may gather.
 ``linger_us``
-    How long, after the *first* request of an assembly arrives, the
-    dispatcher keeps the window open for more.  Zero means "whatever
+    The longest the dispatcher keeps the window open for more after
+    the *first* request of an assembly arrives.  Zero means "whatever
     is already queued" -- still wider than one under load, since
     requests pile up while the previous batch computes.
+
+The window also closes early, once the assembly holds a request from
+every open connection.  The server registers each connection with
+:meth:`Batcher.connection_opened` / :meth:`Batcher.connection_closed`
+and answers each one in strict request/response alternation, so a
+connection has at most one request in the batcher; once every open
+connection is in, only a new connection could add a rider, and
+waiting out the window would delay the whole assembly for nothing.
+A standalone batcher with no connections registered lingers for the
+full window.  :class:`BatchStats` counts why each assembly closed.
 
 Each assembly is grouped by target engine (requests for different
 platforms/caps/theta sources coalesce independently) and every group
@@ -45,6 +55,11 @@ from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 
 __all__ = ["BatchStats", "Batcher"]
 
+#: Why an assembly closed: ``full`` (``max_batch`` requests),
+#: ``all_in`` (a request from every open connection) or ``deadline``
+#: (the linger window expired, or a shutdown flushed it).
+CLOSE_REASONS = ("full", "all_in", "deadline")
+
 
 @dataclass
 class BatchStats:
@@ -55,7 +70,11 @@ class BatchStats:
     engine_batches: int = 0  #: run_batch calls (one per engine group).
     max_width: int = 0  #: widest single assembly.
     scalar_fallbacks: int = 0  #: groups degraded to per-kernel runs.
-    widths: list[int] = field(default_factory=list, repr=False)
+    #: assemblies by close reason (:data:`CLOSE_REASONS`); the counts
+    #: sum to ``batches``.
+    closed: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(CLOSE_REASONS, 0)
+    )
 
     @property
     def mean_width(self) -> float:
@@ -72,6 +91,7 @@ class BatchStats:
             "mean_width": self.mean_width,
             "max_width": self.max_width,
             "scalar_fallbacks": self.scalar_fallbacks,
+            "closed": dict(self.closed),
         }
 
 
@@ -85,6 +105,9 @@ class _Pending:
 
 
 _SHUTDOWN = object()
+#: Queued when a connection closes, so a lingering assembly re-checks
+#: whether every connection still open is in.
+_RECOUNT = object()
 
 
 class Batcher:
@@ -110,8 +133,21 @@ class Batcher:
         self.linger_us = linger_us
         self.recorder = NULL_RECORDER if recorder is None else recorder
         self.stats = BatchStats()
+        #: connections that may submit (see the module docstring); 0
+        #: for a standalone batcher, which lingers the full window.
+        self.open_connections = 0
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: asyncio.Task | None = None
+
+    def connection_opened(self) -> None:
+        """Register a connection that may have one request in flight."""
+        self.open_connections += 1
+
+    def connection_closed(self) -> None:
+        """Unregister a connection; wakes a lingering assembly that may
+        now hold a request from every connection still open."""
+        self.open_connections -= 1
+        self._queue.put_nowait(_RECOUNT)
 
     async def start(self) -> None:
         if self._task is not None:
@@ -158,10 +194,19 @@ class Batcher:
             if head is _SHUTDOWN:
                 self._flush_tail()
                 return
+            if head is _RECOUNT:
+                continue
             batch = [head]
             stopping = False
+            reason = "deadline"
             deadline = loop.time() + linger_seconds
-            while len(batch) < self.max_batch:
+            while True:
+                if len(batch) >= self.max_batch:
+                    reason = "full"
+                    break
+                if 0 < self.open_connections <= len(batch):
+                    reason = "all_in"
+                    break
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     # Linger expired: scoop whatever is already queued,
@@ -180,8 +225,9 @@ class Batcher:
                 if item is _SHUTDOWN:
                     stopping = True
                     break
-                batch.append(item)
-            self._execute(batch)
+                if item is not _RECOUNT:
+                    batch.append(item)
+            self._execute(batch, reason)
             if stopping:
                 self._flush_tail()
                 return
@@ -192,13 +238,14 @@ class Batcher:
         tail: list[_Pending] = []
         while not self._queue.empty():
             item = self._queue.get_nowait()
-            if item is not _SHUTDOWN:
+            if item is not _SHUTDOWN and item is not _RECOUNT:
                 tail.append(item)
         for start in range(0, len(tail), self.max_batch):
-            self._execute(tail[start:start + self.max_batch])
+            self._execute(tail[start:start + self.max_batch], "deadline")
 
-    def _execute(self, batch: list[_Pending]) -> None:
-        """Run one assembly: group by engine, one run_batch per group.
+    def _execute(self, batch: list[_Pending], reason: str) -> None:
+        """Run one assembly that closed for ``reason``: group by engine,
+        one run_batch per group.
 
         Entirely synchronous (no awaits), so its telemetry spans nest
         strictly and results land on futures atomically with respect to
@@ -217,7 +264,7 @@ class Batcher:
         stats.batches += 1
         stats.batched_requests += len(batch)
         stats.max_width = max(stats.max_width, len(batch))
-        stats.widths.append(len(batch))
+        stats.closed[reason] += 1
         for engine in order:
             items = groups[id(engine)]
             self._run_group(engine, items, width=len(batch))

@@ -63,8 +63,9 @@ def build_serve_parser(
         type=nonnegative_int,
         default=1000,
         metavar="US",
-        help="batching window in microseconds after the first request "
-        "of an assembly (default 1000)",
+        help="longest batching window in microseconds after the first "
+        "request of an assembly; it closes early once every open "
+        "connection has a request in it (default 1000)",
     )
     parser.add_argument(
         "--max-body-bytes",

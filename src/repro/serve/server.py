@@ -7,6 +7,11 @@ load generators reuse one connection per client -- and the implemented
 protocol subset is deliberately small: request line, headers,
 ``Content-Length`` bodies (no chunked encoding, no pipelining
 guarantees beyond strict request/response alternation per connection).
+Each handler registers its connection with the batcher while it is
+open.  Alternation means a connection has at most one request in the
+batcher, so an assembly holding a request from every open connection
+is complete: the batcher closes it then, and ``linger_us`` is only the
+longest it waits.
 
 Routes
 ------
@@ -15,9 +20,9 @@ Routes
     ``prediction`` is bit-identical to what an unbatched
     ``Engine.run`` would produce for the same query.
 ``GET /stats``
-    Live counters: connections/requests/responses, batching widths,
-    theta-hat resolution and store hit/miss counters, error counts by
-    code.
+    Live counters: connections (total and open)/requests/responses,
+    batching widths and why each assembly closed, theta-hat resolution
+    and store hit/miss counters, error counts by code.
 ``GET /healthz``
     Liveness probe (``{"ok": true}``).
 
@@ -77,7 +82,9 @@ _REASONS = {
 #: of the service; larger problems are a typed 400, not a stall.
 MAX_SIMULATED_SECONDS = 3600.0
 
-_MAX_HEADER_BYTES = 8192
+#: Bound on a request's whole head, the request line and every header
+#: line together; a longer head is refused as ``bad_http``.
+_MAX_HEAD_BYTES = 8192
 
 
 @dataclass(frozen=True)
@@ -93,16 +100,15 @@ async def _read_request(
 ) -> _HttpRequest | None:
     """Parse one HTTP/1.1 request; ``None`` on clean EOF.
 
-    Raises :class:`ProtocolError` for malformed framing and oversized
-    bodies, and lets ``IncompleteReadError``/``ConnectionError``
-    propagate for mid-request disconnects (the connection handler
-    counts those).
+    Raises :class:`ProtocolError` for malformed framing, oversized
+    heads and oversized bodies, and lets
+    ``IncompleteReadError``/``ConnectionError`` propagate for
+    mid-request disconnects (the connection handler counts those).
     """
-    request_line = await reader.readline()
+    request_line = await _read_head_line(reader, _MAX_HEAD_BYTES)
     if not request_line:
         return None
-    if len(request_line) > _MAX_HEADER_BYTES:
-        raise ProtocolError(400, "bad_http", "request line too long")
+    budget = _MAX_HEAD_BYTES - len(request_line)
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(
@@ -111,10 +117,11 @@ async def _read_request(
     method, target, _version = parts
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_head_line(reader, budget)
+        budget -= len(line)
         if line in (b"\r\n", b"\n"):
             break
-        if not line or len(line) > _MAX_HEADER_BYTES:
+        if not line:
             raise ProtocolError(400, "bad_http", "malformed header block")
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
@@ -143,6 +150,22 @@ async def _read_request(
     body = await reader.readexactly(length) if length else b""
     close = headers.get("connection", "").lower() == "close"
     return _HttpRequest(method=method, target=target, body=body, close=close)
+
+
+async def _read_head_line(reader: asyncio.StreamReader, budget: int) -> bytes:
+    """One line of a request head, refused when longer than ``budget``,
+    the bytes the head has left."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # Over the stream's own 64 KiB line limit, so over any budget;
+        # the stream has dropped the line.
+        line = None
+    if line is None or len(line) > budget:
+        raise ProtocolError(
+            400, "bad_http", f"request head over {_MAX_HEAD_BYTES} bytes"
+        )
+    return line
 
 
 def _encode_http(status: int, body: dict[str, Any], *, close: bool) -> bytes:
@@ -255,6 +278,7 @@ class PredictServer:
         return {
             "server": {
                 "connections": self.connections,
+                "open_connections": self.batcher.open_connections,
                 "requests": self.requests,
                 "disconnects": self.disconnects,
                 "responses": dict(self.responses),
@@ -284,6 +308,7 @@ class PredictServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
+        self.batcher.connection_opened()
         try:
             while True:
                 try:
@@ -313,6 +338,7 @@ class PredictServer:
             # other riders (the batcher skips abandoned futures).
             self.disconnects += 1
         finally:
+            self.batcher.connection_closed()
             writer.close()
             try:
                 await writer.wait_closed()

@@ -257,3 +257,100 @@ def test_submit_before_start_raises():
             await Batcher().submit(_FakeEngine("a"), _kernel())
 
     asyncio.run(main())
+
+
+def _timed_submits(batcher: Batcher, engine, n: int):
+    """Submit ``n`` kernels at once; ``(results, seconds, stats)``."""
+
+    async def main():
+        await batcher.start()
+        loop = asyncio.get_running_loop()
+        try:
+            started = loop.time()
+            results = await asyncio.gather(
+                *(batcher.submit(engine, _kernel(f"k{i}")) for i in range(n))
+            )
+            return results, loop.time() - started
+        finally:
+            await batcher.stop()
+
+    results, seconds = asyncio.run(main())
+    return results, seconds, batcher.stats
+
+
+def test_window_closes_once_every_connection_is_in():
+    """With two connections registered, two requests are everything
+    that can join: the assembly goes at once, not after 5 s."""
+    batcher = Batcher(max_batch=16, linger_us=5_000_000)
+    batcher.connection_opened()
+    batcher.connection_opened()
+    results, seconds, stats = _timed_submits(batcher, _FakeEngine("a"), 2)
+    assert seconds < 1.0
+    assert {width for _, width in results} == {2}
+    assert stats.closed == {"full": 0, "all_in": 1, "deadline": 0}
+
+
+def test_window_waits_for_a_connection_not_yet_in():
+    """Three registered, two in: the third may still send, so the
+    assembly lingers the whole window."""
+    batcher = Batcher(max_batch=16, linger_us=20_000)
+    for _ in range(3):
+        batcher.connection_opened()
+    results, seconds, stats = _timed_submits(batcher, _FakeEngine("a"), 2)
+    assert seconds >= 0.02
+    assert {width for _, width in results} == {2}
+    assert stats.closed == {"full": 0, "all_in": 0, "deadline": 1}
+
+
+def test_closing_connection_ends_the_window():
+    """A connection that closes while the assembly lingers leaves every
+    open one in: the wait ends there."""
+    engine = _FakeEngine("a")
+
+    async def main():
+        batcher = Batcher(max_batch=16, linger_us=5_000_000)
+        batcher.connection_opened()
+        batcher.connection_opened()
+        await batcher.start()
+        loop = asyncio.get_running_loop()
+        try:
+            started = loop.time()
+            pending = asyncio.ensure_future(
+                batcher.submit(engine, _kernel("k0"))
+            )
+            await asyncio.sleep(0.01)
+            assert not pending.done()
+            batcher.connection_closed()
+            result, width = await pending
+            return result, width, loop.time() - started, batcher.stats
+        finally:
+            await batcher.stop()
+
+    result, width, seconds, stats = asyncio.run(main())
+    assert result == ("a", "k0")
+    assert width == 1
+    assert seconds < 1.0
+    assert stats.closed == {"full": 0, "all_in": 1, "deadline": 0}
+
+
+def test_close_reasons_sum_to_batches():
+    """Standalone: a full assembly, a deadline one, and a shutdown
+    flush, which counts as a deadline."""
+    engine = _FakeEngine("a")
+
+    async def main():
+        batcher = Batcher(max_batch=4, linger_us=5000)
+        await batcher.start()
+        await asyncio.gather(
+            *(batcher.submit(engine, _kernel(f"k{i}")) for i in range(6))
+        )
+        flushed = asyncio.ensure_future(batcher.submit(engine, _kernel("z")))
+        await asyncio.sleep(0)  # queued, not yet assembled
+        await batcher.stop()
+        await flushed
+        return batcher.stats
+
+    stats = asyncio.run(main())
+    assert stats.closed == {"full": 1, "all_in": 0, "deadline": 2}
+    assert sum(stats.closed.values()) == stats.batches == 3
+    assert stats.as_dict()["closed"] == stats.closed

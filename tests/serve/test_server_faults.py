@@ -24,37 +24,73 @@ def _error_code(body: dict) -> str:
     return body["error"]["code"]
 
 
+async def _raw_exchange(port: int, request: bytes) -> tuple[int, dict]:
+    """Send hand-framed request bytes over a bare socket and read the
+    one response: ``(status, parsed JSON body)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(request)
+        line = await reader.readline()
+        status = int(line.split()[1])
+        length = 0
+        while True:
+            header = await reader.readline()
+            if header in (b"\r\n", b"\n"):
+                break
+            name, _, value = header.decode().partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value.strip())
+        return status, json.loads(await reader.readexactly(length))
+    finally:
+        writer.close()
+
+
 class TestTypedRejections:
     def test_malformed_json_is_400(self):
         # A raw non-JSON body, hand-framed over a bare socket.
         async def scenario(server):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
             payload = b"{not json"
-            writer.write(
+            status, body = await _raw_exchange(
+                server.port,
                 b"POST /predict HTTP/1.1\r\n"
-                b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload)
+                b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload),
             )
-            await writer.drain()
-            line = await reader.readline()
-            status = int(line.split()[1])
-            length = 0
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n"):
-                    break
-                name, _, value = header.decode().partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            body = json.loads(await reader.readexactly(length))
-            writer.close()
             return status, body, server.stats()
 
         status, body, stats = drive(scenario)
         assert status == 400
         assert _error_code(body) == "bad_json"
         assert stats["errors"] == {"bad_json": 1}
+
+    def test_oversized_heads_are_400_and_serving_goes_on(self):
+        """A request line over the stream's 64 KiB line limit, and a
+        head of short lines far over the head bound, each get a typed
+        400 instead of a dropped connection or a 200."""
+        long_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        many_lines = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-Filler-%d: value\r\n" % i for i in range(20_000))
+            + b"\r\n"
+        )
+
+        async def scenario(server):
+            refused = [
+                await _raw_exchange(server.port, head)
+                for head in (long_line, many_lines)
+            ]
+            health = await _raw_exchange(
+                server.port, b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            return refused, health, server.stats()
+
+        refused, health, stats = drive(scenario)
+        assert [status for status, _ in refused] == [400, 400]
+        assert [_error_code(body) for _, body in refused] == [
+            "bad_http", "bad_http",
+        ]
+        assert health == (200, {"ok": True})
+        assert stats["errors"] == {"bad_http": 2}
+        assert stats["server"]["disconnects"] == 0
 
     def test_unknown_kernel_is_404(self):
         async def scenario(server):
