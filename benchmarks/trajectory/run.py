@@ -15,8 +15,7 @@ checking) so CI can upload it as an artifact either way.  ``--update``
 overwrites the committed baseline -- the reviewed way to accept a
 slowdown or record a speedup.
 
-This is a thin wrapper over :mod:`repro.trajectory`; the same flow is
-available as ``archline bench --trajectory``.  Methodology:
+This is a thin wrapper over :mod:`repro.trajectory`.  Methodology:
 ``docs/BENCHMARKS.md``.
 """
 

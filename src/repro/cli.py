@@ -13,12 +13,6 @@ Commands
 ``archline bench <platform-id>``
     Run the microbenchmark campaign on one platform and print the
     fitted vs ground-truth parameters.
-``archline bench --trajectory [--check | --update]``
-    Run the fixed perf-trajectory suite (five campaigns) and write the
-    schema-versioned ``BENCH_campaign.json``; ``--check`` gates the
-    measurement against the committed baseline (exit 1 on a >10%
-    wall-time regression), ``--update`` refreshes it.  Methodology:
-    docs/BENCHMARKS.md.
 ``archline campaign [platform-id ...] [--faults SPEC]``
     Run the full per-platform campaigns through ``CampaignRunner``,
     one shard after another, and print per-shard timing/calibration
@@ -125,45 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     plat_p.add_argument("platform_id", choices=list(PLATFORM_IDS))
 
     bench_p = sub.add_parser(
-        "bench",
-        help="run the microbenchmark campaign on one platform, or the "
-        "perf-trajectory suite with --trajectory",
+        "bench", help="run the microbenchmark campaign on one platform"
     )
-    bench_p.add_argument(
-        "platform_id",
-        nargs="?",
-        choices=list(PLATFORM_IDS),
-        help="platform to fit (omit with --trajectory)",
-    )
+    bench_p.add_argument("platform_id", choices=list(PLATFORM_IDS))
     bench_p.add_argument("--seed", type=nonnegative_int, default=2014)
-    bench_p.add_argument(
-        "--trajectory",
-        action="store_true",
-        help="run the fixed perf-trajectory suite and write "
-        "BENCH_campaign.json (docs/BENCHMARKS.md)",
-    )
-    bench_p.add_argument(
-        "--check",
-        action="store_true",
-        help="with --trajectory: compare against the committed "
-        "baseline; exit 1 on wall-time regression",
-    )
-    bench_p.add_argument(
-        "--update",
-        action="store_true",
-        help="with --trajectory: overwrite the committed baseline",
-    )
-    bench_p.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="with --trajectory: where to write the fresh report",
-    )
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="with --trajectory: shrunken campaigns (smoke only)",
-    )
 
     camp_p = sub.add_parser(
         "campaign",
@@ -396,54 +355,6 @@ def _cmd_bench(platform_id: str, seed: int) -> str:
         dev = (f_val - t_val) / t_val
         table.add_row(label, fmt_si(f_val), fmt_si(t_val), f"{dev:+.1%}")
     return table.render()
-
-
-def _cmd_bench_trajectory(args) -> int:
-    """``archline bench --trajectory``: run the fixed perf suite and
-    write (or gate) ``BENCH_campaign.json``; see docs/BENCHMARKS.md."""
-    from pathlib import Path
-
-    from .trajectory.compare import compare_reports
-    from .trajectory.runner import (
-        DEFAULT_REPORT_NAME,
-        load_report,
-        run_suite,
-        write_report,
-    )
-
-    if args.check and args.update:
-        print("--check and --update are mutually exclusive", file=sys.stderr)
-        return 2
-    baseline_path = Path(DEFAULT_REPORT_NAME)
-
-    def progress(name: str, metrics: dict) -> None:
-        print(
-            f"  {name}: {metrics['wall_seconds']:.3f}s",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    report = run_suite(seed=args.seed, quick=args.quick, progress=progress)
-    output = args.output
-    if output is None:
-        output = (
-            baseline_path.with_suffix(baseline_path.suffix + ".new")
-            if args.check
-            else baseline_path
-        )
-    write_report(output, report)
-    print(f"wrote {output}")
-    if not args.check:
-        return 0
-    if not baseline_path.exists():
-        print(
-            f"no baseline at {baseline_path}; commit one with --update",
-            file=sys.stderr,
-        )
-        return 1
-    result = compare_reports(report, load_report(baseline_path))
-    print(result.describe())
-    return 0 if result.ok else 1
 
 
 def _progress_printer(total: int):
@@ -699,14 +610,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(_cmd_platform(args.platform_id))
         return 0
     if args.command == "bench":
-        if args.trajectory:
-            return _cmd_bench_trajectory(args)
-        if args.platform_id is None:
-            print(
-                "bench: platform_id is required without --trajectory",
-                file=sys.stderr,
-            )
-            return 2
         print(_cmd_bench(args.platform_id, args.seed))
         return 0
     if args.command == "campaign":

@@ -2,11 +2,10 @@
 
 Exit codes follow the usual linter contract:
 
-* ``0`` -- clean (no findings after suppressions and baseline),
+* ``0`` -- clean (no findings after inline suppressions),
 * ``1`` -- findings reported,
 * ``2`` -- usage error (unknown path, rule code, format, flag
-  combination, a malformed baseline file, or ``--changed`` outside a
-  git checkout).
+  combination, or ``--changed`` outside a git checkout).
 
 Modes
 -----
@@ -27,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .options import DEFAULT_BASELINE_NAME, FORMATS
+from .options import FORMATS
 
 #: The relaxed subset ``--include-tests`` runs over tests/ and
 #: benchmarks/: hygiene rules that catch real bugs in test code
@@ -76,18 +75,6 @@ def build_lint_parser(
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline JSON of grandfathered findings (default: "
-        f"./{DEFAULT_BASELINE_NAME} when it exists)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -128,13 +115,6 @@ def build_lint_parser(
     return parser
 
 
-def _resolve_baseline_path(arg: str | None) -> Path | None:
-    if arg is not None:
-        return Path(arg)
-    default = Path(DEFAULT_BASELINE_NAME)
-    return default if default.is_file() else None
-
-
 def _changed_files(paths: Sequence[str]) -> list[str] | None:
     """Worktree-changed ``.py`` files under ``paths``; ``None`` when
     git is unavailable (not a repo, no git binary)."""
@@ -169,7 +149,6 @@ def _changed_files(paths: Sequence[str]) -> list[str] | None:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute the lint subcommand from parsed arguments."""
-    from .baseline import filter_baselined, load_baseline, write_baseline
     from .engine import lint_paths
     from .output import render
     from .rules import load_builtin_rules
@@ -253,25 +232,6 @@ def run_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-
-    baseline_path = _resolve_baseline_path(args.baseline)
-    if args.update_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE_NAME)
-        count = write_baseline(target, findings)
-        print(f"archline lint: baselined {count} finding(s) -> {target}")
-        return 0
-    if baseline_path is not None:
-        try:
-            fingerprints = load_baseline(baseline_path)
-        except (OSError, ValueError) as err:
-            print(f"archline lint: {err}", file=sys.stderr)
-            return 2
-        findings, matched = filter_baselined(findings, fingerprints)
-        if matched:
-            print(
-                f"archline lint: {matched} finding(s) matched the baseline",
-                file=sys.stderr,
-            )
 
     print(render(findings, args.format))
     return 1 if findings else 0

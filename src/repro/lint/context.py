@@ -14,9 +14,8 @@ named code(s) on that physical line (comma-separated codes, or
 ``all``).  On a comment-only line the directive applies to the *next*
 line instead, so a justification can sit above the code it excuses.
 ``# archlint: disable-file=ARCH002`` anywhere in the file suppresses
-the code for the whole file.  Suppressed findings are dropped before
-baseline matching, so a suppression is the terminal state of a
-grandfathered finding -- write the justification next to it.
+the code for the whole file.  An inline suppression is the one way to
+silence a finding, so write the justification next to it.
 """
 
 from __future__ import annotations
@@ -82,13 +81,6 @@ class ModuleContext:
         ctx._scan_imports()
         ctx._scan_suppressions()
         return ctx
-
-    @classmethod
-    def from_file(cls, path: Path) -> "ModuleContext":
-        source = path.read_text(encoding="utf-8")
-        return cls.from_source(
-            source, path=str(path), module=module_name_for(path)
-        )
 
     # -- name resolution ----------------------------------------------
 
@@ -166,9 +158,3 @@ class ModuleContext:
             return True
         codes = self.line_suppressions.get(line, ())
         return code in codes or ALL_CODES in codes
-
-    def source_line(self, line: int) -> str:
-        """Stripped text of a 1-based source line ('' out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""

@@ -3,8 +3,7 @@
 One :class:`ModuleContext` is built per file and the AST is walked
 *once*; each node is dispatched to the rules that declared interest in
 its type (see :mod:`repro.lint.rules.base`).  Findings suppressed
-inline are dropped here -- the baseline layer
-(:mod:`repro.lint.baseline`) only ever sees live findings.
+inline are dropped here.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import ast
 from pathlib import Path
 from typing import Iterable, Sequence, Type
 
-from .context import ModuleContext
+from .context import ModuleContext, module_name_for
 from .findings import Finding
 from .rules import load_builtin_rules
 from .rules.base import Rule, rules_for
@@ -98,6 +97,34 @@ def collect_files(paths: Sequence[str]) -> list[Path]:
     return list(out)
 
 
+def parse_file(path: str, source_bytes: bytes) -> ModuleContext | Finding:
+    """One file's context, or the ARCH000 finding when its bytes are
+    not UTF-8 Python.
+
+    Both drivers parse through here (:func:`lint_paths`, and
+    :func:`repro.lint.project.engine.analyze_file_payload`), so either
+    reports a file that does not parse the same way.
+    """
+    try:
+        return ModuleContext.from_source(
+            source_bytes.decode("utf-8"),
+            path=path,
+            module=module_name_for(Path(path)),
+        )
+    except SyntaxError as err:
+        line, col, reason = err.lineno or 1, (err.offset or 1) - 1, err.msg
+    except UnicodeDecodeError as err:
+        line, col, reason = 1, 0, str(err)
+    return Finding(
+        path=path,
+        line=line,
+        col=col,
+        code="ARCH000",
+        message=f"file does not parse: {reason}",
+        rule="syntax",
+    )
+
+
 def lint_paths(
     paths: Sequence[str], codes: Sequence[str] | None = None
 ) -> list[Finding]:
@@ -106,19 +133,9 @@ def lint_paths(
     rule_classes = list(rules_for(codes))
     findings: list[Finding] = []
     for file_path in collect_files(paths):
-        try:
-            ctx = ModuleContext.from_file(file_path)
-        except SyntaxError as err:
-            findings.append(
-                Finding(
-                    path=str(file_path),
-                    line=err.lineno or 1,
-                    col=(err.offset or 1) - 1,
-                    code="ARCH000",
-                    message=f"file does not parse: {err.msg}",
-                    rule="syntax",
-                )
-            )
-            continue
-        findings.extend(lint_context(ctx, rule_classes))
+        parsed = parse_file(str(file_path), file_path.read_bytes())
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+        else:
+            findings.extend(lint_context(parsed, rule_classes))
     return sorted(findings)

@@ -1,36 +1,16 @@
 """Finding records: what a lint rule reports.
 
 A :class:`Finding` pins one violation to a file, line and column with a
-stable rule code (``ARCH001``...), a severity, and a human message.  The
-*fingerprint* identifies a finding across unrelated edits -- it hashes
-the rule code, the file path and the stripped source line text (plus a
-duplicate index for identical lines) rather than the line *number*, so
-a baseline entry keeps matching when code above it moves.
-
-Cross-module findings (the ``--project`` rules, ARCH008-ARCH011) span
-two files, so one source line cannot identify them.  They carry an
-*anchor* instead: a line-number-free string built from the sorted
-``path::symbol`` endpoints of the cross-module path.  When an anchor is
-set it replaces the source line in the fingerprint, so project findings
-survive unrelated line insertions and file reordering exactly the way
-per-file findings survive edits above them.
+stable rule code (``ARCH001``...), the registry name of the rule that
+raised it, and a human message.  Those six fields are everything a
+report prints, and :meth:`Finding.to_dict` / :meth:`Finding.from_dict`
+round-trip them, so one form serves both ``--format json`` and the
+``--project`` summary cache.
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
-from dataclasses import dataclass, field
-
-
-class Severity(enum.Enum):
-    """How bad a finding is; ``ERROR`` findings gate CI."""
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:
-        return self.value
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -43,74 +23,15 @@ class Finding:
     code: str  #: stable rule code, e.g. ``"ARCH004"``.
     message: str  #: human explanation, names the offending construct.
     rule: str = ""  #: registry name of the rule, e.g. ``"float-equality"``.
-    severity: Severity = field(default=Severity.ERROR, compare=False)
-    #: The stripped text of the offending source line (fingerprint input).
-    source_line: str = field(default="", compare=False)
-    #: Cross-module identity (``code|path::symbol|path::symbol``) for
-    #: project findings; empty for per-file findings.  When set it
-    #: replaces ``source_line`` as the fingerprint input.
-    anchor: str = field(default="", compare=False)
-
-    def identity(self) -> str:
-        """The line-number-free payload the fingerprint hashes."""
-        return self.anchor or self.source_line
-
-    def fingerprint(self, duplicate_index: int = 0) -> str:
-        """Stable identity for baseline matching (line-number free)."""
-        payload = "\x1f".join(
-            (self.code, self.path, self.identity(), str(duplicate_index))
-        )
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
     def render_text(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col + 1}: "
-            f"{self.code} [{self.severity}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
 
     def to_dict(self) -> dict:
-        """JSON-schema form (see ``docs/LINT.md``)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "severity": str(self.severity),
-            "message": self.message,
-            "rule": self.rule,
-            "fingerprint": self.fingerprint(),
-        }
-
-    def to_payload(self) -> dict:
-        """Full round-trip form (the ``--project`` summary cache).
-
-        Unlike :meth:`to_dict` this keeps ``source_line`` and
-        ``anchor``, so a finding replayed from cache fingerprints
-        byte-identically to a freshly computed one.
-        """
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "source_line": self.source_line,
-            "anchor": self.anchor,
-        }
+        """JSON form (see ``docs/LINT.md``), also the cache's form."""
+        return asdict(self)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "Finding":
-        """Inverse of :meth:`to_payload`."""
-        return cls(
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            code=payload["code"],
-            message=payload["message"],
-            rule=payload.get("rule", ""),
-            severity=Severity(payload.get("severity", "error")),
-            source_line=payload.get("source_line", ""),
-            anchor=payload.get("anchor", ""),
-        )
+    def from_dict(cls, payload: dict) -> "Finding":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**payload)

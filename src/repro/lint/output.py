@@ -3,19 +3,18 @@
 The JSON schema (validated by ``tests/lint``) is::
 
     {
-      "version": 1,
+      "version": 2,
       "findings": [
         {"path": str, "line": int, "col": int, "code": str,
-         "severity": "error"|"warning", "message": str, "rule": str,
-         "fingerprint": str},
+         "message": str, "rule": str},
         ...
       ],
       "counts": {"ARCH004": 3, ...},
       "total": int
     }
 
-The GitHub mode emits one ``::error``/``::warning`` workflow command
-per finding, which the Actions runner turns into inline PR annotations.
+The GitHub mode emits one ``::error`` workflow command per finding,
+which the Actions runner turns into inline PR annotations.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ import json
 from collections import Counter
 from typing import Sequence
 
-from .baseline import assign_fingerprints
-from .findings import Finding, Severity
+from .findings import Finding
 from .options import FORMATS
 
-JSON_VERSION = 1
+JSON_VERSION = 2
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -47,14 +45,9 @@ def render_text(findings: Sequence[Finding]) -> str:
 
 
 def render_json(findings: Sequence[Finding]) -> str:
-    entries = []
-    for finding, fingerprint in assign_fingerprints(findings):
-        entry = finding.to_dict()
-        entry["fingerprint"] = fingerprint
-        entries.append(entry)
     payload = {
         "version": JSON_VERSION,
-        "findings": entries,
+        "findings": [finding.to_dict() for finding in findings],
         "counts": dict(
             sorted(Counter(f.code for f in findings).items())
         ),
@@ -74,9 +67,8 @@ def render_github(findings: Sequence[Finding]) -> str:
     """``::error file=...`` workflow commands, one per finding."""
     lines = []
     for finding in findings:
-        level = "error" if finding.severity is Severity.ERROR else "warning"
         lines.append(
-            f"::{level} file={finding.path},line={finding.line},"
+            f"::error file={finding.path},line={finding.line},"
             f"col={finding.col + 1},title={finding.code}::"
             f"{_escape_github(finding.message)}"
         )

@@ -19,9 +19,8 @@ once.  The pipeline is:
 4. **Rules** (:mod:`~repro.lint.project.rules`) -- ARCH008 (RNG/clock
    taint), ARCH009 (unit dataflow), ARCH010 (fault exception flow) and
    ARCH011 (shard-payload escape) read the fixed points and emit
-   findings whose fingerprints are line-number-free cross-module
-   anchors, so the baseline and inline-suppression layers work
-   unchanged (a suppression on *either* endpoint wins).
+   findings with the ``(path, line)`` endpoints of their cross-module
+   path; an inline suppression on *either* endpoint drops the finding.
 5. **Cache + fan-out** (:mod:`~repro.lint.project.cache`,
    :mod:`~repro.lint.project.engine`) -- per-file summaries and
    findings are cached on content sha1 (``--cache DIR``), and cache

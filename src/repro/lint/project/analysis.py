@@ -98,8 +98,6 @@ class ProjectAnalysis:
         #: func qname -> sink id -> (next-hop qname, call line), or
         #: ``None`` when the sink is the function's own.
         self.sink_reach: dict[str, dict[SinkId, tuple[str, int] | None]] = {}
-        #: sink id -> qname of the function containing it.
-        self.sink_owner: dict[SinkId, str] = {}
         #: func qname -> fault name -> (origin qname, origin line).
         self.fault_out: dict[str, dict[str, tuple[str, int]]] = {}
         #: func qname -> return unit.
@@ -122,7 +120,6 @@ class ProjectAnalysis:
             for sink in func.sinks:
                 sid = self._sink_id(path, sink)
                 own[sid] = None
-                self.sink_owner[sid] = qname
             self.sink_reach[qname] = own
         changed = True
         while changed:

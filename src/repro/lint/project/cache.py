@@ -27,7 +27,7 @@ __all__ = ["ANALYSIS_VERSION", "SummaryCache"]
 #: Bump whenever the summary IR, the per-file rules, or the finding
 #: payload schema changes shape -- stale entries then miss on version
 #: instead of replaying wrong analysis.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 
 class SummaryCache:

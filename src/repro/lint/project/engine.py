@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ..context import ModuleContext, module_name_for
-from ..engine import collect_files, lint_context
+from ..engine import collect_files, lint_context, parse_file
 from ..findings import Finding
 from ..rules import load_builtin_rules
 from ..rules.base import rules_for
@@ -76,36 +75,21 @@ def analyze_file_payload(path: str, source_bytes: bytes) -> dict:
     stores and a pool worker ships back:
     ``{"findings": [...], "summary": {...}|None, "suppressions": ...}``.
     Findings cover *all* per-file rules (selection happens at report
-    time); a syntax error yields the standard ARCH000 finding and no
-    summary.
+    time); a file that does not parse yields its ARCH000 finding
+    (:func:`repro.lint.engine.parse_file`) and no summary.
     """
     load_builtin_rules()
-    try:
-        text = source_bytes.decode("utf-8")
-        ctx = ModuleContext.from_source(
-            text, path=path, module=module_name_for(Path(path))
-        )
-    except (SyntaxError, UnicodeDecodeError) as err:
-        lineno = getattr(err, "lineno", None) or 1
-        offset = getattr(err, "offset", None) or 1
-        message = getattr(err, "msg", None) or str(err)
-        finding = Finding(
-            path=path,
-            line=lineno,
-            col=offset - 1,
-            code="ARCH000",
-            message=f"file does not parse: {message}",
-            rule="syntax",
-        )
+    ctx = parse_file(path, source_bytes)
+    if isinstance(ctx, Finding):
         return {
-            "findings": [finding.to_payload()],
+            "findings": [ctx.to_dict()],
             "summary": None,
             "suppressions": {"file": [], "lines": {}},
         }
     per_file = [cls for cls in rules_for() if not cls.project]
     findings = lint_context(ctx, per_file)
     return {
-        "findings": [finding.to_payload() for finding in findings],
+        "findings": [finding.to_dict() for finding in findings],
         "summary": summarize_module(ctx).to_dict(),
         "suppressions": {
             "file": sorted(ctx.file_suppressions),
@@ -207,7 +191,7 @@ def lint_project(
         payload = payloads[path]
         suppressions.add(path, payload.get("suppressions", {}))
         for raw in payload["findings"]:
-            finding = Finding.from_payload(raw)
+            finding = Finding.from_dict(raw)
             if (
                 selected is None
                 or finding.code in selected

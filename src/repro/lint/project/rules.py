@@ -5,10 +5,7 @@ ProjectAnalysis` and yields ``(finding, endpoints)`` pairs.  The
 *endpoints* are the ``(path, line)`` locations on both ends of the
 cross-module path; the project engine drops a finding when an inline
 ``# archlint: disable=CODE`` sits on *either* endpoint, so a
-justification can live wherever it reads best.  Every finding carries
-a line-number-free anchor (``code|path::symbol|path::symbol``, sorted)
-as its fingerprint identity, so baselines survive unrelated edits in
-both files.
+justification can live wherever it reads best.
 """
 
 from __future__ import annotations
@@ -55,13 +52,6 @@ POOL_ROOTS = (
 )
 
 
-def _anchor(code: str, *ends: tuple[str, str]) -> str:
-    """Line-number-free cross-module identity."""
-    return "|".join(
-        [code] + sorted(f"{path}::{symbol}" for path, symbol in ends)
-    )
-
-
 def check_taint(
     graph: ProjectGraph, analysis: ProjectAnalysis
 ) -> list[ProjectFinding]:
@@ -76,7 +66,6 @@ def check_taint(
         entry_path = graph.path_of(qname)
         for sid in sorted(analysis.sink_reach.get(qname, ())):
             sink_path, line, col, kind, name = sid
-            owner = analysis.sink_owner[sid]
             chain = " -> ".join(analysis.sink_path(qname, sid))
             label = (
                 "global-state RNG" if kind == "rng" else "wall-clock"
@@ -96,11 +85,6 @@ def check_taint(
                     f"{name!r} via {chain}: {remedy}"
                 ),
                 rule="rng-clock-taint",
-                anchor=_anchor(
-                    "ARCH008",
-                    (entry_path, qname),
-                    (sink_path, f"{owner}.{name}"),
-                ),
             )
             out.append(
                 (
@@ -183,11 +167,6 @@ def check_units(
                                 f"repro.units first"
                             ),
                             rule="unit-dataflow",
-                            anchor=_anchor(
-                                "ARCH009",
-                                (caller_path, qname),
-                                (t_path, f"{label}.{param}"),
-                            ),
                         )
                         out.append(
                             (
@@ -223,11 +202,6 @@ def check_units(
                     f"repro.units first"
                 ),
                 rule="unit-dataflow",
-                anchor=_anchor(
-                    "ARCH009",
-                    (caller_path, f"{qname}={target_unit}"),
-                    (t_path, label),
-                ),
             )
             out.append(
                 (finding, ((caller_path, line), (t_path, t_line)))
@@ -255,11 +229,6 @@ def check_units(
                         f"value carrying {value_unit}"
                     ),
                     rule="unit-dataflow",
-                    anchor=_anchor(
-                        "ARCH009",
-                        (caller_path, qname),
-                        (caller_path, f"{qname}->{value_unit}"),
-                    ),
                 )
                 out.append(
                     (
@@ -296,11 +265,6 @@ def check_fault_flow(
                 f"the handler"
             ),
             rule="fault-exception-flow",
-            anchor=_anchor(
-                "ARCH010",
-                (caller_path, swallow.func),
-                (origin_path, f"{swallow.origin}:{swallow.fault}"),
-            ),
         )
         out.append(
             (
@@ -339,7 +303,7 @@ def check_pool_escape(
             cls_path = graph.path_of(class_qname)
             via = " -> ".join(chain)
 
-            def emit(line: int, symbol: str, message: str) -> None:
+            def emit(line: int, message: str) -> None:
                 finding = Finding(
                     path=cls_path,
                     line=line,
@@ -347,11 +311,6 @@ def check_pool_escape(
                     code="ARCH011",
                     message=message,
                     rule="pool-boundary-escape",
-                    anchor=_anchor(
-                        "ARCH011",
-                        (root_path, root_qname),
-                        (cls_path, symbol),
-                    ),
                 )
                 out.append(
                     (finding, (root_end, (cls_path, line)))
@@ -361,7 +320,6 @@ def check_pool_escape(
                 if not cls.frozen:
                     emit(
                         cls.line,
-                        class_qname,
                         f"dataclass {cls.name!r} is in the shard payload "
                         f"(reachable from {root_cls.name} via {via}) "
                         f"and must be @dataclass(frozen=True)",
@@ -373,7 +331,6 @@ def check_pool_escape(
                     if bad:
                         emit(
                             fld.line,
-                            f"{class_qname}.{fld.name}",
                             f"field {cls.name}.{fld.name} (reachable "
                             f"from {root_cls.name} via {via}) is "
                             f"annotated with unpicklable type(s) "
@@ -382,7 +339,6 @@ def check_pool_escape(
             elif not graph.has_pickle_protocol(cls):
                 emit(
                     cls.line,
-                    class_qname,
                     f"plain class {cls.name!r} is in the shard payload "
                     f"(reachable from {root_cls.name} via {via}): make "
                     f"it a frozen dataclass or define "

@@ -19,7 +19,7 @@ import ast
 from typing import Iterable, Iterator, Type
 
 from ..context import ModuleContext
-from ..findings import Finding, Severity
+from ..findings import Finding
 
 
 class Rule:
@@ -31,7 +31,6 @@ class Rule:
     name: str = ""
     #: One-line description for ``--list-rules`` and docs.
     description: str = ""
-    severity: Severity = Severity.ERROR
     #: Dotted module prefixes this rule applies to (None = all files).
     scope: tuple[str, ...] | None = None
     #: AST node types dispatched to :meth:`visit`.
@@ -59,17 +58,14 @@ class Rule:
     def finding(
         self, ctx: ModuleContext, node: ast.AST, message: str
     ) -> Finding:
-        """Build a finding anchored at ``node``."""
-        line = getattr(node, "lineno", 1)
+        """Build a finding at ``node``."""
         return Finding(
             path=ctx.path,
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             code=self.code,
             message=message,
             rule=self.name,
-            severity=self.severity,
-            source_line=ctx.source_line(line),
         )
 
 

@@ -46,7 +46,7 @@ def write_csv(
     return path
 
 
-def export_all(outdir: Path, *, settings=None) -> list[Path]:
+def export_all(outdir: Path) -> list[Path]:
     """Run every experiment and export its data as CSV files.
 
     Returns the written paths.  Imports are local so this heavyweight
@@ -56,12 +56,12 @@ def export_all(outdir: Path, *, settings=None) -> list[Path]:
     from ..core.rooflines import intensity_grid
     from ..experiments import fig1, fig4, fig5, fig6, table1
     from ..experiments.common import run_all_fits
-    from ..experiments.registry import run_all
+    from ..experiments.registry import EXPERIMENTS, run_experiment
     from ..experiments.table1 import _fitted_values, _paper_values
 
     outdir = Path(outdir)
     written: list[Path] = []
-    fits = run_all_fits(settings)
+    fits = run_all_fits()
 
     # table1.csv -------------------------------------------------------
     keys = [
@@ -192,25 +192,21 @@ def export_all(outdir: Path, *, settings=None) -> list[Path]:
     )
 
     # claims.csv -------------------------------------------------------
-    results = run_all(settings) if settings is not None else None
-    if results is None:
-        # Reuse what we already computed where possible; run the rest.
-        from ..experiments.registry import EXPERIMENTS, run_experiment
-
-        results = {}
-        for eid in EXPERIMENTS:
-            if eid == "table1":
-                results[eid] = table1.run(fits=fits)
-            elif eid == "fig4":
-                results[eid] = result4
-            elif eid == "fig1":
-                results[eid] = fig1.run()
-            elif eid == "fig5":
-                results[eid] = fig5.run()
-            elif eid == "fig6":
-                results[eid] = result6
-            else:
-                results[eid] = run_experiment(eid, fits=fits)
+    # Reuse what we already computed where possible; run the rest.
+    results = {}
+    for eid in EXPERIMENTS:
+        if eid == "table1":
+            results[eid] = table1.run(fits=fits)
+        elif eid == "fig4":
+            results[eid] = result4
+        elif eid == "fig1":
+            results[eid] = fig1.run()
+        elif eid == "fig5":
+            results[eid] = fig5.run()
+        elif eid == "fig6":
+            results[eid] = result6
+        else:
+            results[eid] = run_experiment(eid, fits=fits)
     rows = [
         (eid, c.name, c.paper, c.ours, int(c.ok), c.detail)
         for eid, result in results.items()

@@ -318,12 +318,14 @@ class PredictServer:
                 except ProtocolError as err:
                     # Framing-level refusal: answer and drop the
                     # connection (its byte stream is unsynchronised).
+                    self.requests += 1
                     await self._send(writer, err.status,
                                      encode_error(err), close=True)
                     self._count_error(err)
                     break
                 if request is None:
                     break  # clean EOF between requests.
+                self.requests += 1
                 status, body = await self._dispatch(request)
                 await self._send(writer, status, body, close=request.close)
                 if request.close:
@@ -365,7 +367,6 @@ class PredictServer:
     async def _dispatch(
         self, request: _HttpRequest
     ) -> tuple[int, dict[str, Any]]:
-        self.requests += 1
         try:
             if request.target == "/healthz":
                 self._require_method(request, "GET")

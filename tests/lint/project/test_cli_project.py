@@ -79,23 +79,6 @@ class TestProjectFlag:
             assert code in out
         assert "[project]" in out
 
-    def test_update_baseline_retires_project_finding(
-        self, dirty, tmp_path, capsys
-    ):
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                [str(dirty), "--project", "--update-baseline",
-                 "--baseline", baseline]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            lint_main([str(dirty), "--project", "--baseline", baseline])
-            == 0
-        )
-
 
 class TestFlagContract:
     def test_jobs_without_project_is_usage_error(self, dirty, capsys):

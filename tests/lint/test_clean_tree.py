@@ -1,7 +1,6 @@
-"""The shipped source tree must lint clean with an empty baseline.
+"""The shipped source tree must lint clean.
 
-This is the acceptance criterion of the lint PR frozen as a test: every
-real violation was either fixed or carries an inline justified
+Every real violation was either fixed or carries an inline justified
 suppression, so ``archline lint src/`` reports nothing.  If a future
 change introduces a violation, this test fails alongside CI.
 """

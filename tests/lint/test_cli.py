@@ -58,26 +58,9 @@ def test_exit_two_on_unknown_rule_code(tree, capsys):
     assert "unknown rule code" in capsys.readouterr().err
 
 
-def test_exit_two_on_malformed_baseline(tree, tmp_path, capsys):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{broken")
-    assert lint_main([str(tree), "--baseline", str(bad)]) == 2
-    assert "baseline" in capsys.readouterr().err
-
-
 def test_select_narrows_rules(tree):
     # The only violation is ARCH003; selecting a different rule is clean.
     assert lint_main([str(tree), "--select", "ARCH004"]) == 0
-
-
-def test_update_baseline_then_clean(tree, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert lint_main([str(tree), "--update-baseline", "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    # With the violations baselined, the same tree now lints clean.
-    assert lint_main([str(tree), "--baseline", str(baseline)]) == 0
-    payload = json.loads(baseline.read_text())
-    assert payload["findings"], "baseline should have captured the finding"
 
 
 def test_json_format_flag(tree, capsys):
@@ -103,6 +86,15 @@ def test_syntax_error_reported_as_finding(tmp_path, capsys):
     bad.write_text("def oops(:\n")
     assert lint_main([str(bad)]) == 1
     assert "ARCH000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", [[], ["--project"]], ids=["per-file", "project"])
+def test_non_utf8_file_reported_as_finding(tmp_path, capsys, mode):
+    # Latin-1 bytes in a string literal: not UTF-8, so not Python source.
+    (tmp_path / "latin1.py").write_bytes(b'x = "\xff\xfe"\n')
+    assert lint_main([str(tmp_path), *mode]) == 1
+    out = capsys.readouterr().out
+    assert "latin1.py:1:1: ARCH000 file does not parse" in out
 
 
 def test_archline_lint_subcommand(tree, capsys):

@@ -30,17 +30,15 @@ _FINDING_SCHEMA = {
     "line": int,
     "col": int,
     "code": str,
-    "severity": str,
     "message": str,
     "rule": str,
-    "fingerprint": str,
 }
 
 
 def test_json_output_matches_schema():
     payload = json.loads(render_json(findings()))
     assert set(payload) == {"version", "findings", "counts", "total"}
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["total"] == len(payload["findings"]) > 0
     assert sum(payload["counts"].values()) == payload["total"]
     for item in payload["findings"]:
@@ -48,9 +46,7 @@ def test_json_output_matches_schema():
         for field, typ in _FINDING_SCHEMA.items():
             assert isinstance(item[field], typ), field
         assert item["code"].startswith("ARCH")
-        assert item["severity"] in ("error", "warning")
         assert item["line"] >= 1 and item["col"] >= 0
-        assert len(item["fingerprint"]) == 40  # sha1 hex
 
 
 def test_json_output_is_deterministic():
@@ -72,14 +68,14 @@ def test_github_annotations_format():
     *annotations, summary = render_github(findings()).splitlines()
     assert annotations, "expected at least one annotation"
     for line in annotations:
-        assert line.startswith("::error ") or line.startswith("::warning ")
+        assert line.startswith("::error ")
         assert "file=src/repro/machine/fake.py" in line
         assert line.split(",title=")[1].startswith("ARCH")
     assert summary.startswith("archlint:")
 
 
 def test_github_escapes_newlines_and_percent():
-    from repro.lint.findings import Finding, Severity
+    from repro.lint.findings import Finding
 
     finding = Finding(
         path="f.py",
@@ -88,8 +84,6 @@ def test_github_escapes_newlines_and_percent():
         code="ARCH999",
         message="100% bad\nsecond line",
         rule="fake",
-        severity=Severity.ERROR,
-        source_line="x = 1",
     )
     annotation = render_github([finding]).splitlines()[0]
     assert "%25" in annotation and "%0A" in annotation

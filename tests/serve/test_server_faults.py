@@ -92,6 +92,26 @@ class TestTypedRejections:
         assert stats["errors"] == {"bad_http": 2}
         assert stats["server"]["disconnects"] == 0
 
+    def test_refused_requests_count_as_requests(self):
+        """Framing-level refusals (400 heads, 413 bodies) are requests
+        too: every response answers one counted request."""
+        long_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        over_limit = b"POST /predict HTTP/1.1\r\nContent-Length: 2048\r\n\r\n"
+
+        async def scenario(server):
+            for head in (long_line, long_line, over_limit):
+                await _raw_exchange(server.port, head)
+            return await _raw_exchange(
+                server.port, b"GET /stats HTTP/1.1\r\n\r\n"
+            )
+
+        status, stats = drive(scenario, max_body_bytes=1024)
+        server = stats["server"]
+        assert status == 200
+        assert server["responses"] == {"400": 2, "413": 1}
+        # /stats counts its own request before it is answered.
+        assert server["requests"] == sum(server["responses"].values()) + 1
+
     def test_unknown_kernel_is_404(self):
         async def scenario(server):
             return await post_predict(

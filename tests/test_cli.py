@@ -152,7 +152,6 @@ NOT_FOR_CAMPAIGN = (
     "repro.serve.server",
     "repro.fleet.solver",
     "repro.lint.engine",
-    "repro.lint.baseline",
     "repro.lint.output",
     "repro.lint.findings",
     "repro.experiments.fig1",
@@ -164,7 +163,6 @@ NOT_FOR_FLEET = (
     "repro.core.fitting",
     "repro.store.store",
     "repro.lint.engine",
-    "repro.lint.baseline",
     "repro.lint.output",
     "repro.lint.findings",
 )
@@ -333,12 +331,15 @@ class TestIntegerFlags:
         [
             ["campaign", "gtx-titan", "--quick", "--shard-timeout", "5"],
             ["run", "table1", "--quick", "--workers", "2"],
+            ["bench", "gtx-titan", "--quick", "--trajectory"],
         ],
-        ids=["campaign-shard-timeout", "run-workers"],
+        ids=["campaign-shard-timeout", "run-workers", "bench-trajectory"],
     )
     def test_removed_flag_is_a_usage_error(self, argv):
         """Campaigns run shard by shard in one process, so the process
-        pool's flags are gone (``campaign --workers 1`` still parses)."""
+        pool's flags are gone (``campaign --workers 1`` still parses);
+        the perf-trajectory suite runs as
+        ``benchmarks/trajectory/run.py``, not through ``bench``."""
         stderr = self.usage_error(argv)
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in stderr
 
