@@ -38,6 +38,7 @@ cross-checks and ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -118,11 +119,13 @@ class FitObservations:
             object.__setattr__(self, "random_accesses", arr)
 
     # The MappingProxyType wrapper cannot be pickled, and fit inputs
-    # cross process boundaries inside parallel-campaign shard results.
+    # are pickled inside the campaign store's shard payloads.  The
+    # derived fit start is left out: it is recomputed on first use.
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["cache_traffic"] = dict(self.cache_traffic)
+        state.pop("_start", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -148,6 +151,16 @@ class FitObservations:
         """``W/Q`` per sample (inf where Q is zero)."""
         with np.errstate(divide="ignore"):
             return np.where(self.Q > 0, self.W / np.maximum(self.Q, 1e-300), np.inf)
+
+    @cached_property
+    def _start(self) -> _FitStart:
+        """Where every fit of these observations starts, computed on
+        first use: a campaign fits the capped and the uncapped model on
+        one observation set, and both start from its anchors and
+        seeds."""
+        columns = _energy_columns(self)
+        seeds, delta_pi = _seed_energies(self, columns)
+        return _FitStart(_compute_anchors(self), columns, seeds, delta_pi)
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,7 @@ class ModelFit:
         }
 
 
-def _energy_columns(obs: FitObservations) -> list[np.ndarray]:
+def _energy_columns(obs: FitObservations) -> tuple[np.ndarray, ...]:
     """Per-run op counts multiplying each marginal energy in the
     dynamic energy: W, Q, each cache level's traffic, [accesses]."""
     columns = [obs.W, obs.Q]
@@ -303,7 +316,7 @@ def _energy_columns(obs: FitObservations) -> list[np.ndarray]:
         columns.append(obs.cache_traffic[level])
     if obs.has_random:
         columns.append(obs.random_accesses)
-    return columns
+    return tuple(columns)
 
 
 def _median(values: np.ndarray) -> float:
@@ -317,7 +330,9 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[middle - 1] + ordered[middle]) / 2)
 
 
-def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
+def _seed_energies(
+    obs: FitObservations, op_columns: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, float]:
     """Linear seeds: (eps_f, eps_m, [eps_l...], [eps_rand], pi1), plus a
     delta_pi seed.
 
@@ -329,16 +344,13 @@ def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     the NNLS corner solutions whose zero coefficients would strand the
     log-space optimiser at a vanishing gradient.
     """
-    columns = _energy_columns(obs)
-    columns.append(obs.T)
-    A = np.column_stack(columns)
+    A = np.column_stack((*op_columns, obs.T))
     coeffs = nonnegative_lstsq(A, obs.E)
 
     # pi1 cannot exceed the lowest observed average power.
     power_floor = float(np.min(obs.E / obs.T))
     pi1 = float(min(max(coeffs[-1], 1e-3 * power_floor), 0.999 * power_floor))
 
-    op_columns = columns[:-1]
     active = np.column_stack([col > 0 for col in op_columns])
     seeds = []
     for j, col in enumerate(op_columns):
@@ -352,6 +364,16 @@ def _seed_energies(obs: FitObservations) -> tuple[np.ndarray, float]:
     dyn = A[:, :-1] @ coeffs[:-1]
     dpi0 = max(float(np.max(dyn / obs.T)), 1e-6)
     return coeffs, dpi0
+
+
+@dataclass(frozen=True, eq=False)
+class _FitStart:
+    """What every fit of one observation set starts from."""
+
+    anchors: _Anchors
+    columns: tuple[np.ndarray, ...]  #: :func:`_energy_columns`.
+    seeds: np.ndarray  #: eps_f, eps_m, [eps_l...], [eps_rand], pi1.
+    delta_pi: float  #: the delta_pi seed.
 
 
 class _Objective:
@@ -374,8 +396,8 @@ class _Objective:
         self.obs = obs
         self.capped = capped
         self.anchor_times = anchor_times
-        self.anchors = _compute_anchors(obs)
-        self.columns = _energy_columns(obs)
+        self.anchors = obs._start.anchors
+        self.columns = obs._start.columns
         self.energy_columns = np.column_stack(self.columns)
         first = 0 if anchor_times else 2
         self.energies = slice(first, first + len(self.columns))
@@ -512,7 +534,7 @@ def fit_machine(
     """
     objective = _Objective(obs, capped=capped, anchor_times=anchor_times)
     anchors = objective.anchors
-    seeds, dpi0 = _seed_energies(obs)
+    seeds, dpi0 = obs._start.seeds, obs._start.delta_pi
     # seeds layout: eps_f, eps_m, [levels...], [rand], pi1
     n_levels = len(obs.levels)
     n_extra = n_levels + (1 if obs.has_random else 0)

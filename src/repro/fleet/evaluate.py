@@ -1,19 +1,27 @@
 """The fleet feasibility/cost matrix: every bin on every platform.
 
-For each (workload bin, platform) pair this evaluates the capped
-energy-roofline model once and records what the optimizer needs:
+For each (workload bin, platform) pair this evaluates the capped and
+the uncapped energy-roofline model and records what the optimizer
+needs.  Each platform is evaluated once per precision, over all its
+bins at once: one array call each of :func:`repro.core.model.time` and
+:func:`repro.core.model.energy`, capped and uncapped.  An algorithm bin
+takes its ``(W, Q)`` from ``instance(n, Z)`` with the platform's fast
+memory ``Z`` (:func:`repro.apps.analysis.fast_memory_capacity`); a raw
+bin gives them directly.  Every field equals, bit for bit, what the
+pair evaluated on its own gives: :func:`repro.apps.analysis.evaluate`,
+capped and uncapped, for an algorithm bin, and the scalar model calls
+for a raw one (tests/fleet/test_evaluate.py holds the two equal).
 
 ``time``/``energy``
-    Per-job predictions, straight from :func:`repro.apps.analysis.
-    evaluate` (algorithm bins) or :func:`repro.core.model` (raw
-    ``(W, Q)`` bins).
+    Per-job predictions of the capped model.
 ``node_power``
     The *governor-consistent* draw of a node running this bin flat
     out.  Under the capped model ``E/T = pi1 + min(E_dyn/T_nom,
     delta_pi)`` exactly -- the same cap :func:`repro.machine.governor.
     run_governor` enforces -- so rack power sums this, never the
     nominal (uncapped) draw, which can exceed ``pi1 + delta_pi`` and
-    would over-commit the budget (see tests/fleet/test_power.py).
+    would over-commit the budget (see ``TestGovernorAwarePower`` in
+    tests/fleet/test_evaluate.py).
 ``uncapped_node_power``
     The nominal draw, reported so the over-commitment is visible.
 ``jobs_per_node``
@@ -23,8 +31,8 @@ energy-roofline model once and records what the optimizer needs:
 Pairs that cannot run -- unsupported precision, non-finite
 predictions from a pathological theta-hat, residency violations --
 become typed :class:`FleetExclusion` rows instead of poisoning the
-solve, using exactly the :func:`repro.apps.analysis.exclusion_reason`
-rules.
+solve, with the reasons :func:`repro.apps.analysis.exclusion_reason`
+gives.
 """
 
 from __future__ import annotations
@@ -32,8 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..apps.analysis import evaluate as evaluate_app
-from ..apps.analysis import exclusion_reason
+import numpy as np
+
+from ..apps.algorithms import Algorithm, AlgorithmInstance
+from ..apps.analysis import fast_memory_capacity
 from ..core import model
 from ..machine.config import PlatformConfig
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
@@ -96,70 +106,27 @@ class EvaluationMatrix:
         )
 
 
-def _evaluate_raw(
-    machine, flops: float, bytes_moved: float, precision: str
-) -> tuple[float, float, float]:
-    """(time, energy, uncapped power) of a raw (W, Q) job."""
-    t = float(
-        model.time(machine, flops, bytes_moved, capped=True, precision=precision)
-    )
-    e = float(
-        model.energy(
-            machine, flops, bytes_moved, capped=True, precision=precision
-        )
-    )
-    t0 = float(
-        model.time(machine, flops, bytes_moved, capped=False, precision=precision)
-    )
-    e0 = float(
-        model.energy(
-            machine, flops, bytes_moved, capped=False, precision=precision
-        )
-    )
-    uncapped = e0 / t0 if t0 > 0 else math.inf
-    return t, e, uncapped
-
-
-def _evaluate_pair(
+def _entry(
     bin_: WorkloadBin,
     platform_id: str,
     config: PlatformConfig,
+    instance: AlgorithmInstance | None,
     horizon: float,
+    prediction: tuple[float, float, float, float],
 ) -> BinOnPlatform | str:
-    """A matrix entry, or the exclusion reason string."""
-    if bin_.is_raw:
-        try:
-            t, e, uncapped = _evaluate_raw(
-                config.truth, bin_.flops, bin_.bytes_moved, bin_.precision
-            )
-        except ValueError as err:
-            return str(err)
-        if not math.isfinite(t) or t <= 0:
-            return f"non-finite or non-positive predicted time ({t!r})"
-        if not math.isfinite(e) or e <= 0:
-            return f"non-finite or non-positive predicted energy ({e!r})"
-        power = e / t
-    else:
-        algorithm = algorithm_by_name(bin_.algorithm)
-        try:
-            result = evaluate_app(
-                algorithm,
-                bin_.n,
-                config,
-                capped=True,
-                precision=bin_.precision,
-            )
-        except ValueError as err:
-            return str(err)
-        reason = exclusion_reason(
-            result, config, require_resident=bin_.resident
+    """A matrix entry from one bin's capped and uncapped (time,
+    energy), or the exclusion reason string."""
+    t, e, t0, e0 = prediction
+    if not math.isfinite(t) or t <= 0:
+        return f"non-finite or non-positive predicted time ({t!r})"
+    if not math.isfinite(e) or e <= 0:
+        return f"non-finite or non-positive predicted energy ({e!r})"
+    if bin_.resident and instance is not None and not instance.fits_fast_memory:
+        return (
+            f"working set {instance.working_set:.3g} B exceeds "
+            f"fast memory {instance.Z:.3g} B"
         )
-        if reason is not None:
-            return reason
-        t, e, power = result.time, result.energy, result.power
-        uncapped = evaluate_app(
-            algorithm, bin_.n, config, capped=False, precision=bin_.precision
-        ).power
+    power = e / t
     # Defensive: the capped model guarantees this, and the solver's
     # rack-power accounting is only sound if it holds.
     cap = config.max_model_power
@@ -174,9 +141,61 @@ def _evaluate_pair(
         time=t,
         energy=e,
         node_power=power,
-        uncapped_node_power=uncapped,
+        uncapped_node_power=e0 / t0 if t0 > 0 else math.inf,
         jobs_per_node=horizon / t,
     )
+
+
+def _evaluate_platform(
+    workload: WorkloadSpec,
+    algorithms: list[Algorithm | None],
+    platform_id: str,
+    config: PlatformConfig,
+) -> list[BinOnPlatform | str]:
+    """Every bin on one platform, in bin order: one array evaluation of
+    the model per precision, capped and uncapped."""
+    z = fast_memory_capacity(config)
+    out: list[BinOnPlatform | str] = [""] * len(workload.bins)
+    rows: dict[str, list[tuple[int, AlgorithmInstance | None, float, float]]]
+    rows = {}
+    for b, (bin_, algorithm) in enumerate(zip(workload.bins, algorithms)):
+        instance: AlgorithmInstance | None = None
+        flops, bytes_moved = bin_.flops, bin_.bytes_moved
+        if algorithm is not None:
+            try:
+                instance = algorithm.instance(bin_.n, z)
+            except ValueError as err:
+                out[b] = str(err)
+                continue
+            flops, bytes_moved = instance.flops, instance.bytes_moved
+        rows.setdefault(bin_.precision, []).append(
+            (b, instance, flops, bytes_moved)
+        )
+    for precision, group in rows.items():
+        w = np.array([row[2] for row in group], dtype=float)
+        q = np.array([row[3] for row in group], dtype=float)
+        try:
+            # (capped time, capped energy, uncapped time, uncapped energy)
+            columns = [
+                fn(config.truth, w, q, capped=capped, precision=precision)
+                .tolist()
+                for capped in (True, False)
+                for fn in (model.time, model.energy)
+            ]
+        except ValueError as err:  # no parameters for this precision
+            for b, *_ in group:
+                out[b] = str(err)
+            continue
+        for (b, instance, _, _), prediction in zip(group, zip(*columns)):
+            out[b] = _entry(
+                workload.bins[b],
+                platform_id,
+                config,
+                instance,
+                workload.horizon,
+                prediction,
+            )
+    return out
 
 
 def evaluate_fleet(
@@ -199,13 +218,19 @@ def evaluate_fleet(
         bins=len(workload.bins),
         platforms=len(platform_ids),
     ):
+        algorithms = [
+            None if bin_.is_raw else algorithm_by_name(bin_.algorithm)
+            for bin_ in workload.bins
+        ]
+        columns = [
+            _evaluate_platform(workload, algorithms, pid, configs[pid])
+            for pid in platform_ids
+        ]
         entries: list[BinOnPlatform] = []
         exclusions: list[FleetExclusion] = []
-        for bin_ in workload.bins:
-            for pid in platform_ids:
-                out = _evaluate_pair(
-                    bin_, pid, configs[pid], workload.horizon
-                )
+        for b, bin_ in enumerate(workload.bins):
+            for pid, column in zip(platform_ids, columns):
+                out = column[b]
                 if isinstance(out, str):
                     exclusions.append(FleetExclusion(bin_.label, pid, out))
                 else:

@@ -27,12 +27,19 @@ Two solvers, intentionally independent implementations:
     can be removed without breaking coverage -- some optimal solution
     always is one, since weights and draws are non-negative), with
     budget and objective-bound pruning.  The bound is integrality
-    aware: an uncovered bin costs at least the larger of its remaining
-    demand times the best weight per job and the lightest single node
-    among the pairs left, since it needs at least one more node.  A
-    subtree is pruned only when it holds no leaf better than the
-    incumbent, so the search keeps the leaf an unpruned walk would.
-    No LP involved; this is the test oracle.
+    aware.  The bin being covered costs at least the larger of its
+    remaining demand times the best weight per job and the lightest
+    single node among the pairs left, since it needs at least one more
+    node.  Each untouched bin costs at least its exact minimum-weight
+    cover, found once per instance by this same search on the bin
+    alone with budgets and supply caps lifted (they only remove
+    mixes); a bin whose own search hits the state cap keeps the
+    fractional bound.  The untouched bins' sum is lowered by a
+    rounding margin, zero when every weight is an integer, so that it
+    bounds a leaf's running sum in floating point too.  A subtree is
+    pruned only when it holds no leaf better than the incumbent, so
+    the search keeps the leaf an unpruned walk would.  No LP
+    involved; this is the test oracle.
 :func:`solve`
     The scalable path: LP relaxation (:mod:`repro.fleet.simplex`),
     floor-rounding, greedy deficit fill, surplus trim, then a
@@ -69,6 +76,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+#: Unit roundoff of float64 (round to nearest).
+_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -315,6 +324,29 @@ class _ExactSearch:
             self.best_obj = sum(
                 w * x for w, x in zip(self.weights, incumbent)
             )
+        # What _cover reads at every state: each pair's (platform,
+        # rate, weight, draw, unit cost), each bin's cover tolerance and
+        # the budgets with their slack (None = no budget).
+        self.pairs = tuple(
+            zip(
+                instance.pair_platform,
+                instance.pair_rate,
+                self.weights,
+                instance.pair_power,
+                instance.pair_costs(),
+            )
+        )
+        self.tols = tuple(_REL_TOL * max(1.0, d) for d in instance.demands)
+        self.power_cap = (
+            instance.power_budget * (1 + _REL_TOL)
+            if math.isfinite(instance.power_budget)
+            else None
+        )
+        self.cost_cap = (
+            instance.cost_budget * (1 + _REL_TOL)
+            if math.isfinite(instance.cost_budget)
+            else None
+        )
         # Suffix minima over each bin's pairs: ratio_min[j][t] is the
         # best weight per job and weight_min[j][t] the lightest node
         # among group[t:], so _finish_lb costs nothing per state.
@@ -328,17 +360,60 @@ class _ExactSearch:
                 weights[t] = min(weights[t], weights[t + 1])
             self.ratio_min.append(ratios)
             self.weight_min.append(weights)
-        # Per-bin lower bounds for untouched bins and their suffix sums.
-        n_bins = len(instance.bin_labels)
-        self.bin_lb = [0.0] * n_bins
-        for j, group in enumerate(self.groups):
-            if group:
-                self.bin_lb[j] = self._finish_lb(j, 0, instance.demands[j])
-        self.suffix_lb = [0.0] * (n_bins + 1)
-        for j in range(n_bins - 1, -1, -1):
-            self.suffix_lb[j] = self.suffix_lb[j + 1] + self.bin_lb[j]
+        self.suffix_lb = self._untouched_bounds()
         self.x = [0] * len(instance.pair_bin)
         self.supply = [0] * len(instance.platform_ids)
+
+    def _untouched_bounds(self) -> list[float]:
+        """``suffix_lb[j]``: a lower bound on what bins ``j, j+1, ...``
+        add to any leaf's objective.
+
+        Each bin is bounded by its exact minimum-weight cover: this
+        search run on the bin alone, with budgets and supply caps
+        lifted, since those only remove mixes.  A one-bin instance
+        reads no such bound, so the bin searches never recurse, and a
+        bin whose own search hits the state cap keeps the fractional
+        :meth:`_finish_lb`.  Bin 0 is never untouched, so it is not
+        searched.
+
+        A leaf adds its per-pair terms to one running sum, in pair
+        order; the bound adds per-bin optima, each summed on its own.
+        The two orders round apart, so the bound could sit an ulp above
+        a leaf that ties the incumbent in real arithmetic but beats it
+        by an ulp, and prune the leaf an unpruned walk keeps.  So the
+        sum is lowered by a margin: no leaf exceeds ``top`` (every pair
+        at its largest count), a running sum of ``m`` non-negative
+        terms below ``top`` is off by at most ``m`` roundoffs of
+        ``top``, and each bin search keeps a leaf within 1e-12 of its
+        optimum.  With integral weights and ``top`` below 2**53 every
+        sum is exact and every leaf an integer, so the margin is zero
+        and a bound that only ties the incumbent still prunes.
+        """
+        inst = self.inst
+        n_bins = len(self.groups)
+        bounds = [0.0] * n_bins
+        for j in range(1, n_bins):
+            if self.groups[j]:
+                cover = _bin_cover(inst, self.groups[j], self.state_limit)
+                bounds[j] = (
+                    self._finish_lb(j, 0, inst.demands[j])
+                    if cover is None
+                    else cover
+                )
+        suffix = [0.0] * (n_bins + 1)
+        for j in range(n_bins - 1, -1, -1):
+            suffix[j] = suffix[j + 1] + bounds[j]
+        top = sum(
+            _ceil_div(inst.demands[inst.pair_bin[k]], inst.pair_rate[k]) * w
+            for k, w in enumerate(self.weights)
+        )
+        if top < 2.0**53 and all(float(w).is_integer() for w in self.weights):
+            return suffix
+        margin = (
+            4 * (len(self.weights) + n_bins) * _ROUNDOFF * top
+            + n_bins * 1e-12
+        )
+        return [max(0.0, s - margin) for s in suffix]
 
     def run(self) -> None:
         if any(not g for g in self.groups):
@@ -354,7 +429,7 @@ class _ExactSearch:
         more node, so it also costs the lightest node left.  Both hold,
         so the larger does.
         """
-        if remaining <= _REL_TOL * max(1.0, self.inst.demands[j]):
+        if remaining <= self.tols[j]:
             return 0.0
         return max(remaining * self.ratio_min[j][t], self.weight_min[j][t])
 
@@ -387,35 +462,32 @@ class _ExactSearch:
         with ``remaining`` demand still uncovered."""
         if self.truncated or not self._tick():
             return
-        inst = self.inst
-        group = self.groups[j]
-        tol = _REL_TOL * max(1.0, inst.demands[j])
-        if remaining <= tol:
+        if remaining <= self.tols[j]:
             self._bin(j + 1, obj, power, cost)
             return
+        group = self.groups[j]
         if t == len(group):
             return  # ran out of platforms with demand uncovered
         # Prune when no leaf below can beat the incumbent by more than
-        # 1e-12.  The bound is deliberately not shaded down: a tie then
+        # 1e-12.  The bound is not shaded down beyond the rounding
+        # margin of the untouched bins (see _untouched_bounds): a tie
         # prunes, so a subtree of mixes that only tie the incumbent
-        # (identical platforms, equal unit costs) is never walked.
+        # (identical platforms, equal unit costs) is not walked.
         bound = obj + self._finish_lb(j, t, remaining) + self.suffix_lb[j + 1]
         if bound >= self.best_obj - 1e-12:
             return
         k = group[t]
-        i = inst.pair_platform[k]
-        supply_left = inst.max_nodes[i] - self.supply[i]
+        i, rate, w, p, c = self.pairs[k]
+        supply_left = self.inst.max_nodes[i] - self.supply[i]
         hi = min(
-            _ceil_div(remaining, inst.pair_rate[k]),
+            _ceil_div(remaining, rate),
             int(supply_left) if math.isfinite(supply_left) else 10**18,
         )
-        w, p = self.weights[k], inst.pair_power[k]
-        c = inst.unit_costs[i]
-        if math.isfinite(inst.power_budget) and p > 0:
-            p_room = inst.power_budget * (1 + _REL_TOL) - power
+        if self.power_cap is not None and p > 0:
+            p_room = self.power_cap - power
             hi = min(hi, int(p_room // p) if p_room >= p else 0)
-        if math.isfinite(inst.cost_budget) and c > 0:
-            c_room = inst.cost_budget * (1 + _REL_TOL) - cost
+        if self.cost_cap is not None and c > 0:
+            c_room = self.cost_cap - cost
             hi = min(hi, int(c_room // c) if c_room >= c else 0)
         for count in range(0, hi + 1):
             self.x[k] = count
@@ -423,7 +495,7 @@ class _ExactSearch:
             self._cover(
                 j,
                 t + 1,
-                remaining - count * inst.pair_rate[k],
+                remaining - count * rate,
                 obj + count * w,
                 power + count * p,
                 cost + count * c,
@@ -432,6 +504,33 @@ class _ExactSearch:
             self.x[k] = 0
             if self.truncated:
                 return
+
+
+def _bin_cover(
+    instance: FleetInstance, group: tuple[int, ...], state_limit: int
+) -> float | None:
+    """The minimum objective of covering one bin's demand from its
+    pairs ``group`` with no budget or supply cap, or None if the search
+    hits ``state_limit`` first."""
+    j = instance.pair_bin[group[0]]
+    alone = FleetInstance(
+        bin_labels=(instance.bin_labels[j],),
+        platform_ids=instance.platform_ids,
+        demands=(instance.demands[j],),
+        horizon=instance.horizon,
+        pair_bin=(0,) * len(group),
+        pair_platform=tuple(instance.pair_platform[k] for k in group),
+        pair_rate=tuple(instance.pair_rate[k] for k in group),
+        pair_power=tuple(instance.pair_power[k] for k in group),
+        unit_costs=instance.unit_costs,
+        max_nodes=(math.inf,) * len(instance.platform_ids),
+        objective=instance.objective,
+    )
+    search = _ExactSearch(alone, state_limit, None)
+    search.run()
+    if search.truncated or search.best_nodes is None:
+        return None
+    return search.best_obj
 
 
 def solve_exact(

@@ -3,13 +3,27 @@ power fix: node draw is the *capped* per-node draw, never the nominal
 demand."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.apps.algorithms import Algorithm
+from repro.apps.analysis import evaluate, exclusion_reason
+from repro.experiments.common import run_all_fits
 from repro.fleet import WorkloadBin, WorkloadSpec, evaluate_fleet
+from repro.fleet.evaluate import BinOnPlatform
+from repro.fleet.workload import algorithm_by_name
 from repro.machine.governor import run_governor
 from repro.machine.platforms import all_platforms, platform
 from repro.telemetry.recorder import TraceRecorder
+
+_ROOT = Path(__file__).parent.parent.parent
+#: Both shipped workloads: the example and the 8-bin histogram.
+WORKLOADS = {
+    "example": _ROOT / "examples" / "fleet_workload.json",
+    "8bin": _ROOT / "tests" / "data" / "fleet_workload_8bin.json",
+}
 
 
 def _spec(*bins):
@@ -165,3 +179,111 @@ class TestRawBins:
         assert matrix.entry(label, "gtx-titan") is not None
         assert matrix.entry(label, "no-such") is None
         assert "gtx-titan" in matrix.feasible_platforms(label)
+
+
+def _pair_oracle(bin_, platform_id, config, horizon):
+    """One pair the per-pair way: :func:`repro.apps.analysis.evaluate`,
+    capped and uncapped, and :func:`~repro.apps.analysis.
+    exclusion_reason`.  A raw bin is an algorithm whose work and
+    traffic are its ``(W, Q)`` whatever ``n`` and ``Z``, and, as
+    before, demands no residency."""
+    if bin_.is_raw:
+        algorithm = Algorithm(
+            bin_.label,
+            work=lambda n: bin_.flops,
+            traffic=lambda n, z: bin_.bytes_moved,
+        )
+        n, resident = 1.0, False
+    else:
+        algorithm = algorithm_by_name(bin_.algorithm)
+        n, resident = bin_.n, bin_.resident
+    try:
+        capped = evaluate(
+            algorithm, n, config, capped=True, precision=bin_.precision
+        )
+    except ValueError as err:
+        return str(err)
+    reason = exclusion_reason(capped, config, require_resident=resident)
+    if reason is not None:
+        return reason
+    uncapped = evaluate(
+        algorithm, n, config, capped=False, precision=bin_.precision
+    )
+    cap = config.max_model_power
+    assert capped.power <= cap * (1 + 1e-9)
+    return BinOnPlatform(
+        bin_label=bin_.label,
+        platform_id=platform_id,
+        time=capped.time,
+        energy=capped.energy,
+        node_power=capped.power,
+        uncapped_node_power=uncapped.power,
+        jobs_per_node=horizon / capped.time,
+    )
+
+
+def _assert_matches_pair_oracle(spec, configs):
+    matrix = evaluate_fleet(spec, configs)
+    entries = {(e.bin_label, e.platform_id): e for e in matrix.entries}
+    reasons = {(x.bin_label, x.platform_id): x.reason for x in matrix.exclusions}
+    for bin_ in spec.bins:
+        for pid in sorted(configs):
+            oracle = _pair_oracle(bin_, pid, configs[pid], spec.horizon)
+            key = (bin_.label, pid)
+            if isinstance(oracle, str):
+                assert reasons.get(key) == oracle, key
+            else:
+                # Dataclass equality compares every float field with
+                # ==: bit for bit for these finite, non-zero values.
+                assert entries.get(key) == oracle, key
+    return matrix
+
+
+@pytest.fixture(scope="module")
+def quick_fitted_configs(quick_settings):
+    """Every platform with θ̂ fitted from a scaled-down campaign."""
+    fits = run_all_fits(quick_settings)
+    return {
+        pid: replace(config, truth=fits[pid].fitted_params)
+        for pid, config in all_platforms().items()
+    }
+
+
+class TestArrayEvaluationMatchesPairs:
+    """The per-platform array evaluation equals the per-pair path,
+    field for field and bit for bit, exclusion reasons included."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_shipped_workloads_truth(self, workload):
+        spec = WorkloadSpec.from_json(WORKLOADS[workload].read_text())
+        matrix = _assert_matches_pair_oracle(spec, all_platforms())
+        assert len(matrix.entries) == len(spec.bins) * 12
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_shipped_workloads_quick_fitted(
+        self, workload, quick_fitted_configs
+    ):
+        spec = WorkloadSpec.from_json(WORKLOADS[workload].read_text())
+        truth = evaluate_fleet(spec, all_platforms())
+        fitted = _assert_matches_pair_oracle(spec, quick_fitted_configs)
+        assert fitted.entries != truth.entries  # θ̂ really differs
+
+    def test_exclusion_reasons(self):
+        """Double precision and residency, on algorithm and raw bins,
+        mixed with single-precision bins on the same platforms."""
+        spec = _spec(
+            WorkloadBin(jobs=1, algorithm="matmul", n=2048, precision="double"),
+            WorkloadBin(jobs=1, algorithm="matmul", n=8192, resident=True),
+            WorkloadBin(jobs=1, algorithm="triad", n=1e3, resident=True),
+            WorkloadBin(jobs=1, algorithm="fft", n=2 ** 20),
+            WorkloadBin(
+                jobs=1, flops=1e12, bytes_moved=1e10, precision="double"
+            ),
+            WorkloadBin(jobs=1, flops=1e12, bytes_moved=0.0, resident=True),
+        )
+        matrix = _assert_matches_pair_oracle(spec, all_platforms())
+        reasons = {x.reason for x in matrix.exclusions}
+        assert any("no double-precision parameters" in r for r in reasons)
+        assert any(r.startswith("working set ") for r in reasons)
+        served = {e.bin_label for e in matrix.entries}
+        assert spec.bins[2].label in served  # a resident working set fits

@@ -10,7 +10,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -455,32 +455,79 @@ def enumerate_optimum(instance):
 def tiny_instances(draw):
     """Instances small enough to enumerate: at most 3 bins x 4
     platforms, demands <= 8 and rates >= 2, so no pair takes more than
-    four nodes and no instance has more than ~43k leaves."""
+    four nodes and no instance has more than ~43k leaves.
+
+    Half are drawn at the shipped workloads' scale: 5-300 W draws over
+    a 3600 s horizon and catalogue-like integral unit costs, so energy
+    objectives reach 1e7 J, where an ulp is far above the search's
+    1e-12 tie tolerance.  There a platform may repeat an earlier one,
+    so mixes tie in real arithmetic and differ, if at all, only by how
+    their sums round: where a bound that sits an ulp high prunes the
+    leaf the enumerator keeps."""
     n_bins = draw(st.integers(min_value=1, max_value=3))
     n_plat = draw(st.integers(min_value=1, max_value=4))
+    shipped = draw(st.booleans())
     rate = st.floats(min_value=2.0, max_value=6.0)
-    power = st.floats(min_value=0.5, max_value=10.0)
-    cost = st.floats(min_value=1.0, max_value=20.0)
+    if shipped:
+        power = st.floats(min_value=5.0, max_value=300.0)
+        cost = st.integers(min_value=100, max_value=3000).map(float)
+        power_budget = st.floats(min_value=20.0, max_value=4500.0)
+        cost_budget = st.floats(min_value=500.0, max_value=45000.0)
+    else:
+        power = st.floats(min_value=0.5, max_value=10.0)
+        cost = st.floats(min_value=1.0, max_value=20.0)
+        power_budget = st.floats(min_value=2.0, max_value=150.0)
+        cost_budget = st.floats(min_value=5.0, max_value=300.0)
+    # One column per platform: its rate and draw on each bin, and its
+    # unit cost.
+    columns = []
+    for i in range(n_plat):
+        copy = draw(st.integers(min_value=0, max_value=i)) if shipped else i
+        if copy < i:
+            columns.append(columns[copy])
+            continue
+        columns.append(
+            (
+                [draw(rate) for _ in range(n_bins)],
+                [draw(power) for _ in range(n_bins)],
+                draw(cost),
+            )
+        )
     return make_instance(
         [draw(st.integers(min_value=1, max_value=8)) for _ in range(n_bins)],
-        [[draw(rate) for _ in range(n_plat)] for _ in range(n_bins)],
-        [[draw(power) for _ in range(n_plat)] for _ in range(n_bins)],
-        [draw(cost) for _ in range(n_plat)],
+        [[col[0][j] for col in columns] for j in range(n_bins)],
+        [[col[1][j] for col in columns] for j in range(n_bins)],
+        [col[2] for col in columns],
         max_nodes=[
             draw(st.one_of(st.just(math.inf), st.integers(1, 8)))
             for _ in range(n_plat)
         ],
-        power_budget=draw(
-            st.one_of(st.just(math.inf), st.floats(min_value=2.0, max_value=150.0))
-        ),
-        cost_budget=draw(
-            st.one_of(st.just(math.inf), st.floats(min_value=5.0, max_value=300.0))
-        ),
+        power_budget=draw(st.one_of(st.just(math.inf), power_budget)),
+        cost_budget=draw(st.one_of(st.just(math.inf), cost_budget)),
         objective=draw(st.sampled_from(["energy", "cost"])),
+        horizon=3600.0 if shipped else 100.0,
     )
 
 
+#: Two identical platforms over three bins at the shipped scale.  Bins
+#: 1 and 2 need two and four nodes, and every split across the twins
+#: ties in real arithmetic.  The walk meets (0, 2), (0, 4) first; the
+#: split (1, 1), (2, 2) adds the same terms in another order and lands
+#: one ulp (9.3e-10 J) lower, so the enumerator keeps it.  Bin 2's
+#: exact cover, summed onto the running total as one term, sits that
+#: ulp above the split's sum: without the search's rounding margin the
+#: bound prunes the split.
+_ROUNDING_TIE = make_instance(
+    demands=[5, 8, 7],
+    rates=[[3.1436516814751427] * 2, [5.249223418477779] * 2, [2.2782253580120413] * 2],
+    powers=[[180.82302956381136] * 2, [21.772203037617487] * 2, [297.53984258636376] * 2],
+    costs=[1868.0, 1868.0],
+    horizon=3600.0,
+)
+
+
 @given(tiny_instances())
+@example(_ROUNDING_TIE)
 @settings(max_examples=200, deadline=None)
 def test_exact_and_scalable_match_enumerator(instance):
     """The exact search returns the enumerator's node vector (so its
@@ -509,18 +556,45 @@ def test_enumerator_tie_break_matches_hand_instance():
     assert enumerate_optimum(inst) == ((0, 2), 2 * 5.0 * 100.0)
 
 
-def test_eight_bin_cost_solve_finishes_optimal(tmp_path):
-    """The 8-bin histogram under a 1 kW rack at minimum cost: the
-    polish must prove the 1,780-unit mix optimal inside its default
-    200,000-state cap, not stop at the cap on a 4,030-unit mix."""
+def _solve_eight_bin(tmp_path, *flags):
+    """``archline fleet`` on the 8-bin histogram; its JSON solution."""
     out = tmp_path / "report.json"
     code = main(
         ["fleet", "--workload", str(WORKLOAD_8BIN), "--theta", "truth",
-         "--objective", "cost", "--power-budget", "1000",
-         "--json", str(out)]
+         *flags, "--json", str(out)]
     )
     assert code == 0
-    solution = json.loads(out.read_text())["solution"]
+    return json.loads(out.read_text())["solution"]
+
+
+def test_eight_bin_cost_solve_finishes_optimal(tmp_path):
+    """The 8-bin histogram under a 1 kW rack at minimum cost: the
+    polish must prove the 1,780-unit mix optimal inside its default
+    200,000-state cap, not stop at the cap on a 4,030-unit mix.  The
+    state count repeats exactly; a change to the bound moves it."""
+    solution = _solve_eight_bin(
+        tmp_path, "--objective", "cost", "--power-budget", "1000"
+    )
     assert solution["status"] == "optimal"
     assert solution["objective_value"] == pytest.approx(1780.0, rel=1e-12)
-    assert solution["states_explored"] < 200_000
+    assert solution["states_explored"] == 2185
+
+
+@pytest.mark.parametrize(
+    "flags, states",
+    [
+        ((), 4586),
+        (("--power-budget", "2000", "--cost-budget", "50000"), 4586),
+    ],
+    ids=["no-budget", "2kW-50k"],
+)
+def test_eight_bin_energy_solves_finish_optimal(tmp_path, flags, states):
+    """The other two settings the fleet benchmark solves on the 8-bin
+    histogram, at minimum energy: optimal, in an exactly repeating
+    number of states."""
+    solution = _solve_eight_bin(tmp_path, "--objective", "energy", *flags)
+    assert solution["status"] == "optimal"
+    assert solution["objective_value"] == pytest.approx(
+        197928.06995863302, rel=1e-12
+    )
+    assert solution["states_explored"] == states
