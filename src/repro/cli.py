@@ -179,33 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a live per-shard progress line to stderr as each "
         "shard completes",
     )
-    camp_p.add_argument(
-        "--cache",
-        dest="cache_dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed store directory (default: $ARCHLINE_CACHE "
-        "if set); unchanged shards replay bit-identically from it "
-        "(docs/CACHE.md)",
-    )
-    camp_p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="run uncached even when $ARCHLINE_CACHE is set",
-    )
-    camp_p.add_argument(
-        "--refresh",
-        action="store_true",
-        help="with a cache: skip lookups, recompute every shard and "
-        "republish",
-    )
+    from .store.cli import add_store_flags, build_cache_parser
+
+    add_store_flags(camp_p)
 
     from .lint.cli import build_lint_parser
 
     build_lint_parser(sub)
-
-    from .store.cli import build_cache_parser
-
     build_cache_parser(sub)
 
     from .serve.cli import build_serve_parser
@@ -375,62 +355,39 @@ def _progress_printer(total: int):
     return progress
 
 
-def _cmd_campaign(
-    platform_ids: list[str],
-    seed: int,
-    quick: bool,
-    faults_spec: str | None = None,
-    max_retries: int = 2,
-    trace_path: str | None = None,
-    show_progress: bool = False,
-    cache_dir: str | None = None,
-    no_cache: bool = False,
-    cache_refresh: bool = False,
-) -> str:
+def _cmd_campaign(args: argparse.Namespace) -> int:
     from .faults.plan import FaultPlan
     from .microbench.campaign import CampaignRunner
     from .microbench.suite import CampaignSettings
     from .report.tables import Table, fmt_pct
-    from .store.cli import resolve_cache_dir
+    from .store.cli import selected_store_dir
 
-    unknown = [p for p in platform_ids if p not in PLATFORM_IDS]
-    if unknown:
-        raise SystemExit(
-            f"archline campaign: unknown platform(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(PLATFORM_IDS)}"
-        )
+    def usage(message: str) -> int:
+        print(f"archline campaign: {message}", file=sys.stderr)
+        return 2
+
     try:
-        plan = None if faults_spec is None else FaultPlan.parse(faults_spec)
+        plan = None if args.faults is None else FaultPlan.parse(args.faults)
         settings = CampaignSettings(
-            seed=seed, faults=plan, max_retries=max_retries
+            seed=args.seed, faults=plan, max_retries=args.max_retries
         )
     except ValueError as err:
-        raise SystemExit(f"archline campaign: bad --faults spec: {err}")
-    if no_cache:
-        if cache_dir is not None:
-            raise SystemExit(
-                "archline campaign: --cache and --no-cache are mutually "
-                "exclusive"
-            )
-        cache = None
-    else:
-        cache = resolve_cache_dir(cache_dir)
-    if cache_refresh and cache is None:
-        raise SystemExit(
-            "archline campaign: --refresh needs a cache (--cache DIR or "
-            "$ARCHLINE_CACHE)"
-        )
-    if quick:
+        return usage(f"bad --faults spec: {err}")
+    if args.quick:
         settings = settings.scaled_down()
-    runner = CampaignRunner(
-        tuple(platform_ids) if platform_ids else None,
-        settings,
-        trace=trace_path is not None,
-        cache_dir=cache,
-        cache_refresh=cache_refresh,
-    )
+    try:
+        cache = selected_store_dir(args)
+        runner = CampaignRunner(
+            args.platform_ids or None,
+            settings,
+            trace=args.trace is not None,
+            cache_dir=cache,
+            cache_refresh=args.refresh,
+        )
+    except ValueError as err:
+        return usage(str(err))
     progress = (
-        _progress_printer(len(runner.platform_ids)) if show_progress else None
+        _progress_printer(len(runner.platform_ids)) if args.progress else None
     )
     fits = runner.run(progress=progress)
     report = runner.report
@@ -491,16 +448,17 @@ def _cmd_campaign(
         out += "\n\nprogress callback errors:\n" + "\n".join(
             runner.progress_errors
         )
-    if trace_path is not None:
+    if args.trace is not None:
         from .telemetry.jsonl import write_trace
         from .telemetry.summary import render_summary
 
-        lines = write_trace(trace_path, report)
+        lines = write_trace(args.trace, report)
         out += (
             f"\n\ntrace: {lines} records ({report.trace_bytes} span bytes) "
-            f"-> {trace_path}\n\n" + render_summary(report)
+            f"-> {args.trace}\n\n" + render_summary(report)
         )
-    return out
+    print(out)
+    return 0
 
 
 _METRIC_UNITS = {
@@ -613,21 +571,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(_cmd_bench(args.platform_id, args.seed))
         return 0
     if args.command == "campaign":
-        print(
-            _cmd_campaign(
-                args.platform_ids,
-                args.seed,
-                args.quick,
-                faults_spec=args.faults,
-                max_retries=args.max_retries,
-                trace_path=args.trace,
-                show_progress=args.progress,
-                cache_dir=args.cache_dir,
-                no_cache=args.no_cache,
-                cache_refresh=args.refresh,
-            )
-        )
-        return 0
+        return _cmd_campaign(args)
     if args.command == "cache":
         from .store.cli import run_cache
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from ..flags import nonnegative_int, positive_float, positive_int
 from ..machine.platforms import PLATFORM_IDS, platform
-from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
+from ..store.cli import add_store_flags, selected_store_dir
 
 __all__ = ["build_fleet_parser", "run_fleet"]
 
@@ -140,26 +140,7 @@ def build_fleet_parser(
         help="write fleet_evaluate/fleet_solve telemetry spans as JSONL "
         "(schema: docs/TELEMETRY.md)",
     )
-    parser.add_argument(
-        "--cache",
-        dest="cache_dir",
-        default=None,
-        metavar="DIR",
-        help="campaign store for --theta fitted (default: "
-        f"${CACHE_DIR_ENV} if set; docs/CACHE.md)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=f"resolve fitted theta uncached even when ${CACHE_DIR_ENV} "
-        "is set",
-    )
-    parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="with a cache: skip lookups, recompute campaigns/fits and "
-        "republish",
-    )
+    add_store_flags(parser)
     parser.add_argument(
         "--quick-fit",
         action="store_true",
@@ -216,13 +197,11 @@ def run_fleet(args: argparse.Namespace) -> int:
             if pid in offers
         )
 
-    if args.no_cache and args.cache_dir is not None:
-        return _usage("--cache and --no-cache are mutually exclusive")
-    cache_dir = None if args.no_cache else resolve_cache_dir(args.cache_dir)
-    if args.refresh and cache_dir is None:
-        return _usage(
-            f"--refresh needs a cache (--cache DIR or ${CACHE_DIR_ENV})"
-        )
+    try:
+        # A truth-theta solve reads no store, so it creates none.
+        cache_dir = selected_store_dir(args, create=args.theta == "fitted")
+    except ValueError as err:
+        return _usage(str(err))
     store = None
     if cache_dir is not None and args.theta == "fitted":
         from ..store.store import CampaignStore

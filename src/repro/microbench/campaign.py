@@ -33,8 +33,9 @@ in this process, sharing nothing between shards:
   lookups before compute, publication after, hit/miss/stale counters
   in every :class:`ShardReport`.  Replayed shards are bit-identical to
   computed ones -- the cache changes *whether* a shard runs, never
-  what it produces.  Outside the runner only :func:`fit_platform`
-  caches, as separate campaign and fit entries.
+  what it produces.  Every lookup and publication, of the runner's
+  shard entries and of :func:`fit_platform`'s campaign and fit
+  entries alike, goes through :func:`_through_store`.
 * **Resilience.**  A shard that raises is quarantined -- recorded in
   the report with status ``"failed"`` and excluded from the returned
   fits -- instead of killing the campaign.  Per-run faults (from a
@@ -341,92 +342,79 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
     recorder never touches the random streams, so traced and untraced
     shards produce bit-identical fits.
 
-    With ``spec.cache_dir`` set the shard is *incremental*: its cell
-    key (:func:`repro.store.fingerprint.shard_key`) is looked up in the
-    content-addressed store first -- recorded as a ``cache_lookup``
-    span -- and a hit replays the cached ``(fit, report)`` pair
-    bit-identically instead of computing; a miss computes as usual and
-    publishes the result under a ``cache_store`` span.  Cached entries
-    carry the original compute counters but never spans (telemetry is
-    per-execution, not content), and ``wall_seconds`` always reports
-    *this* invocation's time.
+    With ``spec.cache_dir`` set the shard is *incremental*: it caches
+    its ``(fit, report)`` pair under its cell key
+    (:func:`repro.store.fingerprint.shard_key`) through
+    :func:`_through_store`, with ``cache_lookup`` and ``cache_store``
+    spans, so a hit replays the pair bit-identically instead of
+    computing.  Cached entries carry the original compute counters but
+    never spans (telemetry is per-execution, not content), and
+    ``wall_seconds`` always reports *this* invocation's time.
     """
     started = time.perf_counter()
     recorder = TraceRecorder() if spec.trace else NULL_RECORDER
     settings = spec.settings
     config = platform(spec.platform_id)
-    store: CampaignStore | None = None
-    key = ""
-    if spec.cache_dir is not None:
-        store = CampaignStore(spec.cache_dir)
-        key = shard_key(config, spec)
-        if not spec.cache_refresh:
-            with recorder.span(
-                "cache_lookup", platform=spec.platform_id, key=key[:12]
-            ):
-                cached = store.get(key, kind="shard")
-            if cached is not None:
-                fitted, cached_report = cached
-                spans = recorder.records()
-                report = replace(
-                    cached_report,
-                    wall_seconds=time.perf_counter() - started,
-                    cache_hits=1,
-                    cache_stale=store.stale,
-                    trace_bytes=_trace_bytes(spec.platform_id, spans),
-                    spans=spans,
-                )
-                return fitted, report
-    runner = BenchmarkRunner(
-        config,
-        seed=settings.seed,
-        target_duration=settings.target_duration,
-        faults=settings.faults,
-        max_retries=settings.max_retries,
+    store = None if spec.cache_dir is None else CampaignStore(spec.cache_dir)
+
+    def compute() -> tuple[FittedPlatform, ShardReport]:
+        runner = BenchmarkRunner(
+            config,
+            seed=settings.seed,
+            target_duration=settings.target_duration,
+            faults=settings.faults,
+            max_retries=settings.max_retries,
+            recorder=recorder,
+        )
+        with recorder.span("shard", platform=spec.platform_id):
+            fitted = fit_platform(
+                spec.platform_id, settings, runner=runner, recorder=recorder
+            )
+        fault_counters = runner.fault_counters
+        # The publishable report: compute counters only.  Spans, trace
+        # bytes and cache counters describe *this execution*, not the
+        # shard's content, so they stay out of the store -- replay
+        # attaches its own.
+        return fitted, ShardReport(
+            platform_id=spec.platform_id,
+            seed=settings.seed,
+            n_runs=fitted.campaign.n_runs,
+            calibration_hits=runner.calibration_hits,
+            calibration_misses=runner.calibration_misses,
+            wall_seconds=time.perf_counter() - started,
+            runs_attempted=runner.runs_attempted,
+            runs_failed=runner.runs_failed,
+            retries=runner.retries,
+            rejected=runner.rejected,
+            runs_skipped=runner.runs_skipped,
+            samples_dropped=fault_counters.samples_dropped,
+            samples_corrupted=fault_counters.samples_corrupted,
+            quarantined=tuple(runner.quarantined),
+        )
+
+    fitted, report = _through_store(
+        store,
+        "shard",
+        spec.platform_id,
+        lambda: shard_key(config, spec),
+        compute,
+        refresh=spec.cache_refresh,
         recorder=recorder,
     )
-    with recorder.span("shard", platform=spec.platform_id):
-        fitted = fit_platform(
-            spec.platform_id, settings, runner=runner, recorder=recorder
-        )
-    fault_counters = runner.fault_counters
-    # The publishable report: compute counters only.  Spans, trace
-    # bytes and cache counters describe *this execution*, not the
-    # shard's content, so they stay out of the store -- replay attaches
-    # its own.
-    base = ShardReport(
-        platform_id=spec.platform_id,
-        seed=settings.seed,
-        n_runs=fitted.campaign.n_runs,
-        calibration_hits=runner.calibration_hits,
-        calibration_misses=runner.calibration_misses,
-        wall_seconds=time.perf_counter() - started,
-        runs_attempted=runner.runs_attempted,
-        runs_failed=runner.runs_failed,
-        retries=runner.retries,
-        rejected=runner.rejected,
-        runs_skipped=runner.runs_skipped,
-        samples_dropped=fault_counters.samples_dropped,
-        samples_corrupted=fault_counters.samples_corrupted,
-        quarantined=tuple(runner.quarantined),
-    )
-    if store is not None:
-        with recorder.span(
-            "cache_store", platform=spec.platform_id, key=key[:12]
-        ):
-            store.put(
-                key, (fitted, base), kind="shard", platform=spec.platform_id
-            )
+    # With a store the shard either replayed (one hit) or computed (one
+    # miss, whether its lookup missed, evicted a stale entry or was
+    # skipped by a refresh).
+    hits = 0 if store is None else store.hits
     spans = recorder.records()
-    report = replace(
-        base,
+    return fitted, replace(
+        report,
         wall_seconds=time.perf_counter() - started,
-        cache_misses=1 if store is not None else 0,
-        cache_stale=store.stale if store is not None else 0,
+        cache_hits=hits,
+        cache_misses=0 if store is None else 1 - hits,
+        cache_stale=0 if store is None else store.stale,
         trace_bytes=_trace_bytes(spec.platform_id, spans),
         spans=spans,
     )
-    return fitted, report
 
 
 def _failed_report(
@@ -495,7 +483,10 @@ class CampaignRunner:
             raise ValueError("need at least one platform")
         unknown = [p for p in self.platform_ids if p not in PLATFORM_IDS]
         if unknown:
-            raise ValueError(f"unknown platform ids: {unknown}")
+            raise ValueError(
+                f"unknown platform(s) {', '.join(unknown)}; "
+                f"choose from {', '.join(PLATFORM_IDS)}"
+            )
         if len(set(self.platform_ids)) != len(self.platform_ids):
             # Results are keyed by platform id: duplicates would
             # silently run twice and collapse into one entry.

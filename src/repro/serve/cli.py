@@ -24,7 +24,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..flags import nonnegative_int, port_number, positive_int
-from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
+from ..store.cli import add_store_flags, selected_store_dir
 
 if TYPE_CHECKING:
     from .server import PredictServer
@@ -81,26 +81,7 @@ def build_serve_parser(
         help="record request/batch/engine telemetry spans and write "
         "them as JSONL on shutdown (schema: docs/TELEMETRY.md)",
     )
-    parser.add_argument(
-        "--cache",
-        dest="cache_dir",
-        default=None,
-        metavar="DIR",
-        help="campaign store for fitted-theta resolution (default: "
-        f"${CACHE_DIR_ENV} if set; docs/CACHE.md)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=f"resolve fitted theta uncached even when ${CACHE_DIR_ENV} "
-        "is set",
-    )
-    parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="with a cache: skip lookups, recompute campaigns/fits and "
-        "republish",
-    )
+    add_store_flags(parser)
     parser.add_argument(
         "--quick-fit",
         action="store_true",
@@ -154,19 +135,10 @@ def run_serve(args: argparse.Namespace) -> int:
     from .server import PredictServer
     from .theta import ThetaResolver
 
-    if args.no_cache and args.cache_dir is not None:
-        print(
-            "archline serve: --cache and --no-cache are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = None if args.no_cache else resolve_cache_dir(args.cache_dir)
-    if args.refresh and cache_dir is None:
-        print(
-            "archline serve: --refresh needs a cache (--cache DIR or "
-            f"${CACHE_DIR_ENV})",
-            file=sys.stderr,
-        )
+    try:
+        cache_dir = selected_store_dir(args)
+    except ValueError as err:
+        print(f"archline serve: {err}", file=sys.stderr)
         return 2
     store = None
     if cache_dir is not None:

@@ -1,14 +1,17 @@
-"""The ``archline cache`` subcommand: stats, gc, verify.
+"""The campaign store's command line: its shared flags and ``archline cache``.
 
-Maintenance for the content-addressed campaign store
-(:class:`~repro.store.store.CampaignStore`; docs/CACHE.md).  The store
-directory comes from ``--dir`` or the ``ARCHLINE_CACHE`` environment
-variable -- the same variable ``archline campaign`` honours, so one
-export serves both commands.
+:func:`add_store_flags` gives ``archline campaign``, ``serve`` and
+``fleet`` their one ``--cache``/``--no-cache``/``--refresh`` set and
+:func:`selected_store_dir` checks it; each command prints a usage error
+as ``archline <command>: <message>`` and exits 2.  ``archline cache
+stats|gc|verify`` maintains the content-addressed store
+(:class:`~repro.store.store.CampaignStore`; docs/CACHE.md).  Every
+command takes the store directory from ``--cache`` (``--dir`` here) or
+the ``ARCHLINE_CACHE`` environment variable, so one export serves all.
 
-Exit codes: ``0`` success (``verify``: store intact), ``1`` problems
-found (``verify`` only), ``2`` usage error (no directory given, or the
-path is not a store).
+``archline cache`` exit codes: ``0`` success (``verify``: store
+intact), ``1`` problems found (``verify`` only), ``2`` usage error (no
+directory given, or the path holds no store; nothing is created).
 """
 
 from __future__ import annotations
@@ -28,6 +31,65 @@ def resolve_cache_dir(explicit: str | None) -> str | None:
     if explicit is not None:
         return explicit
     return os.environ.get(CACHE_DIR_ENV) or None
+
+
+def add_store_flags(parser: argparse.ArgumentParser) -> None:
+    """Add ``--cache DIR``, ``--no-cache`` and ``--refresh`` to a
+    subcommand that reads campaigns and fits through the store."""
+    parser.add_argument(
+        "--cache",
+        dest="cache_dir",
+        default=None,
+        metavar="DIR",
+        help=f"campaign store directory (default: ${CACHE_DIR_ENV} if "
+        "set); cached campaigns and fits replay bit-identically from it "
+        "(docs/CACHE.md)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help=f"run uncached even when ${CACHE_DIR_ENV} is set",
+    )
+    parser.add_argument(
+        "--refresh",
+        action="store_true",
+        help="with a cache: skip lookups, recompute and republish",
+    )
+
+
+def selected_store_dir(
+    args: argparse.Namespace, *, create: bool = True
+) -> str | None:
+    """The store directory the :func:`add_store_flags` flags select, or
+    ``None`` to run uncached.
+
+    Raises ``ValueError`` on ``--cache`` with ``--no-cache``, on
+    ``--refresh`` without a cache, and on a path that exists but is not
+    a directory.  With ``create`` the store is opened here, so a
+    directory that cannot be created is a usage error too, before any
+    work starts.
+    """
+    if args.no_cache and args.cache_dir is not None:
+        raise ValueError("--cache and --no-cache are mutually exclusive")
+    path = None if args.no_cache else resolve_cache_dir(args.cache_dir)
+    if path is None:
+        if args.refresh:
+            raise ValueError(
+                f"--refresh needs a cache (--cache DIR or ${CACHE_DIR_ENV})"
+            )
+        return None
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"store path {path} is not a directory")
+    if create:
+        from .store import CampaignStore
+
+        try:
+            CampaignStore(path)
+        except OSError as err:
+            raise ValueError(
+                f"cannot create store {path}: {err.strerror}"
+            ) from None
+    return path
 
 
 def build_cache_parser(
@@ -90,6 +152,11 @@ def run_cache(args: argparse.Namespace) -> int:
             f"${CACHE_DIR_ENV}",
             file=sys.stderr,
         )
+        return 2
+    # Every store has its objects directory from the moment it is
+    # opened; checking for it keeps a mistyped path from becoming one.
+    if not os.path.isdir(os.path.join(cache_dir, "objects")):
+        print(f"archline cache: no store at {cache_dir}", file=sys.stderr)
         return 2
     store = CampaignStore(cache_dir)
     if args.cache_command == "stats":

@@ -6,10 +6,12 @@ An entry file is::
 
     <one JSON header line>\\n<raw pickle payload bytes>
 
-The header carries everything maintenance commands need (kind,
-platform, engine version, payload sha1/size, creation time) so
-``stats``/``gc``/``verify`` never unpickle payloads; the payload holds
-the cached object itself, pickled.  A shard entry is the
+The header carries everything ``stats`` and ``gc`` need (kind,
+platform, engine version, payload sha1/size, creation time), so they
+read header lines only; the payload holds the cached object itself,
+pickled.  ``get`` and ``verify`` read whole entries through one
+checker, so a lookup evicts every readable entry ``verify`` would
+name, plus those of another kind or engine version.  A shard entry is the
 ``(FittedPlatform, ShardReport)`` pair that
 :func:`~repro.microbench.campaign.run_shard` returns, whose types
 archlint holds to frozen, picklable dataclasses (ARCH002, ARCH011).
@@ -49,6 +51,14 @@ __all__ = ["StoreEntryInfo", "StoreStats", "GcResult", "CampaignStore"]
 STORE_SCHEMA = 1
 
 _KEY_LEN = 40  # sha1 hex digest.
+
+
+def _is_key(key: object) -> bool:
+    return (
+        isinstance(key, str)
+        and len(key) == _KEY_LEN
+        and all(c in "0123456789abcdef" for c in key)
+    )
 
 
 @dataclass(frozen=True)
@@ -136,27 +146,30 @@ class CampaignStore:
     # -- keyed access ---------------------------------------------------
 
     def _entry_path(self, key: str) -> Path:
-        if len(key) != _KEY_LEN or any(
-            c not in "0123456789abcdef" for c in key
-        ):
+        if not _is_key(key):
             raise ValueError(f"malformed store key {key!r}")
         return self.root / "objects" / key[:2] / f"{key[2:]}.entry"
 
     def get(self, key: str, *, kind: str | None = None) -> Any | None:
         """Return the cached payload for ``key``, or ``None``.
 
-        A missing entry is a miss; an unreadable, mismatched or
-        stale-engine entry is evicted, counted on :attr:`stale`, and
+        A missing or unreadable file is a miss; a corrupt, mismatched
+        or stale-engine entry is evicted, counted on :attr:`stale`, and
         reported as a miss -- the caller recomputes either way.
         """
         path = self._entry_path(key)
         try:
-            raw = path.read_bytes()
+            header, payload = self._read_entry(path)
         except OSError:
             self.misses += 1
             return None
-        payload = self._decode(raw, key, kind)
-        if payload is None:
+        # The engine version participates in every key, so a mismatch
+        # here means a broken key builder -- evict rather than serve.
+        if (
+            isinstance(header, str)
+            or (kind is not None and header.get("kind") != kind)
+            or header.get("engine_version") != engine_fingerprint_version()
+        ):
             self.stale += 1
             try:
                 path.unlink()
@@ -166,46 +179,51 @@ class CampaignStore:
         self.hits += 1
         return payload
 
-    def _decode(self, raw: bytes, key: str, kind: str | None) -> Any | None:
-        header_line, sep, body = raw.partition(b"\n")
-        if not sep:
-            return None
+    def _check_header(self, line: bytes, path: Path) -> dict[str, Any] | str:
+        """The header line of the entry file at ``path``, parsed, or the
+        problem that makes it unusable."""
         try:
-            header = json.loads(header_line)
+            header = json.loads(line)
         except ValueError:
-            return None
+            return "header is not JSON"
         if not isinstance(header, dict):
-            return None
+            return "header is not a JSON object"
         if header.get("schema") != STORE_SCHEMA:
-            return None
-        if header.get("key") != key:
-            return None
-        if kind is not None and header.get("kind") != kind:
-            return None
-        # The engine version participates in every key, so a mismatch
-        # here means a broken key builder -- evict rather than serve.
-        if header.get("engine_version") != engine_fingerprint_version():
-            return None
+            return f"unsupported schema {header.get('schema')!r}"
+        key = header.get("key")
+        if not _is_key(key) or self._entry_path(key) != path:
+            return f"key {key!r} does not address this path"
+        return header
+
+    def _read_entry(self, path: Path) -> tuple[dict[str, Any] | str, Any]:
+        """Read and check the entry file at ``path``: its header and
+        unpickled payload, or the problem found and ``None``.
+
+        The one reader of entry files, for both :meth:`get` and
+        :meth:`verify`; raises ``OSError`` when the file cannot be read.
+        """
+        header_line, sep, body = path.read_bytes().partition(b"\n")
+        if not sep:
+            return "no header line", None
+        header = self._check_header(header_line, path)
+        if isinstance(header, str):
+            return header, None
         if header.get("payload_bytes") != len(body):
-            return None
+            return (
+                f"payload is {len(body)} bytes, header says "
+                f"{header.get('payload_bytes')!r} (truncated write?)"
+            ), None
         if header.get("payload_sha1") != sha1_hex(body):
-            return None
+            return "payload sha1 mismatch (corrupt body)", None
         try:
-            return pickle.loads(body)
+            return header, pickle.loads(body)
         # The sha1 already matched, so a failure here is code drift (a
         # payload class moved or changed shape), not file corruption --
-        # still evict-as-stale, the cell just recomputes.
-        except (
-            pickle.UnpicklingError,
-            AttributeError,
-            EOFError,
-            ImportError,
-            IndexError,
-            KeyError,
-            TypeError,
-            ValueError,
-        ):
-            return None
+        # still a problem: get evicts it and the cell recomputes.
+        except Exception as err:
+            return (
+                f"payload does not unpickle ({type(err).__name__}: {err})"
+            ), None
 
     def put(
         self,
@@ -254,8 +272,9 @@ class CampaignStore:
     def _read_header(self, path: Path) -> StoreEntryInfo | None:
         try:
             with open(path, "rb") as fh:
-                line = fh.readline()
-            header = json.loads(line)
+                header = self._check_header(fh.readline(), path)
+            if isinstance(header, str):
+                return None
             return StoreEntryInfo(
                 key=str(header["key"]),
                 kind=str(header["kind"]),
@@ -341,43 +360,16 @@ class CampaignStore:
         """
         problems: list[str] = []
         for path in self._entry_files():
-            problem = self._verify_one(path)
-            if problem is None:
+            try:
+                found, _ = self._read_entry(path)
+            except OSError as err:
+                found = f"unreadable ({err})"
+            if not isinstance(found, str):
                 continue
-            problems.append(f"{path}: {problem}")
+            problems.append(f"{path}: {found}")
             if delete:
                 try:
                     path.unlink()
                 except OSError:
                     pass
         return problems
-
-    def _verify_one(self, path: Path) -> str | None:
-        try:
-            raw = path.read_bytes()
-        except OSError as err:
-            return f"unreadable ({err})"
-        header_line, sep, body = raw.partition(b"\n")
-        if not sep:
-            return "no header line"
-        try:
-            header = json.loads(header_line)
-        except ValueError:
-            return "header is not JSON"
-        if not isinstance(header, dict) or header.get("schema") != STORE_SCHEMA:
-            return f"unsupported schema {header.get('schema')!r}"
-        key = header.get("key")
-        if not isinstance(key, str) or self._entry_path(key) != path:
-            return f"key {key!r} does not address this path"
-        if header.get("payload_bytes") != len(body):
-            return (
-                f"payload is {len(body)} bytes, header says "
-                f"{header.get('payload_bytes')!r} (truncated write?)"
-            )
-        if header.get("payload_sha1") != sha1_hex(body):
-            return "payload sha1 mismatch (corrupt body)"
-        try:
-            pickle.loads(body)
-        except Exception as err:
-            return f"payload does not unpickle ({type(err).__name__}: {err})"
-        return None

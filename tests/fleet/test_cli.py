@@ -136,6 +136,28 @@ class TestUsageErrors:
         ) == 2
         assert "--refresh needs a cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_unusable_cache_path(self, workload_path, tmp_path, capsys, where):
+        """Refused before any campaign runs, instead of a traceback."""
+        afile = tmp_path / "README.md"
+        afile.write_text("not a store")
+        path = afile if where == "file" else afile / "cache"
+        code = main(
+            ["fleet", "--workload", workload_path, "--theta", "fitted",
+             "--cache", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("archline fleet: ") and str(path) in err
+
+    def test_truth_theta_creates_no_store(self, workload_path, tmp_path):
+        cache = tmp_path / "cache"
+        code = main(
+            ["fleet", "--workload", workload_path, "--cache", str(cache)]
+        )
+        assert code == 0
+        assert not cache.exists()
+
     def test_unknown_costs_platform(self, workload_path, tmp_path, capsys):
         costs = tmp_path / "costs.json"
         costs.write_text('{"cray-1": 1000}')

@@ -87,23 +87,53 @@ class TestCacheSubcommand:
         assert "finite" in capsys.readouterr().err
 
 
-class TestCampaignFlags:
-    def test_cache_and_no_cache_conflict(self, tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(
-                [
-                    "campaign",
-                    "pandaboard-es",
-                    "--quick",
-                    "--cache",
-                    str(tmp_path),
-                    "--no-cache",
-                ]
-            )
+    @pytest.mark.parametrize("command", ["stats", "gc", "verify"])
+    @pytest.mark.parametrize("target", ["missing", "file"])
+    def test_path_without_a_store_is_usage_error(
+        self, tmp_path, capsys, command, target
+    ):
+        """A mistyped --dir is refused, and nothing is created there."""
+        path = tmp_path / "typo"
+        if target == "file":
+            path.write_text("not a store")
+        assert main(["cache", command, "--dir", str(path)]) == 2
+        assert f"no store at {path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == ([path] if target == "file" else [])
 
-    def test_refresh_needs_a_cache(self):
-        with pytest.raises(SystemExit, match="--refresh needs a cache"):
-            main(["campaign", "pandaboard-es", "--quick", "--refresh"])
+
+class TestCampaignFlags:
+    def test_cache_and_no_cache_conflict(self, tmp_path, capsys):
+        argv = [
+            "campaign",
+            "pandaboard-es",
+            "--quick",
+            "--cache",
+            str(tmp_path),
+            "--no-cache",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "archline campaign: --cache and --no-cache are mutually" in err
+
+    def test_refresh_needs_a_cache(self, capsys):
+        assert main(["campaign", "pandaboard-es", "--quick", "--refresh"]) == 2
+        err = capsys.readouterr().err
+        assert "archline campaign: --refresh needs a cache" in err
+
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_unusable_cache_path_is_usage_error(
+        self, tmp_path, capsys, where
+    ):
+        """Refused before any shard runs, instead of every shard
+        failing with NotADirectoryError and the campaign exiting 0."""
+        afile = tmp_path / "README.md"
+        afile.write_text("not a store")
+        path = afile if where == "file" else afile / "cache"
+        argv = ["campaign", "pandaboard-es", "--quick", "--cache", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("archline campaign: ") and str(path) in err
 
     def test_cold_then_warm_run(self, tmp_path, capsys):
         argv = [

@@ -10,6 +10,7 @@ import pytest
 
 import repro.machine.engine as engine_module
 import repro.store.atomic as atomic_module
+from repro.cli import main
 from repro.store import CampaignStore, atomic_write_bytes
 
 KEY = hashlib.sha1(b"cell-one").hexdigest()
@@ -91,6 +92,94 @@ class TestFailStale:
         )
         assert store.get(KEY) is None
         assert store.stale == 1
+
+
+def _rewrite(header=None, body=None):
+    """An entry corruption that rewrites the header fields or the body
+    of a good entry, leaving the rest as ``put`` wrote it."""
+
+    def corrupt(raw_header, raw_body):
+        fields = {**json.loads(raw_header), **(header or {})}
+        return (
+            json.dumps(fields).encode()
+            + b"\n"
+            + (raw_body if body is None else body(raw_body))
+        )
+
+    return corrupt
+
+
+def _unpicklable_body(raw_header, raw_body):
+    """Bytes that are not a pickle, under a header whose size and sha1
+    match them: what a moved payload class looks like to the store."""
+    body = b"not a pickle"
+    fields = {
+        **json.loads(raw_header),
+        "payload_sha1": hashlib.sha1(body).hexdigest(),
+        "payload_bytes": len(body),
+    }
+    return json.dumps(fields).encode() + b"\n" + body
+
+
+#: Ways an entry file can be unusable; ``corrupt(header, body)`` turns a
+#: good entry's header line and payload into the bytes of a bad one.
+CORRUPT_ENTRIES = {
+    "no-newline": lambda header, body: b"junk with no header separator",
+    "header-not-json": lambda header, body: b"not json\n" + body,
+    "header-json-array": lambda header, body: b'["schema", 1]\n' + body,
+    "wrong-schema": _rewrite({"schema": 99}),
+    "key-not-hex": _rewrite({"key": "not-a-sha1"}),
+    "key-of-other-path": _rewrite({"key": OTHER}),
+    "short-payload": _rewrite(body=lambda body: body[:-1]),
+    "sha1-mismatch": _rewrite(body=lambda body: b"?" * len(body)),
+    "sha1-ok-no-unpickle": _unpicklable_body,
+}
+#: Entries that are intact on disk but that a lookup must not serve:
+#: ``verify`` passes them, ``get`` evicts them.
+UNSERVABLE_ENTRIES = {
+    "kind-mismatch": _rewrite({"kind": "fit"}),
+    "foreign-engine-version": _rewrite({"engine_version": -1}),
+}
+
+
+def _corrupted(store, corrupt):
+    path = store.put(KEY, {"fit": [1.5, 2.5]}, kind="shard")
+    header, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(corrupt(header, body))
+    return path
+
+
+class TestCorruptEntries:
+    """One table of bad entries, read through both ``get`` and
+    ``verify``: a lookup evicts what verify names, and neither raises."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [*CORRUPT_ENTRIES.values(), *UNSERVABLE_ENTRIES.values()],
+        ids=[*CORRUPT_ENTRIES, *UNSERVABLE_ENTRIES],
+    )
+    def test_get_evicts_as_stale(self, store, corrupt):
+        path = _corrupted(store, corrupt)
+        assert store.get(KEY, kind="shard") is None
+        assert (store.hits, store.misses, store.stale) == (0, 0, 1)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt", CORRUPT_ENTRIES.values(), ids=list(CORRUPT_ENTRIES)
+    )
+    def test_verify_names_the_entry(self, store, corrupt, capsys):
+        path = _corrupted(store, corrupt)
+        [problem] = store.verify()
+        assert problem.startswith(f"{path}: ")
+        assert main(["cache", "verify", "--dir", str(store.root)]) == 1
+        assert f"{path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt", UNSERVABLE_ENTRIES.values(), ids=list(UNSERVABLE_ENTRIES)
+    )
+    def test_verify_passes_intact_entries(self, store, corrupt):
+        _corrupted(store, corrupt)
+        assert store.verify() == []
 
 
 class TestAtomicWrite:

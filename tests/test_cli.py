@@ -113,9 +113,29 @@ class TestCampaignFaults:
     def test_unusable_plan_is_a_usage_error(self, capsys, spec):
         """An unknown fault kind (a campaign never truncates a run, so
         ``truncation`` is not one) is refused instead of running clean."""
-        with pytest.raises(SystemExit, match="bad --faults spec"):
-            main(["campaign", "pandaboard-es", "--quick", "--faults", spec])
-        assert capsys.readouterr().out == ""
+        argv = ["campaign", "pandaboard-es", "--quick", "--faults", spec]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("archline campaign: bad --faults spec: ")
+
+
+class TestCampaignPlatforms:
+    @pytest.mark.parametrize(
+        "platforms, message",
+        [
+            (["gtx-titan", "gtx-titan"], "duplicate platform ids"),
+            (["gtx-titan", "cray-1"], "unknown platform(s) cray-1; choose from"),
+        ],
+        ids=["duplicate", "unknown"],
+    )
+    def test_bad_platform_list_is_a_usage_error(
+        self, capsys, platforms, message
+    ):
+        assert main(["campaign", *platforms, "--quick"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"archline campaign: {message}")
 
 
 class TestClosedPipe:
@@ -387,6 +407,16 @@ class TestServeParser:
         monkeypatch.delenv("ARCHLINE_CACHE", raising=False)
         assert main(["serve", "--refresh"]) == 2
         assert "needs a cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_unusable_cache_path_is_usage_error(self, tmp_path, capsys, where):
+        """Refused before the server starts, instead of a traceback."""
+        afile = tmp_path / "README.md"
+        afile.write_text("not a store")
+        path = afile if where == "file" else afile / "cache"
+        assert main(["serve", "--port", "0", "--cache", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("archline serve: ") and str(path) in err
 
 
 class TestLoadgenCli:
