@@ -376,14 +376,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.quick:
         settings = settings.scaled_down()
     try:
-        cache = selected_store_dir(args)
         runner = CampaignRunner(
             args.platform_ids or None,
             settings,
             trace=args.trace is not None,
-            cache_dir=cache,
+            cache_dir=selected_store_dir(args, create=False),
             cache_refresh=args.refresh,
         )
+        # The store is created only once the platform list is
+        # accepted, so a refused campaign leaves nothing on disk.
+        cache = selected_store_dir(args)
     except ValueError as err:
         return usage(str(err))
     progress = (

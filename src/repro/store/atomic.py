@@ -7,7 +7,8 @@ that crash mid-write leave (at worst) an orphaned ``*.tmp-*`` sibling;
 the published path is untouched.  Concurrent writers of the same path
 race benignly: each publishes a complete file and the last rename wins
 (acceptable here because store entries for one key are bit-identical
-by construction, and report files are whole-report snapshots).
+by construction, and a lint summary entry is a whole snapshot of one
+source file's analysis).
 """
 
 from __future__ import annotations

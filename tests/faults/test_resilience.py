@@ -136,6 +136,52 @@ class TestFaultyCampaignCompletes:
             ) / fit.truth.tau_flop
             assert dev < 0.25
 
+    def test_seeded_plan_counters_repeat_exactly(self):
+        """A light seeded plan on two scaled-down platforms: each
+        counter repeats exactly, so a change to how a fault is drawn,
+        retried or rejected moves one of them.  The dropped-sample
+        count is the one that tells seed 7 from seed 8."""
+        plan = FaultPlan(sample_dropout=0.02, run_failure_rate=0.05, seed=7)
+        runner = CampaignRunner(
+            ("gtx-titan", "nuc-gpu"),
+            replace(
+                CampaignSettings(seed=2014).scaled_down(),
+                points_per_octave=2,
+                faults=plan,
+            ),
+        )
+        fits = runner.run()
+        report = runner.report
+        counters = {
+            "n_runs": report.n_runs,
+            "runs_attempted": report.runs_attempted,
+            "runs_failed": report.runs_failed,
+            "retries": report.retries,
+            "rejected": report.rejected,
+            "runs_skipped": report.runs_skipped,
+            "samples_dropped": report.samples_dropped,
+            "quarantined_cells": len(report.quarantined_cells),
+            "failed_shards": len(report.failed_shards),
+            "fits": len(fits),
+        }
+        assert counters == {
+            "n_runs": 46,
+            "runs_attempted": 47,
+            "runs_failed": 1,
+            "retries": 1,
+            "rejected": 0,
+            "runs_skipped": 0,
+            "samples_dropped": 249,
+            "quarantined_cells": 0,
+            "failed_shards": 0,
+            "fits": 2,
+        }
+        assert_accounting(
+            report,
+            n_accepted=report.n_runs,
+            quarantined=report.quarantined_cells,
+        )
+
     def test_heavy_failures_quarantine_cells_and_fit_degrades(self):
         plan = FaultPlan(seed=5, run_failure_rate=0.6)
         runner = BenchmarkRunner(

@@ -7,6 +7,7 @@ itself."""
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.fleet import FleetInstance, allocations, solve, solve_exact
+from repro.fleet import (
+    FleetInstance,
+    WorkloadSpec,
+    allocations,
+    default_offer,
+    evaluate_fleet,
+    solve,
+    solve_exact,
+)
+from repro.machine.platforms import PLATFORM_IDS, platform
 from repro.telemetry.recorder import TraceRecorder
 
+#: The example workload: four algorithm bins and a custom kernel.
+WORKLOAD_EXAMPLE = (
+    Path(__file__).parent.parent.parent / "examples" / "fleet_workload.json"
+)
 #: The 8-bin histogram: the example workload's five bins plus triad,
 #: mergesort and a small-matmul bin.
 WORKLOAD_8BIN = Path(__file__).parent.parent / "data" / "fleet_workload_8bin.json"
@@ -554,6 +568,34 @@ def test_enumerator_tie_break_matches_hand_instance():
         demands=[4], rates=[[2.0, 2.0]], powers=[[5.0, 5.0]], costs=[10.0, 10.0]
     )
     assert enumerate_optimum(inst) == ((0, 2), 2 * 5.0 * 100.0)
+
+
+def test_four_bin_budgeted_solve_finishes_optimal():
+    """The example workload's four algorithm bins on all twelve
+    platforms at truth theta, under a 2 kW rack and a 50,000 budget:
+    optimal, in an exactly repeating number of states.  Neither budget
+    binds (the mix draws 29 W and costs 890); they count only through
+    the search bounds, so 600 W or 5,000 moves the state count and
+    2.5 kW or 40,000 does not."""
+    workload = WorkloadSpec.from_json(WORKLOAD_EXAMPLE.read_text())
+    workload = replace(workload, bins=workload.bins[:4])
+    assert workload.horizon == 3600.0
+    configs = {pid: platform(pid) for pid in PLATFORM_IDS}
+    instance = FleetInstance.from_matrix(
+        evaluate_fleet(workload, configs),
+        workload,
+        {pid: default_offer(pid) for pid in PLATFORM_IDS},
+        power_budget=2000.0,
+        cost_budget=50000.0,
+    )
+    solution = solve(instance)
+    assert solution.status == "optimal"
+    assert solution.objective_value == pytest.approx(
+        103423.77669236119, rel=1e-12
+    )
+    assert solution.states_explored == 505
+    assert solution.total_nodes == 4
+    assert len(instance.pair_bin) == 48
 
 
 def _solve_eight_bin(tmp_path, *flags):

@@ -182,15 +182,30 @@ class TestContention:
 
 
 class TestAcceptance:
-    def test_warm_trajectory_campaign_is_5x_faster(self):
-        from repro.trajectory.suite import cached_campaign
+    def test_warm_campaign_is_5x_faster(self, tmp_path):
+        """Four platforms run cold into an empty store, then warm from
+        it: the replay is bit-identical, all hits and 5x faster."""
 
-        result = cached_campaign(quick=True)
-        assert result["fits_identical"] == 1
-        assert result["cache_hits"] == 4
-        assert result["cache_misses"] == 0
-        assert result["cold_misses"] == 4
-        assert result["warm_speedup"] >= 5.0
+        def run():
+            runner = CampaignRunner(
+                ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
+                replace(
+                    CampaignSettings(seed=2014).scaled_down(),
+                    points_per_octave=1,
+                ),
+                cache_dir=tmp_path,
+            )
+            return runner.run(), runner.report
+
+        cold_fits, cold = run()
+        warm_fits, warm = run()
+        assert set(warm_fits) == set(cold_fits)
+        for pid in cold_fits:
+            assert_same_fit(cold_fits[pid], warm_fits[pid])
+        assert warm.cache_hits == 4
+        assert warm.cache_misses == 0
+        assert cold.cache_misses == 4
+        assert cold.wall_seconds >= 5.0 * warm.wall_seconds
 
     def test_golden_fits_reproduce_from_warm_cache(self):
         """The warm path must land on the committed golden numbers --

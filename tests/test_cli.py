@@ -130,12 +130,16 @@ class TestCampaignPlatforms:
         ids=["duplicate", "unknown"],
     )
     def test_bad_platform_list_is_a_usage_error(
-        self, capsys, platforms, message
+        self, capsys, tmp_path, platforms, message
     ):
-        assert main(["campaign", *platforms, "--quick"]) == 2
+        """A refused campaign creates no store at its ``--cache``."""
+        store = tmp_path / "store"
+        argv = ["campaign", *platforms, "--quick", "--cache", str(store)]
+        assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"archline campaign: {message}")
+        assert not store.exists()
 
 
 class TestClosedPipe:
@@ -357,9 +361,9 @@ class TestIntegerFlags:
     )
     def test_removed_flag_is_a_usage_error(self, argv):
         """Campaigns run shard by shard in one process, so the process
-        pool's flags are gone (``campaign --workers 1`` still parses);
-        the perf-trajectory suite runs as
-        ``benchmarks/trajectory/run.py``, not through ``bench``."""
+        pool's flags are gone (``campaign --workers 1`` still parses).
+        ``bench`` runs one platform's microbenchmark campaign and has
+        no ``--trajectory`` flag: ``e2ebench/`` measures speed."""
         stderr = self.usage_error(argv)
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in stderr
 
