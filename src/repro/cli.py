@@ -83,7 +83,7 @@ from typing import Sequence
 # Only the modules ``build_parser`` needs load here; each command
 # imports its own, so a process pays for the command it runs.
 from .experiments.registry import EXPERIMENTS, run_all, run_experiment
-from .flags import nonnegative_int, seed_count
+from .flags import nonnegative_int, output_path, seed_count
 from .machine.platforms import PLATFORM_IDS, all_platforms, platform
 
 __all__ = ["main", "build_parser"]
@@ -167,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp_p.add_argument(
         "--trace",
+        type=output_path,
         default=None,
         metavar="OUT.JSONL",
         help="record per-shard telemetry spans, write them as JSONL to "

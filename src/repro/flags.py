@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 
 __all__ = [
     "nonnegative_float",
     "nonnegative_int",
+    "output_path",
     "port_number",
     "positive_float",
     "positive_int",
@@ -84,3 +86,18 @@ def nonnegative_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
+
+
+def output_path(text: str) -> str:
+    """A file the command writes when it finishes (``--trace``,
+    ``--json``): checked where it is parsed, so a path that cannot be
+    written is a usage error before any work starts, not a traceback
+    after all of it."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"directory {parent!r} of {text!r} does not exist"
+        )
+    return text

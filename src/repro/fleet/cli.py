@@ -31,7 +31,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from ..flags import nonnegative_int, positive_float, positive_int
+from ..flags import (
+    nonnegative_int,
+    output_path,
+    positive_float,
+    positive_int,
+)
 from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.cli import add_store_flags, selected_store_dir
 
@@ -128,6 +133,7 @@ def build_fleet_parser(
     parser.add_argument(
         "--json",
         dest="json_path",
+        type=output_path,
         default=None,
         metavar="OUT.JSON",
         help="write the machine-readable report (bit-deterministic for "
@@ -135,6 +141,7 @@ def build_fleet_parser(
     )
     parser.add_argument(
         "--trace",
+        type=output_path,
         default=None,
         metavar="OUT.JSONL",
         help="write fleet_evaluate/fleet_solve telemetry spans as JSONL "

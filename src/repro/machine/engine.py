@@ -21,12 +21,16 @@ Everything above the closed-form model of :mod:`repro.core.model` is a
 time and energy agree with the capped model to within the governor's
 discretisation, a property the integration tests assert.
 
-``Engine.run_batch`` executes a whole sweep at once.  Steps 1-3 (and
-the cap check) are pure elementwise arithmetic, so they are evaluated
-as NumPy array operations over the full batch; runs whose dynamic
-power exceeds the cap have their governor control loops advanced in
-lockstep by :func:`~repro.machine.governor.run_governor_batch` (masked
-array updates, bit-identical to the per-kernel scalar loop).  Noise
+``Engine.run_batch`` executes a whole sweep at once, in two steps a
+caller may also take apart.  Steps 1-3 (and the cap check) are pure
+elementwise arithmetic, so :meth:`Engine.physics` evaluates them as
+NumPy array operations over the full batch, and any subset of its rows
+(:meth:`BatchPhysics.take`) is what that subset alone would compute;
+:meth:`Engine.execute` then runs a batch from those arrays.  Runs
+whose dynamic power exceeds the cap have their governor control loops
+advanced in lockstep by
+:func:`~repro.machine.governor.run_governor_batch` (masked array
+updates, bit-identical to the per-kernel scalar loop).  Noise
 does not fall back to :meth:`Engine.run`: no run's draws depend on
 another run's outcome, so each run takes its stall, time and power
 draws in batch order through the one per-run noise helper ``run``
@@ -63,6 +67,7 @@ from .power import PowerTrace, RaggedTraces
 __all__ = [
     "ENGINE_FINGERPRINT_VERSION",
     "RunResult",
+    "BatchPhysics",
     "BatchResult",
     "Engine",
 ]
@@ -240,15 +245,30 @@ class _BatchInputs:
 
 
 @dataclass(frozen=True)
-class _BatchPhysics:
+class BatchPhysics:
     """Deterministic per-kernel physics, vectorised over a batch."""
 
+    kernels: tuple[KernelSpec, ...]
     t_flop: np.ndarray
     t_mem: np.ndarray
     base_time: np.ndarray  #: ridge-rounded overlap time, seconds.
     dyn_energy: np.ndarray  #: utilisation-scaled dynamic energy, J.
     demand: np.ndarray  #: full-speed dynamic power, W.
     ideal_time: np.ndarray  #: capped closed-form time, seconds.
+
+    def take(self, rows: Sequence[int]) -> "BatchPhysics":
+        """The physics of ``rows`` alone, in that order: every field is
+        elementwise, so this is what a batch of those kernels computes."""
+        index = np.asarray(rows, dtype=np.intp)
+        return BatchPhysics(
+            kernels=tuple(self.kernels[i] for i in index),
+            t_flop=self.t_flop[index],
+            t_mem=self.t_mem[index],
+            base_time=self.base_time[index],
+            dyn_energy=self.dyn_energy[index],
+            demand=self.demand[index],
+            ideal_time=self.ideal_time[index],
+        )
 
 
 class Engine:
@@ -373,7 +393,7 @@ class Engine:
             )
         return energy
 
-    def _batch_physics(self, batch: _BatchInputs) -> _BatchPhysics:
+    def _batch_physics(self, batch: _BatchInputs) -> BatchPhysics:
         """Everything deterministic, vectorised over the batch."""
         truth = self.config.truth
         effects = self.config.effects
@@ -409,7 +429,8 @@ class Engine:
             raw_energy = self._energy_sum(batch, 1.0, 1.0)
             ideal = np.maximum(ideal, raw_energy / truth.delta_pi)
 
-        return _BatchPhysics(
+        return BatchPhysics(
+            kernels=batch.kernels,
             t_flop=t_flop,
             t_mem=t_mem,
             base_time=base,
@@ -433,12 +454,6 @@ class Engine:
         including utilisation-dependent scaling when modelled."""
         physics = self._batch_physics(self._gather([kernel]))
         return float(physics.dyn_energy[0])
-
-    def ideal_time(self, kernel: KernelSpec) -> float:
-        """The capped closed-form model's time for this kernel
-        (hard max, no second-order effects), seconds."""
-        physics = self._batch_physics(self._gather([kernel]))
-        return float(physics.ideal_time[0])
 
     # ------------------------------------------------------------------
     # Execution.
@@ -517,7 +532,8 @@ class Engine:
         """Execute a whole sweep and return aligned result arrays.
 
         The deterministic physics of every kernel are evaluated as
-        NumPy array operations over the batch, and the capped kernels'
+        NumPy array operations over the batch (:meth:`physics`), and
+        :meth:`execute` runs the batch from them: the capped kernels'
         sawtooth control loops advance in lockstep through the
         vectorised batch governor.  With a generator, each run then
         takes its stall, time and power draws in batch order through
@@ -536,26 +552,39 @@ class Engine:
         when a kernel is throttled.
         """
         kernels = tuple(kernels)
-        truth = self.config.truth
-        noisy = self.rng is not None
-        span = "engine" if noisy else "engine_batch"
+        span = "engine" if self.rng is not None else "engine_batch"
         with self.recorder.span(span, n=len(kernels)):
-            physics = self._batch_physics(self._gather(kernels))
-            if (physics.base_time <= 0.0).any():
-                offender = kernels[int(np.argmin(physics.base_time))]
-                raise ValueError(
-                    f"kernel {offender.name!r} has zero execution time on "
-                    f"platform {truth.name!r}"
-                )
-            if noisy:
-                # The governor's time is this span's, as in ``run``.
-                idx, schedules = self._govern(physics)
-                return self._noisy_batch(kernels, physics, idx, schedules)
-            idx, schedules = self._govern(physics, self.recorder)
-            return self._noise_free_batch(kernels, physics, idx, schedules)
+            return self.execute(self.physics(kernels))
+
+    def physics(self, kernels: Sequence[KernelSpec]) -> BatchPhysics:
+        """Validate a batch and compute its deterministic physics.
+
+        Raises what :meth:`run_batch` raises for a kernel the platform
+        cannot run: an unknown traffic level, dependent accesses
+        without random-access parameters, or zero execution time.
+        """
+        physics = self._batch_physics(self._gather(tuple(kernels)))
+        if (physics.base_time <= 0.0).any():
+            offender = physics.kernels[int(np.argmin(physics.base_time))]
+            raise ValueError(
+                f"kernel {offender.name!r} has zero execution time on "
+                f"platform {self.config.truth.name!r}"
+            )
+        return physics
+
+    def execute(self, physics: BatchPhysics) -> BatchResult:
+        """Run a batch from its :meth:`physics` (or a row subset of it,
+        :meth:`BatchPhysics.take`): :meth:`run_batch` without the
+        physics pass and without its span."""
+        if self.rng is not None:
+            # The governor's time is the caller's span, as in ``run``.
+            idx, schedules = self._govern(physics)
+            return self._noisy_batch(physics, idx, schedules)
+        idx, schedules = self._govern(physics, self.recorder)
+        return self._noise_free_batch(physics, idx, schedules)
 
     def _govern(
-        self, physics: _BatchPhysics, recorder: TraceRecorder = NULL_RECORDER
+        self, physics: BatchPhysics, recorder: TraceRecorder = NULL_RECORDER
     ) -> tuple[np.ndarray, GovernorBatchResult | None]:
         """The runs whose demand exceeds the guarded cap, and their
         lockstep governor schedules (a ``governor_batch`` span on
@@ -579,11 +608,11 @@ class Engine:
 
     def _noise_free_batch(
         self,
-        kernels: tuple[KernelSpec, ...],
-        physics: _BatchPhysics,
+        physics: BatchPhysics,
         idx: np.ndarray,
         schedules: GovernorBatchResult | None,
     ) -> BatchResult:
+        kernels = physics.kernels
         pi1 = self.config.truth.pi1
         wall_times = physics.base_time.copy()
         segment_powers = pi1 + physics.demand
@@ -615,13 +644,13 @@ class Engine:
 
     def _noisy_batch(
         self,
-        kernels: tuple[KernelSpec, ...],
-        physics: _BatchPhysics,
+        physics: BatchPhysics,
         idx: np.ndarray,
         schedules: GovernorBatchResult | None,
     ) -> BatchResult:
         """Each run's noise in batch order, drawn as :meth:`run` draws
         it, over the trace :meth:`run` builds before its noise."""
+        kernels = physics.kernels
         pi1 = self.config.truth.pi1
         lanes = dict(zip(idx.tolist(), range(idx.size)))
         n = len(kernels)

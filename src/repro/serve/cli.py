@@ -23,7 +23,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from ..flags import nonnegative_int, port_number, positive_int
+from ..flags import nonnegative_int, output_path, port_number, positive_int
 from ..store.cli import add_store_flags, selected_store_dir
 
 if TYPE_CHECKING:
@@ -76,6 +76,7 @@ def build_serve_parser(
     )
     parser.add_argument(
         "--trace",
+        type=output_path,
         default=None,
         metavar="OUT.JSONL",
         help="record request/batch/engine telemetry spans and write "

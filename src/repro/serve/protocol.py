@@ -39,7 +39,7 @@ from ..apps.algorithms import (
 )
 from ..apps.analysis import fast_memory_capacity
 from ..machine.config import PlatformConfig
-from ..machine.engine import RunResult
+from ..machine.engine import BatchResult, RunResult
 from ..machine.kernel import DRAM, KernelSpec
 from ..machine.platforms import PLATFORM_IDS
 
@@ -244,38 +244,68 @@ def build_kernel(query: PredictQuery, config: PlatformConfig) -> KernelSpec:
     )
 
 
-def encode_prediction(result: RunResult) -> dict[str, Any]:
-    """One run's ground truth as the response's ``prediction`` object.
-
-    This encoder is shared verbatim by the server and the differential
-    tests' oracle, so "bit-identical responses" reduces to dict
-    equality of two encodings of the same engine result.  Intensity is
-    deliberately omitted -- it can be infinite (cache-resident
-    kernels), and strict JSON has no encoding for that.
-    """
+def _prediction(
+    time_s: float,
+    energy_j: float,
+    avg_power_w: float,
+    ideal_time_s: float,
+    throttled: bool,
+    kernel: KernelSpec,
+) -> dict[str, Any]:
+    """The seven fields of a ``prediction`` object, the one copy both
+    encoders build them through.  Intensity is deliberately omitted --
+    it can be infinite (cache-resident kernels), and strict JSON has no
+    encoding for that."""
     return {
-        "time_s": float(result.wall_time),
-        "energy_j": float(result.true_energy),
-        "avg_power_w": float(result.true_avg_power),
-        "ideal_time_s": float(result.ideal_time),
-        "throttled": bool(result.throttled),
-        "flops": float(result.kernel.flops),
-        "dram_bytes": float(result.kernel.dram_bytes),
+        "time_s": float(time_s),
+        "energy_j": float(energy_j),
+        "avg_power_w": float(avg_power_w),
+        "ideal_time_s": float(ideal_time_s),
+        "throttled": bool(throttled),
+        "flops": float(kernel.flops),
+        "dram_bytes": float(kernel.dram_bytes),
     }
 
 
+def encode_prediction(result: RunResult) -> dict[str, Any]:
+    """One unbatched run's ground truth as a ``prediction`` object.
+
+    This is the oracle's encoder: the differential tests compare every
+    served prediction with ``encode_prediction(engine.run(kernel))``,
+    and both encoders share :func:`_prediction`, so "bit-identical
+    responses" reduces to dict equality.
+    """
+    return _prediction(
+        result.wall_time,
+        result.true_energy,
+        result.true_avg_power,
+        result.ideal_time,
+        result.throttled,
+        result.kernel,
+    )
+
+
 def encode_response(
-    query: PredictQuery, result: RunResult, batch_width: int
+    query: PredictQuery, batch: BatchResult, row: int, batch_width: int
 ) -> dict[str, Any]:
     """The full 200 body: echoed request, prediction, batching info.
 
+    The prediction is read straight from row ``row`` of the batch's
+    aligned arrays; no :class:`RunResult` or power trace is built.
     ``batch_width`` (how many requests shared the coalesced engine
     dispatch this one rode in) sits *outside* ``prediction`` so exact
     response comparison is unaffected by traffic shape.
     """
     return {
         "request": query.echo(),
-        "prediction": encode_prediction(result),
+        "prediction": _prediction(
+            batch.wall_times.item(row),
+            batch.energies.item(row),
+            batch.avg_powers.item(row),
+            batch.ideal_times.item(row),
+            batch.throttled.item(row),
+            batch.kernels[row],
+        ),
         "batch_width": int(batch_width),
     }
 

@@ -1,17 +1,29 @@
-"""Hand-rolled HTTP/1.1 predict server on ``asyncio.start_server``.
+"""Hand-rolled HTTP/1.1 predict server on ``loop.create_server``.
 
 Stdlib only, by design: the service is one event loop, one listening
-socket, one dispatcher coroutine (:class:`~repro.serve.batcher.Batcher`)
-and N connection handlers.  Keep-alive is supported -- closed-loop
-load generators reuse one connection per client -- and the implemented
+socket, one :class:`asyncio.Protocol` per connection and one
+:class:`~repro.serve.batcher.Batcher`, with no task per connection
+and no dispatcher task.  Keep-alive is supported -- closed-loop load
+generators reuse one connection per client -- and the implemented
 protocol subset is deliberately small: request line, headers,
-``Content-Length`` bodies (no chunked encoding, no pipelining
-guarantees beyond strict request/response alternation per connection).
-Each handler registers its connection with the batcher while it is
-open.  Alternation means a connection has at most one request in the
-batcher, so an assembly holding a request from every open connection
-is complete: the batcher closes it then, and ``linger_us`` is only the
-longest it waits.
+``Content-Length`` bodies (no chunked encoding).  A connection
+answers in strict request/response alternation: while a request is
+in flight it only buffers, so pipelined requests are answered in
+order, one at a time.  Each connection is registered with the batcher
+while it is open, and alternation means a connection has at most one
+request in the batcher, so an assembly holding a request from every
+open connection is complete: the batcher runs it then, and
+``linger_us`` is only the longest it waits.
+
+A request is taken from the connection's buffer once its head's blank
+line has arrived (a head over 8 KiB is refused without waiting for
+one) and then its whole body.  Memory per connection is bounded:
+reading pauses while the buffer holds more than one head plus one
+maximum body, and no request is dispatched while the transport's
+writes are paused.  ``/healthz``, ``/stats`` and routing errors are
+answered at once, and so is a ``/predict`` whose own submission ran
+its assembly; any other ``/predict`` response is written from its
+batcher future's done-callback.
 
 Routes
 ------
@@ -36,11 +48,12 @@ through a silent ``except``: ARCH003 stays clean.
 Telemetry: with a real recorder attached the request path records
 ``request`` (parse + resolve + kernel build), ``batch_assemble`` /
 ``engine_batch`` (inside the batcher and engine) and ``respond``
-(response encoding) spans.  Spans are never held across an ``await``
--- recorder nesting is strictly LIFO, interleaved coroutines would
-corrupt it -- so span durations measure CPU sections, and queueing
-time is the gap between a request's ``request`` and ``respond`` spans.
-``archline serve --trace`` exports the collected spans with
+(response encoding) spans.  Every span opens and closes inside one
+synchronous callback -- recorder nesting is strictly LIFO, and
+interleaved callbacks would corrupt it -- so span durations measure
+CPU sections, and queueing time is the gap between a request's
+``request`` and ``respond`` spans.  ``archline serve --trace`` exports
+the collected spans with
 :func:`repro.telemetry.jsonl.write_recorder_trace` in the campaign
 JSONL schema (docs/TELEMETRY.md) under a single pseudo-shard named
 ``"serve"``, so the existing validator, reader and flame summary all
@@ -51,13 +64,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import time
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple, cast
 
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .batcher import Batcher
 from .protocol import (
+    PredictQuery,
     ProtocolError,
     build_kernel,
     encode_error,
@@ -86,44 +100,42 @@ MAX_SIMULATED_SECONDS = 3600.0
 #: line together; a longer head is refused as ``bad_http``.
 _MAX_HEAD_BYTES = 8192
 
+#: The blank line that ends a head (lines end in LF or CRLF).
+_HEAD_END = re.compile(rb"(?:^|\n)\r?\n")
 
-@dataclass(frozen=True)
-class _HttpRequest:
+#: How long :meth:`PredictServer.stop` lets closing connections flush
+#: their last responses before it drops them.
+_CLOSE_GRACE_SECONDS = 1.0
+
+
+class _Head(NamedTuple):
+    """A parsed request head."""
+
     method: str
     target: str
-    body: bytes
+    size: int  #: bytes of the head, blank line included.
+    length: int  #: ``Content-Length``.
     close: bool  #: client sent ``Connection: close``.
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, max_body_bytes: int
-) -> _HttpRequest | None:
-    """Parse one HTTP/1.1 request; ``None`` on clean EOF.
+def _parse_head(head: bytes, max_body_bytes: int) -> _Head:
+    """Parse one complete head (through its blank line).
 
-    Raises :class:`ProtocolError` for malformed framing, oversized
-    heads and oversized bodies, and lets
-    ``IncompleteReadError``/``ConnectionError`` propagate for
-    mid-request disconnects (the connection handler counts those).
+    Raises :class:`ProtocolError` for a malformed request line, header
+    or ``Content-Length``, and 413 for a body over ``max_body_bytes``
+    (refused before any of it is read).
     """
-    request_line = await _read_head_line(reader, _MAX_HEAD_BYTES)
-    if not request_line:
-        return None
-    budget = _MAX_HEAD_BYTES - len(request_line)
-    parts = request_line.decode("latin-1").split()
+    text = head.decode("latin-1")
+    request_line, *header_lines = text.split("\n")[:-2] or [text]
+    parts = request_line.split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(
             400, "bad_http", f"malformed request line {request_line!r}"
         )
     method, target, _version = parts
     headers: dict[str, str] = {}
-    while True:
-        line = await _read_head_line(reader, budget)
-        budget -= len(line)
-        if line in (b"\r\n", b"\n"):
-            break
-        if not line:
-            raise ProtocolError(400, "bad_http", "malformed header block")
-        name, sep, value = line.decode("latin-1").partition(":")
+    for line in header_lines:
+        name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(
                 400, "bad_http", f"malformed header line {line!r}"
@@ -139,33 +151,16 @@ async def _read_request(
     if length < 0:
         raise ProtocolError(400, "bad_http", "negative Content-Length")
     if length > max_body_bytes:
-        # Refuse without reading: the handler answers 413 and closes
-        # the connection rather than swallowing an arbitrary body.
+        # Refuse without reading: the connection answers 413 and
+        # closes rather than swallowing an arbitrary body.
         raise ProtocolError(
             413,
             "body_too_large",
             f"body of {length} bytes exceeds the {max_body_bytes} byte "
             f"limit",
         )
-    body = await reader.readexactly(length) if length else b""
     close = headers.get("connection", "").lower() == "close"
-    return _HttpRequest(method=method, target=target, body=body, close=close)
-
-
-async def _read_head_line(reader: asyncio.StreamReader, budget: int) -> bytes:
-    """One line of a request head, refused when longer than ``budget``,
-    the bytes the head has left."""
-    try:
-        line = await reader.readline()
-    except ValueError:
-        # Over the stream's own 64 KiB line limit, so over any budget;
-        # the stream has dropped the line.
-        line = None
-    if line is None or len(line) > budget:
-        raise ProtocolError(
-            400, "bad_http", f"request head over {_MAX_HEAD_BYTES} bytes"
-        )
-    return line
+    return _Head(method, target, len(head), length, close)
 
 
 def _encode_http(status: int, body: dict[str, Any], *, close: bool) -> bytes:
@@ -180,14 +175,165 @@ def _encode_http(status: int, body: dict[str, Any], *, close: bool) -> bytes:
     return head.encode("latin-1") + b"\r\n" + payload
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests out of its buffer and
+    answers them in strict request/response alternation."""
+
+    def __init__(self, server: "PredictServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport  # set by connection_made
+        self.buffer = bytearray()
+        #: Bytes past which reading pauses: one head plus one body.
+        self.limit = _MAX_HEAD_BYTES + server.max_body_bytes
+        self.head: _Head | None = None  #: parsed, awaiting its body.
+        #: The ``/predict`` in flight: its future, query and whether
+        #: the client asked to close after it.
+        self.waiting: tuple[asyncio.Future, PredictQuery, bool] | None = None
+        self.writing_paused = False
+        self.eof = False
+        #: Nothing more is answered: this side closed, or the client left.
+        self.closed = False
+
+    # -- asyncio.Protocol -----------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.server._opened(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._advance()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._advance()
+        return True  # half-open: a request in flight is still answered.
+
+    def pause_writing(self) -> None:
+        self.writing_paused = True
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self._advance()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self.closed and (
+            exc is not None or self.waiting is not None or self.buffer
+        ):
+            # Gone mid-request or mid-response: nothing left to
+            # answer; any batch the request rode in completes for the
+            # other riders (the batcher skips abandoned futures).
+            self.server.disconnects += 1
+        self.closed = True
+        if self.waiting is not None:
+            self.waiting[0].cancel()
+        self.server._lost(self)
+
+    # -- framing ----------------------------------------------------------
+
+    def _advance(self) -> None:
+        """Answer the requests the buffer holds, one at a time, then
+        pause or resume reading by what is left."""
+        server = self.server
+        while not (
+            self.closed
+            or self.waiting is not None
+            or self.writing_paused
+            or server.stopping
+        ):
+            try:
+                request = self._take()
+            except ProtocolError as err:
+                # Framing-level refusal: answer and drop the connection
+                # (its byte stream is unsynchronised).
+                server.requests += 1
+                self.respond(*server._refusal(err), close=True)
+                return
+            if request is None:
+                if self.eof:
+                    # Nothing more will arrive; a partial request left
+                    # behind counts as a disconnect.
+                    self.transport.close()
+                break
+            server.requests += 1
+            server._dispatch(self, *request)
+        # Both calls are no-ops when already in that state or closing.
+        if len(self.buffer) > self.limit:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+    def _take(self) -> tuple[_Head, bytes] | None:
+        """The next whole request's head and body, removed from the
+        buffer; ``None`` until it has all arrived."""
+        buffer = self.buffer
+        head = self.head
+        if head is None:
+            end = _HEAD_END.search(buffer, 0, _MAX_HEAD_BYTES)
+            if end is None:
+                if len(buffer) >= _MAX_HEAD_BYTES:
+                    raise ProtocolError(
+                        400,
+                        "bad_http",
+                        f"request head over {_MAX_HEAD_BYTES} bytes",
+                    )
+                return None
+            head = self.head = _parse_head(
+                bytes(buffer[: end.end()]), self.server.max_body_bytes
+            )
+        size = head.size + head.length
+        if len(buffer) < size:
+            return None
+        body = bytes(buffer[head.size:size])
+        del buffer[:size]
+        self.head = None
+        return head, body
+
+    # -- answering --------------------------------------------------------
+
+    def respond(
+        self, status: int, body: dict[str, Any], *, close: bool
+    ) -> None:
+        responses = self.server.responses
+        responses[str(status)] = responses.get(str(status), 0) + 1
+        self.transport.write(_encode_http(status, body, close=close))
+        if close:
+            self.close()
+
+    def close(self) -> None:
+        """Close from this side, after what is written has flushed."""
+        self.closed = True
+        self.transport.close()
+
+    def wait_for(
+        self, future: asyncio.Future, query: PredictQuery, close: bool
+    ) -> None:
+        """Answer ``query`` once the batcher completes ``future``: at
+        once when this request's own submission ran its assembly."""
+        if future.done():
+            self.respond(*self.server._predicted(query, future), close=close)
+            return
+        self.waiting = (future, query, close)
+        future.add_done_callback(self._answered)
+
+    def _answered(self, future: asyncio.Future) -> None:
+        assert self.waiting is not None
+        _, query, close = self.waiting
+        self.waiting = None
+        if self.closed or future.cancelled():
+            return  # the client left; connection_lost counted it.
+        self.respond(*self.server._predicted(query, future), close=close)
+        self._advance()
+
+
 class PredictServer:
     """The asyncio predict service.
 
-    Construct, then ``await start()`` (binds the socket and spawns the
+    Construct, then ``await start()`` (binds the socket and starts the
     batcher); ``port`` reports the actual bound port (pass ``port=0``
     in tests for an ephemeral one).  ``await stop()`` closes the
-    listener, lets in-flight requests drain briefly, flushes the
-    batcher and cancels idle keep-alive connections.  Also usable as
+    listener, runs the batcher's open assembly so every request in
+    flight is answered, and closes every connection.  Also usable as
     an async context manager.
     """
 
@@ -202,20 +348,24 @@ class PredictServer:
         max_simulated_seconds: float = MAX_SIMULATED_SECONDS,
         resolver: ThetaResolver | None = None,
         recorder: TraceRecorder | None = NULL_RECORDER,
-        drain_seconds: float = 1.0,
     ) -> None:
         self.host = host
         self._requested_port = port
         self.max_body_bytes = max_body_bytes
         self.max_simulated_seconds = max_simulated_seconds
-        self.drain_seconds = drain_seconds
         self.recorder = NULL_RECORDER if recorder is None else recorder
         self.resolver = resolver or ThetaResolver(recorder=self.recorder)
         self.batcher = Batcher(
-            max_batch=max_batch, linger_us=linger_us, recorder=self.recorder
+            max_batch=max_batch,
+            linger_us=linger_us,
+            max_simulated_seconds=max_simulated_seconds,
+            recorder=self.recorder,
         )
         self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._open: set[_Connection] = set()
+        #: Resolved once every connection has closed, while stopping.
+        self._all_closed: asyncio.Future | None = None
+        self.stopping = False
         self._started_at = 0.0
         # Counters (single-threaded event loop: plain ints are safe).
         self.connections = 0
@@ -230,8 +380,11 @@ class PredictServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         await self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.host, port=self._requested_port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self),
+            host=self.host,
+            port=self._requested_port,
         )
         self._started_at = time.monotonic()
 
@@ -243,22 +396,29 @@ class PredictServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain, flush, cancel."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._conn_tasks:
-            # In-flight requests get a short drain window; idle
-            # keep-alive connections are then cancelled outright.
-            done, pending = await asyncio.wait(
-                self._conn_tasks, timeout=self.drain_seconds
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+        """Graceful shutdown: stop accepting, answer what is in flight,
+        close every connection."""
+        if self._server is None:
+            return
+        self._server.close()
+        self._server = None
+        self.stopping = True
+        # Run the open assembly; its done-callbacks, which write the
+        # answers, run on the loop's next turn.
         await self.batcher.stop()
+        await asyncio.sleep(0)
+        for conn in list(self._open):
+            conn.close()
+        if self._open:
+            self._all_closed = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(
+                    self._all_closed, _CLOSE_GRACE_SECONDS
+                )
+            except asyncio.TimeoutError:
+                # A client that reads nothing cannot hold shutdown up.
+                for conn in list(self._open):
+                    conn.transport.abort()
 
     async def __aenter__(self) -> "PredictServer":
         await self.start()
@@ -293,135 +453,92 @@ class PredictServer:
             "errors": dict(self.errors),
         }
 
-    # -- connection handling --------------------------------------------
+    # -- connection bookkeeping -------------------------------------------
 
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _opened(self, conn: _Connection) -> None:
         self.connections += 1
+        self._open.add(conn)
         self.batcher.connection_opened()
-        try:
-            while True:
-                try:
-                    request = await _read_request(
-                        reader, self.max_body_bytes
-                    )
-                except ProtocolError as err:
-                    # Framing-level refusal: answer and drop the
-                    # connection (its byte stream is unsynchronised).
-                    self.requests += 1
-                    await self._send(writer, err.status,
-                                     encode_error(err), close=True)
-                    self._count_error(err)
-                    break
-                if request is None:
-                    break  # clean EOF between requests.
-                self.requests += 1
-                status, body = await self._dispatch(request)
-                await self._send(writer, status, body, close=request.close)
-                if request.close:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            TimeoutError,
+
+    def _lost(self, conn: _Connection) -> None:
+        self._open.discard(conn)
+        self.batcher.connection_closed()
+        if (
+            not self._open
+            and self._all_closed is not None
+            and not self._all_closed.done()
         ):
-            # Mid-request/mid-response disconnect: nothing left to
-            # answer; any batch the request rode in completes for the
-            # other riders (the batcher skips abandoned futures).
-            self.disconnects += 1
-        finally:
-            self.batcher.connection_closed()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # already torn down; close is best-effort.
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict[str, Any],
-        *,
-        close: bool,
-    ) -> None:
-        self.responses[str(status)] = self.responses.get(str(status), 0) + 1
-        writer.write(_encode_http(status, body, close=close))
-        await writer.drain()
-
-    def _count_error(self, err: ProtocolError) -> None:
-        self.errors[err.code] = self.errors.get(err.code, 0) + 1
+            self._all_closed.set_result(None)
 
     # -- request dispatch -----------------------------------------------
 
-    async def _dispatch(
-        self, request: _HttpRequest
-    ) -> tuple[int, dict[str, Any]]:
+    def _dispatch(self, conn: _Connection, head: _Head, body: bytes) -> None:
+        """Answer one request at once, or, for a ``/predict``, once
+        the batcher has run it."""
         try:
-            if request.target == "/healthz":
-                self._require_method(request, "GET")
-                return 200, {"ok": True}
-            if request.target == "/stats":
-                self._require_method(request, "GET")
-                return 200, self.stats()
-            if request.target == "/predict":
-                self._require_method(request, "POST")
-                return await self._predict(request.body)
-            raise ProtocolError(
-                404, "not_found", f"no route {request.target!r}"
-            )
-        except ProtocolError as err:
-            self._count_error(err)
-            return err.status, encode_error(err)
+            if head.target == "/healthz":
+                self._require_method(head, "GET")
+                reply: tuple[int, dict[str, Any]] = (200, {"ok": True})
+            elif head.target == "/stats":
+                self._require_method(head, "GET")
+                reply = (200, self.stats())
+            elif head.target == "/predict":
+                self._require_method(head, "POST")
+                conn.wait_for(*self._submit(body), head.close)
+                return
+            else:
+                raise ProtocolError(
+                    404, "not_found", f"no route {head.target!r}"
+                )
         except Exception as err:  # the handler's last-resort boundary
-            internal = ProtocolError(
+            reply = self._refusal(err)
+        conn.respond(*reply, close=head.close)
+
+    def _refusal(self, err: Exception) -> tuple[int, dict[str, Any]]:
+        """The typed error response for ``err``, counted: a
+        :class:`ProtocolError` as it is, anything else as a 500."""
+        if not isinstance(err, ProtocolError):
+            err = ProtocolError(
                 500, "internal", f"{type(err).__name__}: {err}"
             )
-            self._count_error(internal)
-            return internal.status, encode_error(internal)
+        self.errors[err.code] = self.errors.get(err.code, 0) + 1
+        return err.status, encode_error(err)
 
     @staticmethod
-    def _require_method(request: _HttpRequest, method: str) -> None:
-        if request.method != method:
+    def _require_method(head: _Head, method: str) -> None:
+        if head.method != method:
             raise ProtocolError(
                 405,
                 "bad_method",
-                f"{request.target} requires {method}, got {request.method}",
+                f"{head.target} requires {method}, got {head.method}",
             )
 
-    async def _predict(self, body: bytes) -> tuple[int, dict[str, Any]]:
-        # Parse, resolve and bound the query inside one synchronous
+    def _submit(
+        self, body: bytes
+    ) -> tuple[asyncio.Future, PredictQuery]:
+        # Parse, resolve and build the kernel inside one synchronous
         # `request` span (fitted-theta first touch runs a campaign here
-        # -- slow once, then memoised/store-cached).
+        # -- slow once, then memoised/store-cached).  The batcher bounds
+        # the query's simulated time from the same physics pass that
+        # runs it.
         with self.recorder.span("request", bytes=len(body)):
             query = parse_predict_body(body)
             engine = self.resolver.engine(query)
             kernel = build_kernel(query, engine.config)
-            ideal = engine.ideal_time(kernel)
-            if ideal > self.max_simulated_seconds:
-                raise ProtocolError(
-                    400,
-                    "query_too_large",
-                    f"kernel needs {ideal:.3g} simulated seconds, over "
-                    f"the {self.max_simulated_seconds:g} s service limit",
-                )
+        return self.batcher.submit(engine, kernel), query
+
+    def _predicted(
+        self, query: PredictQuery, future: asyncio.Future
+    ) -> tuple[int, dict[str, Any]]:
+        """The response to ``query`` from its completed future."""
         try:
-            result, width = await self.batcher.submit(engine, kernel)
+            batch, row, width = future.result()
+            with self.recorder.span(
+                "respond", kernel=query.kernel, platform=query.platform_id
+            ):
+                return 200, encode_response(query, batch, row, width)
         except (ValueError, KeyError) as err:
             # The engine refused the built kernel: a client problem.
-            raise ProtocolError(400, "bad_kernel", str(err))
-        with self.recorder.span(
-            "respond", kernel=query.kernel, platform=query.platform_id
-        ):
-            payload = encode_response(query, result, width)
-        return 200, payload
+            return self._refusal(ProtocolError(400, "bad_kernel", str(err)))
+        except Exception as err:  # the handler's last-resort boundary
+            return self._refusal(err)

@@ -17,10 +17,13 @@ Fitted resolution is expensive (a full campaign on first touch), so
 the resolver leans on the PR 7 content-addressed store when given one:
 warm stores replay the campaign and fit bit-identically, and the
 store's hit/miss/put counters are surfaced through the server's
-``/stats`` endpoint.  Within a process, resolved configs and built
-engines are memoised -- one engine per distinct
+``/stats`` endpoint.  Within a process, fitted configs are memoised
+per platform and built engines per distinct
 ``(platform, theta, power_cap)`` triple -- so the steady-state request
-path does two dict lookups, no physics.
+path does two dict lookups, no physics.  The engine memo keeps at most
+:data:`MAX_ENGINES` engines and evicts the least recently used: every
+query may carry its own cap, and one engine per cap ever seen would
+grow without bound.
 
 All engines are built with ``rng=None``: the service is deterministic
 by construction, which is what makes "batched responses are
@@ -41,7 +44,10 @@ from ..store.store import CampaignStore
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .protocol import PredictQuery
 
-__all__ = ["ThetaResolver"]
+__all__ = ["MAX_ENGINES", "ThetaResolver"]
+
+#: Most engines a resolver keeps; the least recently used goes first.
+MAX_ENGINES = 256
 
 
 class ThetaResolver:
@@ -87,11 +93,13 @@ class ThetaResolver:
 
     def engine(self, query: PredictQuery) -> Engine:
         """The engine serving ``query`` (memoised per
-        ``(platform, theta, power_cap)``)."""
+        ``(platform, theta, power_cap)``, least recently used out)."""
         key = (query.platform_id, query.theta, query.power_cap)
-        engine = self._engines.get(key)
+        engines = self._engines
+        engine = engines.pop(key, None)
         if engine is not None:
             self.memo_hits += 1
+            engines[key] = engine  # now the most recently used.
             return engine
         config = self._config(query.platform_id, query.theta)
         if query.power_cap is not None:
@@ -99,7 +107,9 @@ class ThetaResolver:
                 config, truth=replace(config.truth, delta_pi=query.power_cap)
             )
         engine = Engine(config, rng=None, recorder=self.recorder)
-        self._engines[key] = engine
+        if len(engines) >= MAX_ENGINES:
+            del engines[next(iter(engines))]
+        engines[key] = engine
         return engine
 
     def _config(self, platform_id: str, theta: str) -> PlatformConfig:

@@ -57,6 +57,28 @@ class TestNoiseFreeEquivalence:
         batch = Engine(config).run_batch(sweep_kernels(config))
         assert 0 < batch.n_throttled < len(batch)
 
+    @pytest.mark.parametrize("platform_id", PLATFORMS)
+    def test_rows_of_precomputed_physics_equal_run_batch(self, platform_id):
+        """Executing a row subset of a whole sweep's physics (how serve
+        runs the rows it did not refuse) is ``run_batch`` of that
+        subset, bit for bit: reversed order, throttled and unthrottled
+        rows mixed."""
+        config = platform(platform_id)
+        engine = Engine(config)
+        kernels = sweep_kernels(config)
+        rows = list(range(len(kernels)))[::-3]
+        got = engine.execute(engine.physics(kernels).take(rows))
+        want = engine.run_batch([kernels[i] for i in rows])
+        assert got.kernels == want.kernels
+        for name in (
+            "wall_times", "energies", "avg_powers", "ideal_times",
+            "throttled", "segment_powers",
+        ):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        for i in range(len(rows)):
+            assert got.trace(i).edges.tolist() == want.trace(i).edges.tolist()
+            assert got.trace(i).values.tolist() == want.trace(i).values.tolist()
+
     def test_traces_equal_too(self):
         config = platform("gtx-titan")
         engine = Engine(config)

@@ -306,16 +306,17 @@ class TestIdleAndMissingParams:
 
     def test_random_access_guard_covers_every_entry_point(self):
         """The guard lives in one place (_gather), so component times,
-        dynamic energy and the ideal-time cap check all reject a
-        dependent-access kernel on a platform without random-access
-        parameters -- with an error naming the kernel and platform."""
+        dynamic energy and the batch physics pass (the ideal-time cap
+        check) all reject a dependent-access kernel on a platform
+        without random-access parameters -- with an error naming the
+        kernel and platform."""
         cfg = platform("nuc-gpu")
         engine = Engine(cfg)
         k = KernelSpec(name="chase-probe", flops=1.0, random_accesses=64.0)
         for method in (
             engine.component_times,
             engine.dynamic_energy,
-            engine.ideal_time,
+            lambda kernel: engine.physics([kernel]),
         ):
             with pytest.raises(ValueError) as err:
                 method(k)

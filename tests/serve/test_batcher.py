@@ -1,7 +1,7 @@
 """Batcher unit tests: coalescing policy and failure containment.
 
 Driven with a duck-typed fake engine so the policy (width ceilings,
-engine grouping, scalar fallback, abandoned-future survival) is
+engine grouping, per-kernel fallback, abandoned-future survival) is
 asserted without physics in the way; the real-engine bit-identity
 property lives in test_differential.py.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.machine.kernel import DRAM, KernelSpec
@@ -21,6 +22,18 @@ def _kernel(name: str = "k", flops: float = 1e6) -> KernelSpec:
     return KernelSpec(name=name, flops=flops, traffic={DRAM: 1e6})
 
 
+class _FakePhysics:
+    """What the batcher reads of a physics pass: the kernels' ideal
+    times (all zero, so none is refused) and a row selection."""
+
+    def __init__(self, kernels):
+        self.kernels = list(kernels)
+        self.ideal_time = np.zeros(len(self.kernels))
+
+    def take(self, rows):
+        return _FakePhysics([self.kernels[i] for i in rows])
+
+
 class _FakeBatchResult:
     def __init__(self, results):
         self._results = results
@@ -30,28 +43,31 @@ class _FakeBatchResult:
 
 
 class _FakeEngine:
-    """Duck-typed engine: answers with (tag, kernel name) tuples and
-    keeps a log of the batch widths it was called with."""
+    """Duck-typed engine with the physics/execute split: answers with
+    (tag, kernel name) tuples and keeps a log of the batch widths it
+    executed."""
 
     def __init__(self, tag: str, poison: str | None = None):
         self.tag = tag
-        self.poison = poison  #: kernel name whose runs raise.
+        self.poison = poison  #: kernel name whose physics raises.
         self.batch_widths: list[int] = []
-        self.scalar_calls = 0
 
-    def run_batch(self, kernels):
+    def physics(self, kernels):
         if self.poison is not None and any(
             k.name == self.poison for k in kernels
         ):
             raise ValueError(f"poisoned kernel {self.poison}")
-        self.batch_widths.append(len(kernels))
-        return _FakeBatchResult([(self.tag, k.name) for k in kernels])
+        return _FakePhysics(kernels)
 
-    def run(self, kernel):
-        self.scalar_calls += 1
-        if kernel.name == self.poison:
-            raise ValueError(f"poisoned kernel {self.poison}")
-        return (self.tag, kernel.name)
+    def execute(self, physics):
+        self.batch_widths.append(len(physics.kernels))
+        return _FakeBatchResult([(self.tag, k.name) for k in physics.kernels])
+
+
+async def _submit(batcher: Batcher, engine, kernel: KernelSpec):
+    """One submission, answered as ``(result, width)``."""
+    batch, row, width = await batcher.submit(engine, kernel)
+    return batch.result(row), width
 
 
 def test_concurrent_submissions_coalesce():
@@ -62,7 +78,7 @@ def test_concurrent_submissions_coalesce():
         await batcher.start()
         try:
             results = await asyncio.gather(
-                *(batcher.submit(engine, _kernel(f"k{i}")) for i in range(8))
+                *(_submit(batcher, engine, _kernel(f"k{i}")) for i in range(8))
             )
         finally:
             await batcher.stop()
@@ -84,7 +100,7 @@ def test_max_batch_is_a_hard_ceiling():
         await batcher.start()
         try:
             results = await asyncio.gather(
-                *(batcher.submit(engine, _kernel(f"k{i}")) for i in range(10))
+                *(_submit(batcher, engine, _kernel(f"k{i}")) for i in range(10))
             )
         finally:
             await batcher.stop()
@@ -107,10 +123,10 @@ def test_assemblies_group_by_engine():
         await batcher.start()
         try:
             results = await asyncio.gather(
-                batcher.submit(a, _kernel("k0")),
-                batcher.submit(b, _kernel("k1")),
-                batcher.submit(a, _kernel("k2")),
-                batcher.submit(b, _kernel("k3")),
+                _submit(batcher, a, _kernel("k0")),
+                _submit(batcher, b, _kernel("k1")),
+                _submit(batcher, a, _kernel("k2")),
+                _submit(batcher, b, _kernel("k3")),
             )
         finally:
             await batcher.stop()
@@ -126,8 +142,8 @@ def test_assemblies_group_by_engine():
 
 
 def test_poisoned_kernel_fails_alone():
-    """A group whose run_batch raises degrades to scalar runs: the
-    offender's submit raises, its neighbours still get answers."""
+    """A group whose pass raises reruns each kernel as a width-1 batch:
+    the offender's submit raises, its neighbours still get answers."""
     engine = _FakeEngine("a", poison="bad")
 
     async def main():
@@ -135,9 +151,9 @@ def test_poisoned_kernel_fails_alone():
         await batcher.start()
         try:
             return await asyncio.gather(
-                batcher.submit(engine, _kernel("k0")),
-                batcher.submit(engine, _kernel("bad")),
-                batcher.submit(engine, _kernel("k2")),
+                _submit(batcher, engine, _kernel("k0")),
+                _submit(batcher, engine, _kernel("bad")),
+                _submit(batcher, engine, _kernel("k2")),
                 return_exceptions=True,
             )
         finally:
@@ -147,7 +163,7 @@ def test_poisoned_kernel_fails_alone():
     assert ok0[0] == ("a", "k0")
     assert ok2[0] == ("a", "k2")
     assert isinstance(err, ValueError)
-    assert engine.scalar_calls == 3
+    assert engine.batch_widths == [1, 1]
 
 
 def test_abandoned_future_does_not_kill_the_batch():
@@ -160,10 +176,10 @@ def test_abandoned_future_does_not_kill_the_batch():
         await batcher.start()
         try:
             doomed = asyncio.ensure_future(
-                batcher.submit(engine, _kernel("gone"))
+                _submit(batcher, engine, _kernel("gone"))
             )
             survivor = asyncio.ensure_future(
-                batcher.submit(engine, _kernel("kept"))
+                _submit(batcher, engine, _kernel("kept"))
             )
             await asyncio.sleep(0)  # both queued, linger window open
             doomed.cancel()
@@ -268,7 +284,7 @@ def _timed_submits(batcher: Batcher, engine, n: int):
         try:
             started = loop.time()
             results = await asyncio.gather(
-                *(batcher.submit(engine, _kernel(f"k{i}")) for i in range(n))
+                *(_submit(batcher, engine, _kernel(f"k{i}")) for i in range(n))
             )
             return results, loop.time() - started
         finally:
@@ -316,7 +332,7 @@ def test_closing_connection_ends_the_window():
         try:
             started = loop.time()
             pending = asyncio.ensure_future(
-                batcher.submit(engine, _kernel("k0"))
+                _submit(batcher, engine, _kernel("k0"))
             )
             await asyncio.sleep(0.01)
             assert not pending.done()

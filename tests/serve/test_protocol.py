@@ -159,16 +159,26 @@ class TestEncoding:
         assert json.loads(json.dumps(pred)) == pred
 
     def test_response_shape(self):
-        from repro.machine.engine import Engine
+        """Each row of a batch, throttled and unthrottled mixed, encodes
+        to the unbatched oracle's prediction."""
+        from repro.serve.theta import ThetaResolver
 
-        config = platform("gtx-titan")
-        engine = Engine(config, rng=None)
-        query = _parse(GOOD)
-        result = engine.run(build_kernel(query, config))
-        body = encode_response(query, result, batch_width=7)
-        assert body["request"] == query.echo()
-        assert body["batch_width"] == 7
-        assert body["prediction"] == encode_prediction(result)
+        queries = [
+            _parse({**GOOD, "kernel": kernel, "n": n, "power_cap": 80.0})
+            for kernel, n in [
+                ("matmul", 1024), ("triad", 1e6), ("fft", 65536),
+                ("stencil", 1e6), ("matmul", 256), ("spmv", 1e5),
+            ]
+        ]
+        engine = ThetaResolver().engine(queries[0])
+        kernels = [build_kernel(query, engine.config) for query in queries]
+        batch = engine.run_batch(kernels)
+        assert 0 < batch.n_throttled < len(batch)
+        for row, (query, kernel) in enumerate(zip(queries, kernels)):
+            body = encode_response(query, batch, row, batch_width=7)
+            assert body["request"] == query.echo()
+            assert body["batch_width"] == 7
+            assert body["prediction"] == encode_prediction(engine.run(kernel))
 
     def test_error_shape(self):
         body = encode_error(ProtocolError(400, "bad_size", "too big"))

@@ -15,7 +15,7 @@ import json
 
 from repro.serve.loadgen import HttpClient
 
-from .conftest import drive, post_predict
+from .conftest import drive, oracle_prediction, post_predict
 
 GOOD = {"kernel": "triad", "platform": "gtx-titan", "n": 1e6}
 
@@ -225,6 +225,58 @@ class TestFaultIsolation:
         assert bad_status == 404
         assert good_status == 200
         assert good_body["prediction"]["time_s"] > 0
+
+    def test_query_too_large_rides_its_assembly(self):
+        """Two good queries and one over the bound share one assembly on
+        one engine: the big one gets the typed 400 with the bound's
+        message, the other two the oracle's predictions, and the group
+        still runs as one engine batch that counts all three."""
+        queries = [
+            {**GOOD, "kernel": "matmul", "n": 256},
+            {**GOOD, "kernel": "matmul", "n": 1e6},
+            {**GOOD, "kernel": "triad", "n": 1e6},
+        ]
+
+        async def scenario(server):
+            clients = [HttpClient("127.0.0.1", server.port) for _ in queries]
+            try:
+                for client in clients:
+                    await client.connect()
+                # Every connection registered, so the assembly waits
+                # (up to the 2 s window) until all three are in.
+                while server.batcher.open_connections < len(clients):
+                    await asyncio.sleep(0.001)
+                before = server.stats()["batch"]
+                answers = await asyncio.gather(*(
+                    client.request("POST", "/predict", query)
+                    for client, query in zip(clients, queries)
+                ))
+                after = server.stats()["batch"]
+            finally:
+                for client in clients:
+                    await client.close()
+            oracle = [oracle_prediction(server, query) for query in queries]
+            return before, answers, after, oracle
+
+        before, answers, after, oracle = drive(
+            scenario, max_simulated_seconds=0.5, linger_us=2_000_000
+        )
+        (ok0, body0), (status, body), (ok2, body2) = answers
+        assert status == 400
+        ideal = oracle[1]["ideal_time_s"]
+        assert body == {
+            "error": {
+                "code": "query_too_large",
+                "message": f"kernel needs {ideal:.3g} simulated seconds, "
+                f"over the 0.5 s service limit",
+            }
+        }
+        assert (ok0, ok2) == (200, 200)
+        assert body0["prediction"] == oracle[0]
+        assert body2["prediction"] == oracle[2]
+        assert body0["batch_width"] == body2["batch_width"] == 3
+        assert after["engine_batches"] == before["engine_batches"] + 1
+        assert after["batches"] == before["batches"] + 1
 
     def test_mid_request_disconnect_spares_the_batch(self):
         """A client that vanishes after half a body is a counted

@@ -46,7 +46,7 @@ def test_request_path_spans():
     # One request + respond span pair per request ...
     assert names.count("request") == 4
     assert names.count("respond") == 4
-    # ... batching spans from the dispatcher and engine underneath.
+    # ... batching spans from the batcher and engine underneath.
     assert names.count("batch_assemble") >= 1
     assert "engine_batch" in names
 

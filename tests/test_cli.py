@@ -368,6 +368,34 @@ class TestIntegerFlags:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in stderr
 
 
+class TestOutputPaths:
+    """Files a command writes when it finishes (``--trace``, ``--json``)
+    are checked where they are parsed: a path in a missing directory,
+    or one that is a directory, is a usage error before any work, store
+    or socket -- not a traceback after all of it."""
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "gtx-titan", "--quick", "--trace"],
+            ["fleet", "--workload", FLEET_WORKLOAD, "--json"],
+            ["fleet", "--workload", FLEET_WORKLOAD, "--trace"],
+            ["serve", "--port", "0", "--trace"],
+        ],
+        ids=["campaign-trace", "fleet-json", "fleet-trace", "serve-trace"],
+    )
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, argv, where):
+        out = tmp_path / "nodir" / "out" if where == "missing-parent" else tmp_path
+        store = tmp_path / "store"
+        full = [*argv, str(out)]
+        if argv[0] == "campaign":
+            full += ["--cache", str(store)]
+        stderr = TestIntegerFlags.usage_error(full)
+        assert f"argument {argv[-1]}" in stderr
+        assert not store.exists()
+
+
 class TestServeParser:
     """``archline serve`` argument surface (the service itself is
     load-tested in tests/serve/)."""
