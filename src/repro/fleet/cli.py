@@ -120,7 +120,8 @@ def build_fleet_parser(
         "--exact",
         action="store_true",
         help="force the exhaustive oracle solver (small instances only; "
-        "default: LP relaxation + greedy + capped polish)",
+        "default: LP bound, then a capped polish seeded with each bin's "
+        "own optimal cover)",
     )
     parser.add_argument(
         "--states",

@@ -62,18 +62,33 @@ class PlatformOffer:
     def __post_init__(self) -> None:
         if not self.platform_id:
             raise ValueError("an offer needs a platform id")
-        cost = float(self.unit_cost)
+        cost = self._number("unit_cost")
         if not math.isfinite(cost) or cost < 0:
             raise ValueError(
                 f"unit_cost must be finite and non-negative, got {cost!r}"
             )
-        cap = float(self.max_nodes)
+        cap = self._number("max_nodes")
         if math.isnan(cap) or cap < 0:
             raise ValueError(
                 f"max_nodes must be non-negative (inf ok), got {cap!r}"
             )
         if math.isfinite(cap) and cap != int(cap):
             raise ValueError(f"max_nodes must be integral, got {cap!r}")
+        object.__setattr__(self, "unit_cost", cost)
+        object.__setattr__(self, "max_nodes", cap)
+
+    def _number(self, name: str) -> float:
+        """Field ``name`` as a float.  Only an int or a float is a
+        number: a bool or a numeric string would convert silently."""
+        value = getattr(self, name)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:  # an int beyond the float range
+                pass
+        raise ValueError(
+            f"{name} for {self.platform_id} must be a number, got {value!r}"
+        )
 
 
 def parse_cost_overrides(text: str) -> dict[str, PlatformOffer]:
@@ -87,9 +102,7 @@ def parse_cost_overrides(text: str) -> dict[str, PlatformOffer]:
     offers: dict[str, PlatformOffer] = {}
     for pid in sorted(obj):
         entry: Any = obj[pid]
-        if isinstance(entry, (int, float)):
-            offers[pid] = PlatformOffer(pid, float(entry))
-        elif isinstance(entry, dict):
+        if isinstance(entry, dict):
             unknown = sorted(set(entry) - {"unit_cost", "max_nodes"})
             if unknown:
                 raise ValueError(
@@ -98,15 +111,10 @@ def parse_cost_overrides(text: str) -> dict[str, PlatformOffer]:
             if "unit_cost" not in entry:
                 raise ValueError(f"cost entry for {pid} needs 'unit_cost'")
             offers[pid] = PlatformOffer(
-                pid,
-                float(entry["unit_cost"]),
-                float(entry.get("max_nodes", math.inf)),
+                pid, entry["unit_cost"], entry.get("max_nodes", math.inf)
             )
         else:
-            raise ValueError(
-                f"cost entry for {pid} must be a number or object, "
-                f"got {entry!r}"
-            )
+            offers[pid] = PlatformOffer(pid, entry)
     return offers
 
 

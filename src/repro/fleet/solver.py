@@ -41,14 +41,19 @@ Two solvers, intentionally independent implementations:
     the search keeps the leaf an unpruned walk would.  No LP
     involved; this is the test oracle.
 :func:`solve`
-    The scalable path: LP relaxation (:mod:`repro.fleet.simplex`),
-    floor-rounding, greedy deficit fill, surplus trim, then a
-    state-capped run of the exact search seeded with the greedy
-    incumbent.  On small instances, and on the shipped workloads, the
-    capped search completes and the answer is provably optimal (the
-    differential tests assert it matches the oracle); when the cap
-    cuts it short it returns the best incumbent plus the LP lower
-    bound, so the optimality gap is always reported.
+    The scalable path: the LP relaxation (:mod:`repro.fleet.simplex`)
+    for the lower bound and the infeasibility proof, then a
+    state-capped run of the exact search (the polish).  Its seed is
+    every bin's own exact cover, placed side by side: the polish
+    searches those covers anyway for its untouched-bin bounds, and
+    when the mix keeps every budget and supply cap it is optimal, so
+    the polish only confirms it.  When it breaks one, or a bin's
+    search hits the cap, the LP solution floor-rounded, greedy-filled
+    and trimmed is the seed instead.  On small instances, and on the
+    shipped workloads, the capped search completes and the answer is
+    provably optimal (the differential tests assert it matches the
+    oracle); when the cap cuts it short it returns the best incumbent
+    plus the LP lower bound, so the optimality gap is always reported.
 
 Everything is deterministic: platforms and bins are walked in the
 instance's stored (sorted) order, ties keep the first solution found,
@@ -302,14 +307,25 @@ def _ceil_div(demand: float, rate: float) -> int:
     return max(0, math.ceil(demand / rate - 1e-12))
 
 
+#: One bin's minimum-weight cover with no budget or supply cap: its
+#: objective and its node counts over the bin's pairs, in pair order.
+_Cover = tuple[float, tuple[int, ...]]
+
+
 class _ExactSearch:
-    """DFS over per-bin irreducible covers with budget/bound pruning."""
+    """DFS over per-bin irreducible covers with budget/bound pruning.
+
+    ``covers[j]`` is bin ``j``'s own cover (:func:`_bin_covers`), or
+    None when its search hit the cap; bin 0's is never read.  Without
+    ``covers`` the search runs the bin searches itself.
+    """
 
     def __init__(
         self,
         instance: FleetInstance,
         state_limit: int,
         incumbent: tuple[int, ...] | None,
+        covers: list[_Cover | None] | None = None,
     ) -> None:
         self.inst = instance
         self.weights = instance.pair_weights()
@@ -360,11 +376,13 @@ class _ExactSearch:
                 weights[t] = min(weights[t], weights[t + 1])
             self.ratio_min.append(ratios)
             self.weight_min.append(weights)
-        self.suffix_lb = self._untouched_bounds()
+        if covers is None:
+            covers = _bin_covers(instance, state_limit)
+        self.suffix_lb = self._untouched_bounds(covers)
         self.x = [0] * len(instance.pair_bin)
         self.supply = [0] * len(instance.platform_ids)
 
-    def _untouched_bounds(self) -> list[float]:
+    def _untouched_bounds(self, covers: list[_Cover | None]) -> list[float]:
         """``suffix_lb[j]``: a lower bound on what bins ``j, j+1, ...``
         add to any leaf's objective.
 
@@ -373,8 +391,8 @@ class _ExactSearch:
         lifted, since those only remove mixes.  A one-bin instance
         reads no such bound, so the bin searches never recurse, and a
         bin whose own search hits the state cap keeps the fractional
-        :meth:`_finish_lb`.  Bin 0 is never untouched, so it is not
-        searched.
+        :meth:`_finish_lb`.  Bin 0 is never untouched, so its cover is
+        not read.
 
         A leaf adds its per-pair terms to one running sum, in pair
         order; the bound adds per-bin optima, each summed on its own.
@@ -394,11 +412,11 @@ class _ExactSearch:
         bounds = [0.0] * n_bins
         for j in range(1, n_bins):
             if self.groups[j]:
-                cover = _bin_cover(inst, self.groups[j], self.state_limit)
+                cover = covers[j]
                 bounds[j] = (
                     self._finish_lb(j, 0, inst.demands[j])
                     if cover is None
-                    else cover
+                    else cover[0]
                 )
         suffix = [0.0] * (n_bins + 1)
         for j in range(n_bins - 1, -1, -1):
@@ -506,12 +524,24 @@ class _ExactSearch:
                 return
 
 
+def _bin_covers(
+    instance: FleetInstance, state_limit: int
+) -> list[_Cover | None]:
+    """:func:`_bin_cover` of bins 1, 2, ...: what the exact search
+    bounds its untouched bins with.  None for bin 0, which is never
+    untouched, and for a bin no pair serves."""
+    return [
+        _bin_cover(instance, group, state_limit) if j and group else None
+        for j, group in enumerate(instance.bin_pairs())
+    ]
+
+
 def _bin_cover(
     instance: FleetInstance, group: tuple[int, ...], state_limit: int
-) -> float | None:
-    """The minimum objective of covering one bin's demand from its
-    pairs ``group`` with no budget or supply cap, or None if the search
-    hits ``state_limit`` first."""
+) -> _Cover | None:
+    """The minimum-weight cover of one bin's demand from its pairs
+    ``group`` with no budget or supply cap, or None if the search hits
+    ``state_limit`` first."""
     j = instance.pair_bin[group[0]]
     alone = FleetInstance(
         bin_labels=(instance.bin_labels[j],),
@@ -530,7 +560,7 @@ def _bin_cover(
     search.run()
     if search.truncated or search.best_nodes is None:
         return None
-    return search.best_obj
+    return search.best_obj, search.best_nodes
 
 
 def solve_exact(
@@ -539,36 +569,42 @@ def solve_exact(
     state_limit: int = 2_000_000,
     incumbent: tuple[int, ...] | None = None,
     recorder: TraceRecorder = NULL_RECORDER,
-    _method: str = "exact",
 ) -> FleetSolution:
     """Provably optimal mix by exhaustive irreducible-cover search.
 
     With the default ``state_limit`` this is the oracle for small
     instances; if the limit is hit the result degrades to the best
     incumbent (status ``"feasible"``/``"unknown"``) -- the scalable
-    path uses exactly that mode as its polish step.
+    path runs the same search in that mode as its polish step.
     """
     with recorder.span(
         "fleet_solve",
-        method=_method,
+        method="exact",
         bins=len(instance.bin_labels),
         platforms=len(instance.platform_ids),
         pairs=len(instance.pair_bin),
     ):
         search = _ExactSearch(instance, state_limit, incumbent)
         search.run()
-    zeros = tuple(0 for _ in instance.pair_bin)
+    return _searched(search, "exact")
+
+
+def _searched(
+    search: _ExactSearch, method: str, lp_bound: float = math.nan
+) -> FleetSolution:
+    """The solution a finished (or truncated) search found."""
     if search.best_nodes is None:
         status = "unknown" if search.truncated else "infeasible"
-        return _solution(
-            instance, status, _method, zeros, states=search.states
-        )
-    status = "feasible" if search.truncated else "optimal"
+        nodes = tuple(0 for _ in search.inst.pair_bin)
+    else:
+        status = "feasible" if search.truncated else "optimal"
+        nodes = search.best_nodes
     return _solution(
-        instance,
+        search.inst,
         status,
-        _method,
-        search.best_nodes,
+        method,
+        nodes,
+        lp_bound=lp_bound,
         states=search.states,
     )
 
@@ -658,19 +694,53 @@ def _trim(instance: FleetInstance, x: list[int]) -> list[int]:
     return x
 
 
+def _side_by_side(
+    instance: FleetInstance, covers: list[_Cover | None]
+) -> tuple[int, ...] | None:
+    """Every bin's own optimal cover placed side by side, when every
+    bin's search finished and the mix keeps the power and cost budgets
+    and every supply cap; None otherwise.
+
+    Such a mix is optimal in exact arithmetic.  Without budgets and
+    caps the bins are independent, so no mix costs less than the sum of
+    the per-bin optima; budgets and caps only remove mixes, and this
+    one survives them.
+    """
+    found = [cover for cover in covers if cover is not None]
+    if len(found) < len(covers):
+        return None
+    x = [0] * len(instance.pair_bin)
+    supply = [0] * len(instance.platform_ids)
+    for group, (_, counts) in zip(instance.bin_pairs(), found):
+        for k, count in zip(group, counts):
+            x[k] = count
+            supply[instance.pair_platform[k]] += count
+    _, power, cost, _ = _totals(instance, x)
+    if (
+        power > instance.power_budget * (1 + _REL_TOL)
+        or cost > instance.cost_budget * (1 + _REL_TOL)
+        or any(s > cap for s, cap in zip(supply, instance.max_nodes))
+    ):
+        return None
+    return tuple(x)
+
+
 def solve(
     instance: FleetInstance,
     *,
     polish_states: int = 200_000,
     recorder: TraceRecorder = NULL_RECORDER,
 ) -> FleetSolution:
-    """The scalable path: LP relax, round, greedy-fill, trim, polish.
+    """The scalable path: LP bound, per-bin seed, capped polish.
 
     Always returns the LP lower bound alongside the integer solution,
-    so callers see the worst-case optimality gap.  The polish step is
-    the exact search capped at ``polish_states``; when it finishes
-    inside the cap the result is provably optimal and the status says
-    so.
+    so callers see the worst-case optimality gap; an infeasible LP
+    proves the instance infeasible.  The polish is the exact search
+    capped at ``polish_states``, seeded with :func:`_side_by_side`
+    (bin 0's own cover is searched only when every other bin's search
+    finished) or, failing that, with the LP solution floor-rounded,
+    greedy-filled and trimmed.  When it finishes inside the cap the
+    result is provably optimal and the status says so.
     """
     with recorder.span(
         "fleet_solve",
@@ -680,7 +750,8 @@ def solve(
         pairs=len(instance.pair_bin),
     ):
         zeros = tuple(0 for _ in instance.pair_bin)
-        if any(not g for g in instance.bin_pairs()):
+        groups = instance.bin_pairs()
+        if any(not g for g in groups):
             return _solution(instance, "infeasible", "lp_greedy", zeros)
         lp = _relaxation(instance)
         if lp.status == "infeasible":
@@ -689,32 +760,16 @@ def solve(
                 instance, "infeasible", "lp_greedy", zeros, lp_bound=math.inf
             )
         lp_bound = lp.objective if lp.status == "optimal" else math.nan
-        incumbent: tuple[int, ...] | None = None
-        if lp.status == "optimal":
+        covers = _bin_covers(instance, polish_states)
+        if all(cover is not None for cover in covers[1:]):
+            covers[0] = _bin_cover(instance, groups[0], polish_states)
+        incumbent = _side_by_side(instance, covers)
+        if incumbent is None and lp.status == "optimal":
             rounded = _greedy_complete(
                 instance, [int(math.floor(v + _REL_TOL)) for v in lp.x]
             )
             if rounded is not None:
                 incumbent = tuple(_trim(instance, rounded))
-        # The outer span already covers the polish; NULL_RECORDER avoids
-        # a redundant nested fleet_solve span.
-        polished = solve_exact(
-            instance,
-            state_limit=polish_states,
-            incumbent=incumbent,
-            recorder=NULL_RECORDER,
-            _method="lp_greedy",
-        )
-    return FleetSolution(
-        status=polished.status,
-        method="lp_greedy",
-        objective=polished.objective,
-        nodes=polished.nodes,
-        objective_value=polished.objective_value,
-        energy=polished.energy,
-        power=polished.power,
-        cost=polished.cost,
-        total_nodes=polished.total_nodes,
-        lp_bound=lp_bound,
-        states_explored=polished.states_explored,
-    )
+        search = _ExactSearch(instance, polish_states, incumbent, covers)
+        search.run()
+    return _searched(search, "lp_greedy", lp_bound)

@@ -80,11 +80,18 @@ def algorithm_by_name(name: str) -> Algorithm:
     return builder()
 
 
-def _require_finite_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-    return value
+def _require_number(name: str, value: Any, *, positive: bool = True) -> None:
+    """Reject all but a finite number (an int or a float, never a bool
+    or a string) above zero, or at or above it unless ``positive``."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok:
+        try:
+            ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+    if not ok:
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class WorkloadBin:
     label: str = ""  #: display name; derived when empty.
 
     def __post_init__(self) -> None:
-        _require_finite_positive("jobs", self.jobs)
+        _require_number("jobs", self.jobs)
         if self.precision not in _PRECISIONS:
             raise ValueError(
                 f"precision must be one of {_PRECISIONS}, "
@@ -122,17 +129,23 @@ class WorkloadBin:
         if algorithmic:
             if self.algorithm is None or self.n is None:
                 raise ValueError("algorithm bins need both algorithm and n")
+            if not isinstance(self.algorithm, str):
+                raise ValueError(
+                    f"algorithm must be a string, got {self.algorithm!r}"
+                )
             algorithm_by_name(self.algorithm)  # validates the name
-            _require_finite_positive("n", self.n)
+            _require_number("n", self.n)
         else:
             if self.flops is None or self.bytes_moved is None:
                 raise ValueError("raw bins need both W and Q")
-            _require_finite_positive("W", self.flops)
-            bq = float(self.bytes_moved)
-            if not math.isfinite(bq) or bq < 0:
-                raise ValueError(
-                    f"Q must be a finite non-negative number, got {bq!r}"
-                )
+            _require_number("W", self.flops)
+            _require_number("Q", self.bytes_moved, positive=False)
+        if not isinstance(self.resident, bool):
+            raise ValueError(
+                f"resident must be true or false, got {self.resident!r}"
+            )
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
@@ -180,8 +193,8 @@ class WorkloadBin:
             precision=obj.get("precision", "single"),
             flops=obj.get("W"),
             bytes_moved=obj.get("Q"),
-            resident=bool(obj.get("resident", False)),
-            label=str(obj.get("label", "")),
+            resident=obj.get("resident", False),
+            label=obj.get("label", ""),
         )
 
 
@@ -193,7 +206,7 @@ class WorkloadSpec:
     horizon: float = 3600.0  #: planning window, seconds.
 
     def __post_init__(self) -> None:
-        _require_finite_positive("horizon", self.horizon)
+        _require_number("horizon", self.horizon)
         if not self.bins:
             raise ValueError("a workload needs at least one bin")
         labels = [b.label for b in self.bins]

@@ -230,8 +230,11 @@ class _BatchInputs:
     """Kernel work terms gathered into aligned arrays.
 
     ``volumes`` is keyed by level name in the platform's canonical
-    order (DRAM first, then caches as configured); absent levels hold
-    zeros, so the per-level sums below accumulate in the same order for
+    order (DRAM first, then caches as configured), over only the levels
+    some kernel of the batch touches; a kernel that skips one of them
+    holds zero there.  A level no kernel touches would add exact zeros
+    to every kernel's non-negative sums, so leaving it out changes no
+    bit, and the per-level sums below accumulate in the same order for
     every kernel -- which is what makes the scalar and batch paths
     bit-for-bit identical.
     """
@@ -331,6 +334,7 @@ class Engine:
         if not kernels:
             raise ValueError("need at least one kernel")
         truth = self.config.truth
+        touched: set[str] = set()
         for kernel in kernels:
             for level in kernel.traffic:
                 if level not in self._level_costs:
@@ -338,6 +342,7 @@ class Engine:
                         f"platform {truth.name!r} has no level {level!r}; "
                         f"available: {sorted(self._level_costs)}"
                     )
+                touched.add(level)
         random_accesses = np.array([k.random_accesses for k in kernels])
         if truth.random is None and np.any(random_accesses > 0.0):
             offender = next(k for k in kernels if k.random_accesses > 0.0)
@@ -355,6 +360,7 @@ class Engine:
             volumes={
                 level: np.array([k.traffic.get(level, 0.0) for k in kernels])
                 for level in self._level_order
+                if level in touched
             },
             random_accesses=random_accesses,
             tau_flop=np.array([costs[k.precision][0] for k in kernels]),
@@ -368,9 +374,9 @@ class Engine:
         truth = self.config.truth
         t_flop = batch.flops * batch.tau_flop
         t_mem = np.zeros(len(batch.kernels))
-        for level in self._level_order:
+        for level, volume in batch.volumes.items():
             tau, _ = self._level_costs[level]
-            t_mem = t_mem + batch.volumes[level] * tau
+            t_mem = t_mem + volume * tau
         if truth.random is not None:
             t_mem = t_mem + batch.random_accesses * truth.random.tau_access
         return t_flop, t_mem
@@ -384,9 +390,9 @@ class Engine:
         """
         truth = self.config.truth
         energy = batch.flops * batch.eps_flop * g_flop
-        for level in self._level_order:
+        for level, volume in batch.volumes.items():
             _, eps = self._level_costs[level]
-            energy = energy + batch.volumes[level] * eps * g_mem
+            energy = energy + volume * eps * g_mem
         if truth.random is not None:
             energy = energy + (
                 batch.random_accesses * truth.random.eps_access * g_mem
@@ -425,8 +431,11 @@ class Engine:
         ideal = np.maximum(t_flop, t_mem)
         if truth.is_capped:
             # Cap applies to the un-scaled dynamic energy (the model
-            # knows nothing of utilisation scaling).
-            raw_energy = self._energy_sum(batch, 1.0, 1.0)
+            # knows nothing of utilisation scaling); with no scaling
+            # that is ``dyn_energy`` itself, since ``x * 1.0 == x``.
+            raw_energy = (
+                self._energy_sum(batch, 1.0, 1.0) if slope > 0.0 else dyn_energy
+            )
             ideal = np.maximum(ideal, raw_energy / truth.delta_pi)
 
         return BatchPhysics(

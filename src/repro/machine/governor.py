@@ -230,7 +230,9 @@ def run_governor_batch(
     ``cap`` may be a scalar (one budget for the whole batch, the
     engine's case) or a per-kernel array.  Kernels whose demand does
     not exceed their cap come back as the unthrottled single-segment
-    schedule, exactly as the scalar path returns them.
+    schedule, exactly as the scalar path returns them, and so do
+    throttled kernels whose work fits in one control interval; only
+    the rest enter the lockstep loop.
     """
     work = np.asarray(work, dtype=float)
     demand = np.asarray(demand_power, dtype=float)
@@ -255,16 +257,21 @@ def run_governor_batch(
     seg_durs: list[np.ndarray | None] = [None] * n
     walls = np.empty(n)
     throttled = demand > cap_arr
+    # A throttled run whose work fits in one control interval finishes
+    # in the loop's first, at f = 1.0 (progress ``period`` covers it),
+    # with the tail ``work / 1.0 == work``: the unthrottled schedule,
+    # though the run still counts as throttled.
+    single = ~throttled | (work <= settings.period)
 
-    for i in np.flatnonzero(~throttled):
-        # An unthrottled trace has a single edge at ``work``; its
+    for i in np.flatnonzero(single):
+        # A one-segment trace has a single edge at ``work``; its
         # geometry is the schedule itself.
         durations[i] = np.array([work[i]])
         frequencies[i] = np.array([1.0])
         seg_durs[i] = np.array([work[i]])
         walls[i] = work[i]
 
-    idx = np.flatnonzero(throttled)
+    idx = np.flatnonzero(~single)
     if idx.size:
         step = settings.period
         F, full_segs, tails, tail_freqs = _lockstep(

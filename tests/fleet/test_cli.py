@@ -167,6 +167,64 @@ class TestUsageErrors:
         assert code == 2
         assert "unknown platform" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, field, value, message",
+        [
+            pytest.param(
+                where, field, value, message,
+                id=f"{field or 'cost'}-{type(value).__name__}",
+            )
+            for where, field, values, message in [
+                ("spec", "horizon", ("3600", True), "horizon must be"),
+                # An int beyond the float range is a number, but not a
+                # finite one.
+                ("bin", "jobs", ("400", True, 10**400), "jobs must be"),
+                ("bin", "n", ("8192", True), "n must be"),
+                ("bin", "algorithm", (["matmul"],), "algorithm must be"),
+                ("raw", "W", ("2e12", True), "W must be"),
+                ("raw", "Q", ("4e10", True), "Q must be"),
+                # A JSON boolean is the one valid resident, a string the
+                # one valid label: each takes a number as its other row.
+                ("bin", "resident", ("false", 1), "resident must be"),
+                ("raw", "label", (True, 7), "label must be"),
+                # A bare entry is a unit cost: a bool is not one.
+                ("costs", None, (True,), "unit_cost for nuc-gpu"),
+                (
+                    "costs", "unit_cost", ("350", True, 10**400),
+                    "unit_cost for nuc-gpu",
+                ),
+                ("costs", "max_nodes", ("8", True), "max_nodes for nuc-gpu"),
+            ]
+            for value in values
+        ],
+    )
+    def test_bad_json_field_is_a_usage_error(
+        self, tmp_path, capsys, where, field, value, message
+    ):
+        """A string or a bool where a number belongs, a number beyond
+        the float range, a non-bool resident or a non-string label or
+        algorithm is a usage error naming the field, not a traceback, a
+        garbled message or a silent 1."""
+        spec = json.loads(json.dumps(WORKLOAD))
+        costs = None
+        if where == "spec":
+            spec[field] = value
+        elif where in ("bin", "raw"):
+            spec["bins"][0 if where == "bin" else 4][field] = value
+        elif field is None:
+            costs = {"nuc-gpu": value}
+        else:
+            costs = {"nuc-gpu": {"unit_cost": 350, "max_nodes": 8, field: value}}
+        workload = tmp_path / "w.json"
+        workload.write_text(json.dumps(spec))
+        argv = ["fleet", "--workload", str(workload)]
+        if costs is not None:
+            (tmp_path / "costs.json").write_text(json.dumps(costs))
+            argv += ["--costs", str(tmp_path / "costs.json")]
+        assert main(argv) == 2
+        kind = "bad costs document" if where == "costs" else "bad workload spec"
+        assert f"archline fleet: {kind}: {message}" in capsys.readouterr().err
+
     def test_infeasible_exits_1(self, workload_path, capsys):
         code = main(
             ["fleet", "--workload", workload_path,

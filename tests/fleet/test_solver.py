@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.fleet import solver as fleet_solver
 from repro.fleet import (
     FleetInstance,
     WorkloadSpec,
@@ -331,6 +332,77 @@ class TestHandInstances:
             )
 
 
+def _seed_instance(**kwargs):
+    """Two bins at minimum cost, integral throughout.  Alone, each bin
+    is covered cheapest by plat1 (18 per job against 30): two nodes on
+    bin 0 and one on bin 1, which side by side draw 60 W and use three
+    plat1 nodes.  The LP puts the same nodes there."""
+    return make_instance(
+        demands=[10, 5],
+        rates=[[2.0, 5.0], [2.0, 5.0]],
+        powers=[[6.0, 20.0], [6.0, 20.0]],
+        costs=[60.0, 90.0],
+        objective="cost",
+        **kwargs,
+    )
+
+
+def _solve_counting_fills(monkeypatch, instance, **kwargs):
+    """``solve`` on ``instance``, and how often it ran the greedy fill
+    of the LP-rounded seed."""
+    calls = []
+    fill = fleet_solver._greedy_complete
+
+    def counted(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(fleet_solver, "_greedy_complete", counted)
+    return solve(instance, **kwargs), len(calls)
+
+
+class TestSeed:
+    """The polish starts from the bins' own optimal covers side by side
+    when that mix keeps every budget and cap, and from the LP-rounded
+    greedy fill otherwise; either way it reaches the oracle's optimum."""
+
+    def test_side_by_side_covers_seed_the_polish(self, monkeypatch):
+        instance = _seed_instance()
+        solution, fills = _solve_counting_fills(monkeypatch, instance)
+        assert fills == 0
+        assert solution.status == "optimal"
+        assert solution.nodes == (0, 2, 0, 1)
+        assert solution.objective_value == solve_exact(instance).objective_value
+
+    @pytest.mark.parametrize(
+        "limits, polish_states",
+        [
+            # The side-by-side mix draws 60 W.
+            (dict(power_budget=50.0), 200_000),
+            # It uses three plat1 nodes.
+            (dict(max_nodes=[math.inf, 2]), 200_000),
+            # Bin 1's own search needs three states; the polish, seeded
+            # with the LP's optimal nodes, prunes at its first.
+            ({}, 3),
+        ],
+        ids=["power-budget", "supply-cap", "bin-search-capped"],
+    )
+    def test_greedy_seed_when_the_covers_cannot(
+        self, monkeypatch, limits, polish_states
+    ):
+        instance = _seed_instance(**limits)
+        solution, fills = _solve_counting_fills(
+            monkeypatch, instance, polish_states=polish_states
+        )
+        exact = solve_exact(instance)
+        assert fills == 1
+        assert solution.status == exact.status == "optimal"
+        assert_feasible(instance, solution)
+        assert solution.objective_value == pytest.approx(
+            exact.objective_value, rel=1e-12
+        )
+
+
 @st.composite
 def fleet_instances(draw):
     """Random instances small enough for the oracle to finish."""
@@ -574,9 +646,9 @@ def test_four_bin_budgeted_solve_finishes_optimal():
     """The example workload's four algorithm bins on all twelve
     platforms at truth theta, under a 2 kW rack and a 50,000 budget:
     optimal, in an exactly repeating number of states.  Neither budget
-    binds (the mix draws 29 W and costs 890); they count only through
-    the search bounds, so 600 W or 5,000 moves the state count and
-    2.5 kW or 40,000 does not."""
+    binds (the mix draws 29 W and costs 890), so the bins' own covers
+    side by side seed the polish, which only confirms them: 600 W,
+    5,000 or no budget at all gives the same count."""
     workload = WorkloadSpec.from_json(WORKLOAD_EXAMPLE.read_text())
     workload = replace(workload, bins=workload.bins[:4])
     assert workload.horizon == 3600.0
@@ -593,7 +665,7 @@ def test_four_bin_budgeted_solve_finishes_optimal():
     assert solution.objective_value == pytest.approx(
         103423.77669236119, rel=1e-12
     )
-    assert solution.states_explored == 505
+    assert solution.states_explored == 219
     assert solution.total_nodes == 4
     assert len(instance.pair_bin) == 48
 
@@ -619,14 +691,14 @@ def test_eight_bin_cost_solve_finishes_optimal(tmp_path):
     )
     assert solution["status"] == "optimal"
     assert solution["objective_value"] == pytest.approx(1780.0, rel=1e-12)
-    assert solution["states_explored"] == 2185
+    assert solution["states_explored"] == 69
 
 
 @pytest.mark.parametrize(
     "flags, states",
     [
-        ((), 4586),
-        (("--power-budget", "2000", "--cost-budget", "50000"), 4586),
+        ((), 631),
+        (("--power-budget", "2000", "--cost-budget", "50000"), 631),
     ],
     ids=["no-budget", "2kW-50k"],
 )

@@ -14,11 +14,12 @@ governor fallback are exercised.
 import numpy as np
 import pytest
 
+from repro.core import model
 from repro.machine.engine import Engine
 from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
 
-# Capped GPU, capped manycore, uncapped GPU with utilisation scaling,
+# Capped GPU, capped manycore, capped GPU with utilisation scaling,
 # capped desktop CPU: together they cover every deterministic branch.
 PLATFORMS = ["gtx-titan", "xeon-phi", "arndale-gpu", "desktop-cpu"]
 
@@ -78,6 +79,48 @@ class TestNoiseFreeEquivalence:
         for i in range(len(rows)):
             assert got.trace(i).edges.tolist() == want.trace(i).edges.tolist()
             assert got.trace(i).values.tolist() == want.trace(i).values.tolist()
+
+    @pytest.mark.parametrize("platform_id", ["arndale-gpu", "desktop-cpu"])
+    def test_kernels_touching_different_levels(self, platform_id):
+        """Kernels touching no level, DRAM alone, the last cache alone
+        or every level, at intensities either side of the cap and at two
+        sizes (the smaller finishes inside one governor interval): the
+        batch sums only the levels some kernel touches, ``run`` only its
+        kernel's, and every kernel gets the same bits.  arndale-gpu
+        scales energy with utilisation (slope 0.15), so its cap check
+        sums the energy again unscaled; desktop-cpu does not."""
+        config = platform(platform_id)
+        slope = config.effects.utilisation_energy_slope
+        assert (slope > 0.0) == (platform_id == "arndale-gpu")
+        engine = Engine(config)
+        levels = (DRAM,) + tuple(c.name for c in config.truth.caches)
+        kernels = [
+            KernelSpec(
+                name=f"k{len(subset)}-{size:g}-{x:g}",
+                flops=float(x) * size,
+                traffic={level: size for level in subset},
+            )
+            for subset in ((), (DRAM,), levels[-1:], levels)
+            for size in (1e4, 1e8)
+            for x in np.geomspace(1.0 / 8.0, 512.0, 7)
+        ]
+        batch = engine.run_batch(kernels)
+        assert 0 < batch.n_throttled < len(batch)
+        for i, kernel in enumerate(kernels):
+            if set(kernel.traffic) <= {DRAM}:
+                # The cap check reads the unscaled energy, as the
+                # closed-form model does.
+                assert batch.ideal_times[i] == pytest.approx(
+                    model.time(config.truth, kernel.flops, kernel.dram_bytes),
+                    rel=1e-12,
+                )
+            ref = engine.run(kernel)
+            assert batch.wall_times[i] == ref.wall_time, kernel.name
+            assert batch.energies[i] == ref.true_energy, kernel.name
+            assert batch.ideal_times[i] == ref.ideal_time, kernel.name
+            assert batch.throttled[i] == ref.throttled, kernel.name
+            assert batch.trace(i).edges.tolist() == ref.trace.edges.tolist()
+            assert batch.trace(i).values.tolist() == ref.trace.values.tolist()
 
     def test_traces_equal_too(self):
         config = platform("gtx-titan")

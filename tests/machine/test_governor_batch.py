@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine import governor
 from repro.machine.governor import (
     GovernorSettings,
     _lockstep,
@@ -88,6 +89,37 @@ class TestDifferential:
         work = np.array([1.0000000000000009, 0.25])
         demand = np.array([2.0, 2.0])
         assert_batch_matches_scalar(work, demand, 1.0, gov)
+
+    def test_work_within_one_interval(self, monkeypatch):
+        # Throttled lanes whose work fits in the first control interval
+        # (work == period, the float below it, work << period) finish
+        # there at f = 1.0: one segment of ``work``, still throttled,
+        # and they never enter the lockstep loop.  The float above the
+        # period needs a second interval.  Mixed with multi-interval
+        # lanes, under one cap and under a per-lane cap array.
+        gov = GovernorSettings(period=1e-3)
+        p = gov.period
+        work = np.array(
+            [p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), p * 1e-6, 0.05, 0.2]
+        )
+        demand = np.full(len(work), 30.0)
+        caps = np.array([20.0, 5.0, 25.0, 40.0, 10.0, 20.0])
+        looped = []
+
+        def recording(work, *args):
+            looped.append(work.tolist())
+            return _lockstep(work, *args)
+
+        monkeypatch.setattr(governor, "_lockstep", recording)
+        for cap in (20.0, caps):
+            assert_batch_matches_scalar(work, demand, cap, gov)
+            batch = run_governor_batch(work, demand, cap, gov)
+            assert batch.throttled[:2].all()
+            for i in (0, 1, 3):
+                assert batch.durations[i].tolist() == [work[i]]
+        # Each of the four batches above looped only the lanes that
+        # need a second interval (lane 3 is unthrottled under the array).
+        assert looped == [work[[2, 4, 5]].tolist()] * 4
 
     def test_deep_throttle_frequency_floor(self):
         gov = GovernorSettings(f_min=0.5)
